@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_keys
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
@@ -178,13 +178,16 @@ class CameraModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraModel":
-        ext = d.get("extrinsic", {})
-        rot = np.array(ext.get("rotation_rowmajor", np.eye(3).ravel()),
-                       dtype=float).reshape(3, 3)
-        t = np.array(ext.get("translation_mm", [0.0, 0.0, 0.0]), dtype=float)
-        return cls(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-                   width=d.get("width", 640), height=d.get("height", 480),
-                   rotation=rot, translation_mm=t)
+        kwargs = dict(_check_keys(
+            d, "camera", ("fx", "fy", "cx", "cy", "width", "height",
+                          "extrinsic"), required=("fx", "fy", "cx", "cy")))
+        ext = _check_keys(kwargs.pop("extrinsic", {}), "camera extrinsic",
+                          ("rotation_rowmajor", "translation_mm"))
+        if "rotation_rowmajor" in ext:
+            kwargs["rotation"] = np.reshape(ext["rotation_rowmajor"], (3, 3))
+        if "translation_mm" in ext:
+            kwargs["translation_mm"] = ext["translation_mm"]
+        return cls(**kwargs)
 
     def save_json(self, path) -> None:
         with open(path, "w") as f:

@@ -120,7 +120,7 @@ def _cmd_repeatability(args) -> int:
 def _cmd_camera_curve(args) -> int:
     if args.presets:
         with open(args.presets) as f:
-            presets = {name: NoiseModel(**fields)
+            presets = {name: NoiseModel.from_dict(fields)
                        for name, fields in json.load(f).items()}
     else:
         presets = {"none": NoiseModel(), "orbbec": orbbec_like_noise()}

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .camera import CameraModel
 from .cloud import PointCloud
-from .errors import InvalidInputError, TeatPoseError
+from .errors import InvalidInputError, TeatPoseError, _dataclass_from_dict
 from .mask import extract_masked_points
 from .pose import PoseConfig, TeatPose, estimate_teat_pose
 from .scene import SceneSpec, render
@@ -152,18 +154,11 @@ class PipelineConfig:
             raise InvalidInputError("association radius must be > 0")
 
     def to_dict(self) -> dict:
-        return {"latency": asdict(self.latency), "gate": asdict(self.gate),
-                "pose": asdict(self.pose),
-                "camera_period_us": self.camera_period_us,
-                "association_mm": self.association_mm}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(latency=LatencyModel(**d.get("latency", {})),
-                   gate=ConsistencyGate(**d.get("gate", {})),
-                   pose=PoseConfig(**d.get("pose", {})),
-                   camera_period_us=d.get("camera_period_us", 33333),
-                   association_mm=d.get("association_mm", 15.0))
+        return _dataclass_from_dict(cls, d, "pipeline config")
 
     def save_json(self, path) -> None:
         with open(path, "w") as f:
@@ -194,8 +189,8 @@ def estimate_frame(cloud: PointCloud, masks, camera, config: PoseConfig,
                                         stride=config.stride)
             pts = voxel_downsample(pts, config.voxel_leaf_mm)
             poses.append(estimate_teat_pose(
-                pts, camera, method=config.method, config=config,
-                teat_id=mask.teat_id, stamp_us=mask.stamp_us))
+                pts, camera, config=config, teat_id=mask.teat_id,
+                stamp_us=mask.stamp_us))
         except TeatPoseError as exc:
             failures.append((mask.teat_id, type(exc).__name__))
     return poses, failures
@@ -229,53 +224,105 @@ class _TrackBook:
         return best
 
 
+class _FreshestSlot:
+    """Server with one waiting slot, where a newer offer evicts the waiting item.
+
+    serve(item, start_us) runs an item and returns when the server is free
+    again; drop(item, t_us) records an evicted item.
+    """
+
+    def __init__(self, serve, drop):
+        self.serve, self.drop = serve, drop
+        self.free_us = 0
+        self.waiting = None
+
+    def offer(self, item, t_us: int) -> None:
+        """Start item at t_us if the server is free by then, else park it."""
+        if self.free_us <= t_us:
+            self.flush()
+        if self.free_us <= t_us:
+            self.free_us = self.serve(item, t_us)
+            return
+        if self.waiting is not None:
+            self.drop(self.waiting, t_us)
+        self.waiting = item
+
+    def flush(self) -> None:
+        """Start the waiting item, if any, as soon as the server is free."""
+        if self.waiting is not None:
+            item, self.waiting = self.waiting, None
+            self.free_us = self.serve(item, self.free_us)
+
+
+def _summarize(events: list[dict]) -> dict:
+    """Run summary re-derived from the time-sorted event log.
+
+    Every camera frame is either accepted by segmentation or superseded in
+    its waiting slot, so those two events count the emitted frames.
+    """
+    by_kind: dict[str, list[dict]] = defaultdict(list)
+    for e in events:
+        by_kind[e["event"]].append(e)
+    accepts = [e["t_us"] for e in by_kind["frame_accepted"]]
+    drops = by_kind["frame_dropped"]
+    first_gate: dict[str, int] = {}
+    for e in by_kind["gate"]:
+        if e["decision"] == "consistent":
+            first_gate.setdefault(e["track_id"], e["t_us"])
+    return {
+        "frames_emitted": len(accepts) + sum(e["reason"] == "superseded"
+                                             for e in drops),
+        "frames_accepted": len(accepts),
+        "frames_dropped": len(drops),
+        "poses": len(by_kind["pose"]),
+        "pose_failures": len(by_kind["pose_failed"]),
+        "sim_fps": ((len(accepts) - 1) * 1e6 / (accepts[-1] - accepts[0])
+                    if len(accepts) >= 2 else None),
+        "first_gate_us": min(first_gate.values(), default=None),
+        "all_gated_us": max(first_gate.values(), default=None),
+        "tracks": sorted({e["track_id"] for e in by_kind["pose"]}),
+        "sim_end_us": max((e["t_us"] for e in by_kind["frame_done"]),
+                          default=0),
+    }
+
+
 def run_pipeline(scenes, config: PipelineConfig | None = None,
                  ) -> PipelineResult:
     """Drive the three-stage pipeline over a scene stream.
 
     Each scene is one camera frame, emitted every camera_period_us of
-    simulated time. The segmentation stage serializes frames for the
-    simulated NN round trip; the single-slot intake drops the oldest waiting
-    frame when a fresh one arrives (freshest data wins). Geometry runs in
-    its simulated budget. Only accepted frames are rendered, which keeps a
-    high camera rate cheap.
+    simulated time. Segmentation (the NN round trip) and geometry (its
+    budget) are two servers with one waiting slot each; a fresher frame
+    evicts the waiting one (freshest data wins). Only accepted frames are
+    rendered, which keeps a high camera rate cheap.
 
     Returns:
-        PipelineResult; summary includes simulated throughput (sim_fps) and
-        the simulated time at which every observed track first gated.
+        PipelineResult; its summary, derived from the sorted event log,
+        includes simulated throughput (sim_fps) and the simulated time at
+        which every observed track first gated.
     """
     config = config or PipelineConfig()
-    rt_us = config.latency.round_trip_us
-    geo_us = config.latency.geometry_us
     events: list[dict] = []
     emitted: list[TeatPose] = []
     tracks = _TrackBook(config.association_mm)
     gates: dict[str, GateState] = {}
-    first_gate: dict[str, int] = {}
-    accept_times: list[int] = []
-    n_frames = n_drops = n_poses = n_fail = 0
-    seg_free = 0
-    geo_free = 0
-    held: tuple[int, int, SceneSpec] | None = None
-    geo_held: tuple[int, FrameMessage] | None = None
-    sim_end = 0
 
-    def geometry(frame_idx: int, msg: FrameMessage, start_us: int) -> int:
-        nonlocal n_poses, n_fail, sim_end
-        done = start_us + geo_us
-        cloud = msg.cloud
-        masks = msg.masks_promise.masks
-        for m in masks:
-            if m.stamp_us != msg.stamp_us:
-                raise InvalidInputError("desynchronized frame reached geometry")
-        poses, failures = estimate_frame(cloud, masks, msg.camera, config.pose)
+    def drop(reason: str, item, t_us: int) -> None:
+        frame_idx, stamp_us, _ = item
+        logger.debug("frame %d dropped (%s) at t=%dus", frame_idx, reason, t_us)
+        events.append({"event": "frame_dropped", "t_us": t_us, "frame": frame_idx,
+                       "stamp_us": stamp_us, "reason": reason})
+
+    def geometry(item, start_us: int) -> int:
+        frame_idx, stamp_us, msg = item
+        done = start_us + config.latency.geometry_us
+        poses, failures = estimate_frame(msg.cloud, msg.masks_promise.masks,
+                                         msg.camera, config.pose)
         for teat_id, err in failures:
-            n_fail += 1
             events.append({"event": "pose_failed", "t_us": done,
                            "frame": frame_idx, "mask_id": teat_id,
                            "error": err})
         for pose in poses:
-            n_poses += 1
             track_id = tracks.assign(pose.tip_mm)
             tracked = replace(pose, teat_id=track_id)
             emitted.append(tracked)
@@ -287,96 +334,38 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
                 "n_points": tracked.n_points})
             state = gates.setdefault(track_id, GateState())
             decision = gate_update(state, tracked, config.gate)
-            if decision == "consistent" and track_id not in first_gate:
-                first_gate[track_id] = done
             events.append({"event": "gate", "t_us": done, "frame": frame_idx,
                            "track_id": track_id, "decision": decision})
         events.append({"event": "frame_done", "t_us": done,
-                       "frame": frame_idx,
-                       "latency_us": done - msg.stamp_us})
-        sim_end = max(sim_end, done)
+                       "frame": frame_idx, "latency_us": done - stamp_us})
         return done
 
-    def submit_to_geometry(frame_idx: int, msg: FrameMessage) -> None:
-        nonlocal geo_free, geo_held, n_drops
-        ready = msg.masks_promise.ready_at_us
-        # Settle any frame waiting for the geometry stage first.
-        if geo_held is not None and geo_free <= ready:
-            h_idx, h_msg = geo_held
-            geo_held = None
-            geo_free = geometry(h_idx, h_msg, geo_free)
-        if geo_free <= ready:
-            geo_free = geometry(frame_idx, msg, ready)
-        elif geo_held is None:
-            geo_held = (frame_idx, msg)
-        else:
-            n_drops += 1
-            events.append({"event": "frame_dropped", "t_us": ready,
-                           "frame": geo_held[0],
-                           "stamp_us": geo_held[1].stamp_us,
-                           "reason": "pose_backlog"})
-            geo_held = (frame_idx, msg)
+    geo_server = _FreshestSlot(geometry, partial(drop, "pose_backlog"))
 
-    def accept(frame_idx: int, stamp_us: int, scene: SceneSpec,
-               start_us: int) -> None:
-        nonlocal seg_free
-        accept_times.append(start_us)
+    def segmentation(item, start_us: int) -> int:
+        frame_idx, stamp_us, scene = item
         events.append({"event": "frame_accepted", "t_us": start_us,
                        "frame": frame_idx, "stamp_us": stamp_us})
         cloud, masks, _ = render(scene, stamp_us=stamp_us)
-        ready = start_us + rt_us
-        seg_free = ready
+        ready = start_us + config.latency.round_trip_us
         events.append({"event": "masks_ready", "t_us": ready,
                        "frame": frame_idx, "n_masks": len(masks)})
         msg = FrameMessage(stamp_us=stamp_us, cloud=cloud, camera=scene.camera,
                            masks_promise=MaskPromise(ready_at_us=ready,
                                                      masks=tuple(masks)))
-        submit_to_geometry(frame_idx, msg)
+        geo_server.offer((frame_idx, stamp_us, msg), ready)
+        return ready
 
+    seg_server = _FreshestSlot(segmentation, partial(drop, "superseded"))
     for k, scene in enumerate(scenes):
-        n_frames += 1
         t_k = k * config.camera_period_us
-        if held is not None and seg_free <= t_k:
-            h_idx, h_stamp, h_scene = held
-            held = None
-            accept(h_idx, h_stamp, h_scene, max(seg_free, h_stamp))
-        if held is None and seg_free <= t_k:
-            accept(k, t_k, scene, t_k)
-        elif held is None:
-            held = (k, t_k, scene)
-        else:
-            n_drops += 1
-            logger.debug("frame %d superseded at t=%dus", held[0], t_k)
-            events.append({"event": "frame_dropped", "t_us": t_k,
-                           "frame": held[0], "stamp_us": held[1],
-                           "reason": "superseded"})
-            held = (k, t_k, scene)
-    if held is not None:
-        h_idx, h_stamp, h_scene = held
-        accept(h_idx, h_stamp, h_scene, max(seg_free, h_stamp))
-    if geo_held is not None:
-        h_idx, h_msg = geo_held
-        geometry(h_idx, h_msg, max(geo_free, h_msg.masks_promise.ready_at_us))
+        seg_server.offer((k, t_k, scene), t_k)
+    seg_server.flush()
+    geo_server.flush()
 
     events.sort(key=lambda e: e["t_us"])
-    if len(accept_times) >= 2:
-        span = accept_times[-1] - accept_times[0]
-        sim_fps = (len(accept_times) - 1) * 1e6 / span
-    else:
-        sim_fps = None
-    summary = {
-        "frames_emitted": n_frames,
-        "frames_accepted": len(accept_times),
-        "frames_dropped": n_drops,
-        "poses": n_poses,
-        "pose_failures": n_fail,
-        "sim_fps": sim_fps,
-        "first_gate_us": min(first_gate.values()) if first_gate else None,
-        "all_gated_us": max(first_gate.values()) if first_gate else None,
-        "tracks": sorted(gates.keys()),
-        "sim_end_us": sim_end,
-    }
-    return PipelineResult(events=events, poses=emitted, summary=summary)
+    return PipelineResult(events=events, poses=emitted,
+                          summary=_summarize(events))
 
 
 def static_scene_stream(scene: SceneSpec, frames: int):

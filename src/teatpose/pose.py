@@ -285,13 +285,12 @@ def _refine_axis(cluster: PointCloud, axis: np.ndarray, cfg: PoseConfig,
 
 
 def estimate_teat_pose(points: PointCloud, camera: CameraModel,
-                       method: str = "normals",
                        config: PoseConfig | None = None,
                        teat_id: str = "", stamp_us: int = 0) -> TeatPose:
     """Full single-teat pose from its extracted points.
 
     Pipeline: keep the largest Euclidean cluster (stray frustum hits fall
-    away), estimate the axis with the requested method, resolve its sign,
+    away), estimate the axis with config.method, resolve its sign,
     for the normals method re-estimate on the cap-trimmed wall, locate the
     tip, and report everything in the world frame.
 
@@ -299,8 +298,7 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         points: Camera-frame points of one teat (already voxel-downsampled
             by the caller in the standard pipeline).
         camera: Camera the points were observed with.
-        method: "pca" or "normals".
-        config: Tunables; defaults from PoseConfig.
+        config: Tunables, including the axis method; defaults from PoseConfig.
         teat_id: Identifier to stamp into the pose.
         stamp_us: Source frame timestamp.
 
@@ -312,8 +310,6 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         AmbiguousAxisError: No usable elongation direction.
     """
     cfg = config or PoseConfig()
-    if method not in METHODS:
-        raise InvalidInputError(f"unknown method {method!r}")
     points.require_frame(FRAME_CAMERA, "estimate_teat_pose")
     if len(points) < cfg.min_points:
         raise InsufficientPointsError(
@@ -327,9 +323,9 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
             f"teat {teat_id!r}: largest cluster has {len(cluster)} points "
             f"< minimum {cfg.min_points}")
 
-    axis = _cluster_axis(cluster, method, cfg)
+    axis = _cluster_axis(cluster, cfg.method, cfg)
     axis = disambiguate_direction(axis, cluster, camera)
-    if method == "normals":
+    if cfg.method == "normals":
         axis = _refine_axis(cluster, axis, cfg, camera)
     tip_cam = locate_tip(cluster, axis, percentile=cfg.tip_percentile,
                          slab_mm=cfg.tip_slab_mm)
@@ -338,4 +334,5 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
     axis_world = camera.rotate_to_world(axis)
     axis_world = axis_world / np.linalg.norm(axis_world)
     return TeatPose(teat_id=teat_id, tip_mm=tip_world, axis=axis_world,
-                    method=method, n_points=len(cluster), stamp_us=stamp_us)
+                    method=cfg.method, n_points=len(cluster),
+                    stamp_us=stamp_us)

@@ -9,7 +9,7 @@ surface, which keeps ground truth exact: no meshing, no discretization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .contour import clean_region, largest_component, trace_boundary
 from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
-                     InvalidSceneError)
+                     InvalidSceneError, _check_keys, _dataclass_from_dict)
 from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
@@ -85,10 +85,7 @@ class TeatSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TeatSpec":
-        return cls(base_mm=np.array(d["base_mm"]), axis=np.array(d["axis"]),
-                   length_mm=d.get("length_mm", 50.0),
-                   radius_mm=d.get("radius_mm", 14.0),
-                   tip_shape=d.get("tip_shape", "hemisphere"))
+        return _dataclass_from_dict(cls, d, "teat")
 
 
 @dataclass(frozen=True)
@@ -118,13 +115,11 @@ class NoiseModel:
         return self.a_mm + self.b_mm_per_m2 * d_m ** 2
 
     def to_dict(self) -> dict:
-        return {"a_mm": self.a_mm, "b_mm_per_m2": self.b_mm_per_m2,
-                "dropout_rate": self.dropout_rate,
-                "lateral_jitter_px": self.lateral_jitter_px}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        return cls(**d)
+        return _dataclass_from_dict(cls, d, "noise")
 
 
 def orbbec_like_noise() -> NoiseModel:
@@ -194,10 +189,14 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
+        _check_keys(d, "scene", ("teats", "udder", "camera", "noise", "seed"),
+                    required=("teats", "udder", "camera"))
+        udder_keys = ("center_mm", "semi_axes_mm")
+        udder = _check_keys(d["udder"], "udder", udder_keys, udder_keys)
         return cls(
             teats=tuple(TeatSpec.from_dict(t) for t in d["teats"]),
-            udder_center_mm=np.array(d["udder"]["center_mm"]),
-            udder_semi_axes_mm=np.array(d["udder"]["semi_axes_mm"]),
+            udder_center_mm=np.array(udder["center_mm"]),
+            udder_semi_axes_mm=np.array(udder["semi_axes_mm"]),
             camera=CameraModel.from_dict(d["camera"]),
             noise=NoiseModel.from_dict(d.get("noise", {})),
             seed=int(d.get("seed", 0)),
@@ -227,17 +226,6 @@ class GroundTruth:
     axes: np.ndarray
     visible_px: tuple
     labels: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"teats": [
-            {"teat_id": tid, "tip_mm": self.tips_mm[i].tolist(),
-             "axis": self.axes[i].tolist(), "visible_px": int(self.visible_px[i])}
-            for i, tid in enumerate(self.teat_ids)]}
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
 
 
 def _segment_distance(p1, p2, q1, q2) -> float:
@@ -343,35 +331,48 @@ def _teat_depths(o, dirs, teat: TeatSpec) -> np.ndarray:
     return z
 
 
-def _project_bbox(camera: CameraModel, lo: np.ndarray, hi: np.ndarray,
-                  ) -> tuple[int, int, int, int] | None:
-    """Conservative pixel bbox of a world AABB; None means use the full frame."""
+def _rays_in_box(camera: CameraModel, lo: np.ndarray, hi: np.ndarray,
+                 ) -> np.ndarray:
+    """Flat pixel indices inside the conservative image bbox of a world AABB.
+
+    Every pixel is returned when the box reaches behind the camera.
+    """
     corners = np.array([[x, y, zz] for x in (lo[0], hi[0])
                         for y in (lo[1], hi[1]) for zz in (lo[2], hi[2])])
     cam = camera.world_to_camera(corners)
     if np.any(cam[:, 2] <= 1.0):
-        return None
+        return np.arange(camera.width * camera.height)
     uv = camera.project(cam)
     u0 = max(int(np.floor(uv[:, 0].min())) - 2, 0)
     u1 = min(int(np.ceil(uv[:, 0].max())) + 2, camera.width)
     v0 = max(int(np.floor(uv[:, 1].min())) - 2, 0)
     v1 = min(int(np.ceil(uv[:, 1].max())) + 2, camera.height)
-    if u1 <= u0 or v1 <= v0:
-        return None
-    return u0, u1, v0, v1
+    return (np.arange(v0, v1)[:, None] * camera.width
+            + np.arange(u0, u1)).ravel()
 
 
 def _cast_scene(scene: SceneSpec, dirs_world: np.ndarray, origin: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Depth and label for arbitrary world-frame rays (no bbox pruning)."""
-    z = _ellipsoid_depths(origin, dirs_world, scene.udder_center_mm,
-                          scene.udder_semi_axes_mm)
-    label = np.where(np.isfinite(z), 0, -1).astype(np.int16)
-    for i, teat in enumerate(scene.teats):
-        zt = _teat_depths(origin, dirs_world, teat)
-        closer = zt < z
-        z = np.where(closer, zt, z)
-        label[closer] = i + 1
+                boxes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Depth and label (-1 miss, 0 udder, i+1 teat i) per world-frame ray.
+
+    The nearest surface wins. boxes, when given, holds per surface (udder,
+    then each teat) the indices of the rays that can hit it.
+    """
+    n = len(dirs_world)
+    if boxes is None:
+        boxes = [np.arange(n)] * (len(scene.teats) + 1)
+    surfaces = [lambda d: _ellipsoid_depths(origin, d, scene.udder_center_mm,
+                                            scene.udder_semi_axes_mm)]
+    surfaces += [lambda d, t=teat: _teat_depths(origin, d, t)
+                 for teat in scene.teats]
+    z = np.full(n, np.inf)
+    label = np.full(n, -1, dtype=np.int16)
+    for lab, (depths, idx) in enumerate(zip(surfaces, boxes)):
+        zc = depths(dirs_world[idx])
+        closer = zc < z[idx]
+        sel = idx[closer]
+        z[sel] = zc[closer]
+        label[sel] = lab
     return z, label
 
 
@@ -395,34 +396,15 @@ def render(scene: SceneSpec, stamp_us: int = 0,
     dirs_cam = _pixel_dirs(cam, pix)
     dirs_w = dirs_cam @ cam.rotation.T
 
-    z_buf = np.full(h * w, np.inf)
-    label = np.full(h * w, -1, dtype=np.int16)
-    flat = np.arange(h * w).reshape(h, w)
-
-    def splat(bbox, depth_fn, lab):
-        if bbox is None:
-            idx = flat.ravel()
-        else:
-            u0, u1, v0, v1 = bbox
-            idx = flat[v0:v1, u0:u1].ravel()
-        zc = depth_fn(origin, dirs_w[idx])
-        closer = zc < z_buf[idx]
-        sel = idx[closer]
-        z_buf[sel] = zc[closer]
-        label[sel] = lab
-
-    splat(_project_bbox(cam, scene.udder_center_mm - scene.udder_semi_axes_mm,
-                        scene.udder_center_mm + scene.udder_semi_axes_mm),
-          lambda o, d: _ellipsoid_depths(o, d, scene.udder_center_mm,
-                                         scene.udder_semi_axes_mm), 0)
-    for i, teat in enumerate(scene.teats):
+    boxes = [_rays_in_box(cam, scene.udder_center_mm - scene.udder_semi_axes_mm,
+                          scene.udder_center_mm + scene.udder_semi_axes_mm)]
+    for teat in scene.teats:
         ends = np.stack([teat.base_mm, teat.tip_mm])
-        bbox = _project_bbox(cam, ends.min(axis=0) - teat.radius_mm,
-                             ends.max(axis=0) + teat.radius_mm)
-        splat(bbox, lambda o, d, t=teat: _teat_depths(o, d, t), i + 1)
+        boxes.append(_rays_in_box(cam, ends.min(axis=0) - teat.radius_mm,
+                                  ends.max(axis=0) + teat.radius_mm))
+    z_buf, label = _cast_scene(scene, dirs_w, origin, boxes)
 
-    hit = np.isfinite(z_buf)
-    hit_idx = np.nonzero(hit)[0]
+    hit_idx = np.flatnonzero(np.isfinite(z_buf))
     z_true = z_buf[hit_idx]
 
     # Noise draws happen in a fixed order: jitter, depth eps, dropout.

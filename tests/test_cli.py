@@ -168,3 +168,31 @@ class TestRunCommand:
         # window of 2 gates on the second accepted frame
         assert gated
         assert min(e["t_us"] for e in gated) == 450_000
+
+    @pytest.mark.parametrize("flag, edit, key", [
+        ("--config", lambda d: dict(d, association_radius_mm=5.0),
+         "association_radius_mm"),
+        ("--config", lambda d: dict(d, latency={"netwrk_ms": 10.0}),
+         "netwrk_ms"),
+        ("--scene", lambda d: dict(d, teats=[dict(t, radius=10.0)
+                                             for t in d["teats"]]),
+         "radius"),
+        ("--scene", lambda d: {k: v for k, v in d.items() if k != "teats"},
+         "teats"),
+        ("--scene", lambda d: dict(d, camera=dict(d["camera"], focal=500.0)),
+         "focal"),
+    ], ids=["config_unknown_key", "config_unknown_nested_key",
+            "teat_unknown_key", "scene_missing_teats", "camera_unknown_key"])
+    def test_bad_json_key_rejected(self, tmp_path, capsys, flag, edit, key):
+        from teatpose.pipeline import PipelineConfig
+
+        base = (PipelineConfig().to_dict() if flag == "--config"
+                else default_scene().to_dict())
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(edit(base)))
+        code = main(["run", "--frames", "2", flag, str(path),
+                     "--events", str(tmp_path / "events.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(key) in err

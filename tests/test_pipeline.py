@@ -299,6 +299,139 @@ class TestRunPipeline:
         assert events == run_pipeline(scenes).events
 
 
+# Schedules recorded with render and estimate_frame stubbed out (one fixed
+# pose and one failed mask per frame, gate window 2), so they pin the
+# scheduler's policy across revisions rather than any float result.
+_PINNED_DEFAULT = [
+    ("frame_accepted", 0, 0, None), ("frame_dropped", 66666, 1, "superseded"),
+    ("frame_dropped", 99999, 2, "superseded"),
+    ("frame_dropped", 133332, 3, "superseded"),
+    ("frame_dropped", 166665, 4, "superseded"),
+    ("frame_dropped", 199998, 5, "superseded"),
+    ("masks_ready", 200000, 0, None), ("frame_accepted", 200000, 6, None),
+    ("pose_failed", 250000, 0, None), ("pose", 250000, 0, None),
+    ("gate", 250000, 0, "pending"), ("frame_done", 250000, 0, None),
+    ("frame_dropped", 266664, 7, "superseded"),
+    ("frame_dropped", 299997, 8, "superseded"),
+    ("frame_dropped", 333330, 9, "superseded"),
+    ("frame_dropped", 366663, 10, "superseded"),
+    ("frame_dropped", 399996, 11, "superseded"),
+    ("masks_ready", 400000, 6, None), ("frame_accepted", 400000, 12, None),
+    ("pose_failed", 450000, 6, None), ("pose", 450000, 6, None),
+    ("gate", 450000, 6, "consistent"), ("frame_done", 450000, 6, None),
+    ("frame_dropped", 466662, 13, "superseded"),
+    ("frame_dropped", 499995, 14, "superseded"),
+    ("masks_ready", 600000, 12, None), ("frame_accepted", 600000, 15, None),
+    ("pose_failed", 650000, 12, None), ("pose", 650000, 12, None),
+    ("gate", 650000, 12, "consistent"), ("frame_done", 650000, 12, None),
+    ("masks_ready", 800000, 15, None), ("pose_failed", 850000, 15, None),
+    ("pose", 850000, 15, None), ("gate", 850000, 15, "consistent"),
+    ("frame_done", 850000, 15, None),
+]
+_PINNED_SLOW_GEOMETRY = [
+    ("frame_accepted", 0, 0, None), ("frame_dropped", 66666, 1, "superseded"),
+    ("frame_dropped", 99999, 2, "superseded"),
+    ("frame_dropped", 133332, 3, "superseded"),
+    ("frame_dropped", 166665, 4, "superseded"),
+    ("frame_dropped", 199998, 5, "superseded"),
+    ("masks_ready", 200000, 0, None), ("frame_accepted", 200000, 6, None),
+    ("frame_dropped", 266664, 7, "superseded"),
+    ("frame_dropped", 299997, 8, "superseded"),
+    ("frame_dropped", 333330, 9, "superseded"),
+    ("frame_dropped", 366663, 10, "superseded"),
+    ("frame_dropped", 399996, 11, "superseded"),
+    ("masks_ready", 400000, 6, None), ("frame_accepted", 400000, 12, None),
+    ("frame_dropped", 466662, 13, "superseded"),
+    ("frame_dropped", 499995, 14, "superseded"),
+    ("pose_failed", 500000, 0, None), ("pose", 500000, 0, None),
+    ("gate", 500000, 0, "pending"), ("frame_done", 500000, 0, None),
+    ("frame_dropped", 533328, 15, "superseded"),
+    ("frame_dropped", 566661, 16, "superseded"),
+    ("frame_dropped", 599994, 17, "superseded"),
+    ("masks_ready", 600000, 12, None), ("frame_accepted", 600000, 18, None),
+    ("frame_dropped", 666660, 19, "superseded"),
+    ("frame_dropped", 699993, 20, "superseded"),
+    ("frame_dropped", 733326, 21, "superseded"),
+    ("frame_dropped", 766659, 22, "superseded"),
+    ("frame_dropped", 799992, 23, "superseded"),
+    ("pose_failed", 800000, 6, None), ("pose", 800000, 6, None),
+    ("gate", 800000, 6, "consistent"), ("frame_done", 800000, 6, None),
+    ("masks_ready", 800000, 18, None), ("frame_accepted", 800000, 24, None),
+    ("masks_ready", 1000000, 24, None),
+    ("frame_dropped", 1000000, 18, "pose_backlog"),
+    ("pose_failed", 1100000, 12, None), ("pose", 1100000, 12, None),
+    ("gate", 1100000, 12, "consistent"), ("frame_done", 1100000, 12, None),
+    ("pose_failed", 1400000, 24, None), ("pose", 1400000, 24, None),
+    ("gate", 1400000, 24, "consistent"), ("frame_done", 1400000, 24, None),
+]
+_PINNED_FLUSH = [
+    ("frame_accepted", 0, 0, None), ("frame_dropped", 66666, 1, "superseded"),
+    ("frame_dropped", 99999, 2, "superseded"),
+    ("frame_dropped", 133332, 3, "superseded"),
+    ("frame_dropped", 166665, 4, "superseded"),
+    ("frame_dropped", 199998, 5, "superseded"),
+    ("masks_ready", 200000, 0, None), ("frame_accepted", 200000, 6, None),
+    ("masks_ready", 400000, 6, None), ("frame_accepted", 400000, 7, None),
+    ("pose_failed", 500000, 0, None), ("pose", 500000, 0, None),
+    ("gate", 500000, 0, "pending"), ("frame_done", 500000, 0, None),
+    ("masks_ready", 600000, 7, None), ("pose_failed", 800000, 6, None),
+    ("pose", 800000, 6, None), ("gate", 800000, 6, "consistent"),
+    ("frame_done", 800000, 6, None), ("pose_failed", 1100000, 7, None),
+    ("pose", 1100000, 7, None), ("gate", 1100000, 7, "consistent"),
+    ("frame_done", 1100000, 7, None),
+]
+
+class TestPinnedSchedule:
+    """Literal schedules: a scheduler rewrite must reproduce them exactly."""
+
+    @pytest.fixture(autouse=True)
+    def _stub_stages(self, monkeypatch):
+        contour = np.array([[0, 0], [10, 0], [10, 10], [0, 10]])
+        pose = _pose([0.0, 0.0, 600.0])
+
+        def fake_render(scene, stamp_us=0):
+            mask = TeatMask(teat_id="T1", stamp_us=stamp_us, contour=contour)
+            return None, [mask], None
+
+        def fake_estimate_frame(cloud, masks, camera, config):
+            return [pose], [("TX", "InsufficientPointsError")]
+
+        monkeypatch.setattr("teatpose.pipeline.render", fake_render)
+        monkeypatch.setattr("teatpose.pipeline.estimate_frame",
+                            fake_estimate_frame)
+
+    @pytest.mark.parametrize("frames, geometry_ms, schedule, summary", [
+        # default latency: only the segmentation slot ever evicts
+        (16, 50.0, _PINNED_DEFAULT,
+         {"frames_emitted": 16, "frames_accepted": 4, "frames_dropped": 12,
+          "poses": 4, "pose_failures": 4, "sim_fps": 5.0,
+          "first_gate_us": 450000, "all_gated_us": 450000, "tracks": ["T1"],
+          "sim_end_us": 850000}),
+        # geometry slower than segmentation: both slots evict
+        (25, 300.0, _PINNED_SLOW_GEOMETRY,
+         {"frames_emitted": 25, "frames_accepted": 5, "frames_dropped": 21,
+          "poses": 4, "pose_failures": 4, "sim_fps": 5.0,
+          "first_gate_us": 800000, "all_gated_us": 800000, "tracks": ["T1"],
+          "sim_end_us": 1400000}),
+        # the stream ends with a frame waiting in each slot
+        (8, 300.0, _PINNED_FLUSH,
+         {"frames_emitted": 8, "frames_accepted": 3, "frames_dropped": 5,
+          "poses": 3, "pose_failures": 3, "sim_fps": 5.0,
+          "first_gate_us": 800000, "all_gated_us": 800000, "tracks": ["T1"],
+          "sim_end_us": 1100000}),
+    ], ids=["default", "slow_geometry", "flush_both_slots"])
+    def test_schedule_and_summary(self, frames, geometry_ms, schedule,
+                                  summary):
+        config = PipelineConfig(
+            latency=LatencyModel(geometry_budget_ms=geometry_ms),
+            gate=ConsistencyGate(window=2))
+        result = run_pipeline([default_scene()] * frames, config)
+        got = [(e["event"], e["t_us"], e["frame"],
+                e.get("reason", e.get("decision"))) for e in result.events]
+        assert got == schedule
+        assert result.summary == summary
+
+
 class TestStaticSceneStream:
 
     def test_needs_at_least_one_frame(self):
