@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_keys
+from .errors import InvalidInputError, _check_keys, _check_types
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
@@ -183,6 +183,7 @@ class CameraModel:
                           "extrinsic"), required=("fx", "fy", "cx", "cy")))
         ext = _check_keys(kwargs.pop("extrinsic", {}), "camera extrinsic",
                           ("rotation_rowmajor", "translation_mm"))
+        _check_types(cls, kwargs, "camera")
         if "rotation_rowmajor" in ext:
             kwargs["rotation"] = np.reshape(ext["rotation_rowmajor"], (3, 3))
         if "translation_mm" in ext:

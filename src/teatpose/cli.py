@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 
-from .errors import TeatPoseError
+from .errors import InvalidInputError, TeatPoseError
 from .experiments import (DEFAULT_DISTANCES_MM, run_camera_curve,
                           run_rate_bench, run_repeatability)
 from .pipeline import PipelineConfig, run_pipeline, static_scene_stream, \
@@ -120,8 +120,12 @@ def _cmd_repeatability(args) -> int:
 def _cmd_camera_curve(args) -> int:
     if args.presets:
         with open(args.presets) as f:
-            presets = {name: NoiseModel.from_dict(fields)
-                       for name, fields in json.load(f).items()}
+            data = json.load(f)
+        if not isinstance(data, dict):
+            raise InvalidInputError(
+                f"presets: expected a JSON object, got {type(data).__name__}")
+        presets = {name: NoiseModel.from_dict(fields)
+                   for name, fields in data.items()}
     else:
         presets = {"none": NoiseModel(), "orbbec": orbbec_like_noise()}
     curves = run_camera_curve(presets, args.out,

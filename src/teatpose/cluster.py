@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
@@ -12,63 +12,34 @@ from .errors import InvalidInputError
 
 
 def euclidean_cluster(cloud: PointCloud, tolerance_mm: float = 10.0,
-                      min_size: int = 1, max_size: int | None = None,
                       ) -> list[PointCloud]:
     """Split a cloud into connected components under a distance tolerance.
 
     Two points are neighbours when their Euclidean distance is <= tolerance;
-    clusters are the connected components of that graph. Components outside
-    [min_size, max_size] are discarded.
+    clusters are the connected components of that graph (the semantics of
+    PCL's Euclidean cluster extraction, without size limits).
 
     Args:
         cloud: Input cloud, any frame.
         tolerance_mm: Neighbour radius, > 0.
-        min_size: Smallest cluster kept (counts).
-        max_size: Largest cluster kept, or None for unbounded.
 
     Returns:
-        Clusters as PointClouds, sorted by descending size; ties broken by
-        lexicographic centroid comparison. Points inside a cluster keep their
-        input order.
+        Every cluster as a PointCloud, sorted by descending size; ties broken
+        by lexicographic centroid comparison. Points inside a cluster keep
+        their input order. An empty cloud gives [].
     """
     if not (tolerance_mm > 0 and np.isfinite(tolerance_mm)):
         raise InvalidInputError(f"tolerance must be positive, got {tolerance_mm}")
-    if min_size < 1:
-        raise InvalidInputError(f"min_size must be >= 1, got {min_size}")
-    if max_size is not None and max_size < min_size:
-        raise InvalidInputError("max_size must be >= min_size")
-
     n = len(cloud)
     if n == 0:
         return []
 
-    tree = cKDTree(cloud.points)
-    visited = np.zeros(n, dtype=bool)
-    components: list[list[int]] = []
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        comp = [seed]
-        queue = deque([seed])
-        while queue:
-            i = queue.popleft()
-            for j in tree.query_ball_point(cloud.points[i], tolerance_mm):
-                if not visited[j]:
-                    visited[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        components.append(comp)
-
-    kept = []
-    for comp in components:
-        if len(comp) < min_size:
-            continue
-        if max_size is not None and len(comp) > max_size:
-            continue
-        idx = np.sort(np.asarray(comp))
-        centroid = cloud.points[idx].mean(axis=0)
-        kept.append((len(idx), centroid, idx))
-
-    kept.sort(key=lambda item: (-item[0], tuple(item[1])))
-    return [cloud.select(idx) for _, _, idx in kept]
+    pairs = cKDTree(cloud.points).query_pairs(tolerance_mm, output_type="ndarray")
+    graph = coo_array((np.ones(len(pairs)), pairs.T), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    # A stable sort keeps input order inside each component.
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    groups.sort(key=lambda idx: (-len(idx),
+                                 tuple(cloud.points[idx].mean(axis=0))))
+    return [cloud.select(idx) for idx in groups]

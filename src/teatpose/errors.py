@@ -48,13 +48,30 @@ def _check_keys(d, what: str, allowed, required=()) -> dict:
     return d
 
 
+# JSON types a scalar field takes, by its annotation. bool is an int in
+# Python, but true/false is never a number in a config file.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_types(cls, d: dict, what: str) -> None:
+    """Raise naming a key of d whose value does not fit its field of cls."""
+    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+    for key, value in d.items():
+        allowed = _JSON_TYPES.get(kinds.get(key))
+        if allowed and (isinstance(value, bool)
+                        or not isinstance(value, allowed)):
+            raise InvalidInputError(
+                f"{what}: key {key!r} must be {kinds[key]}, got {value!r}")
+
+
 def _dataclass_from_dict(cls, d, what: str):
     """Dataclass cls from JSON object d; nested dataclass fields recurse."""
     by_name = {f.name: f for f in fields(cls)}
     required = [name for name, f in by_name.items()
                 if f.default is MISSING and f.default_factory is MISSING]
+    _check_types(cls, _check_keys(d, what, by_name, required), what)
     kwargs = {}
-    for name, value in _check_keys(d, what, by_name, required).items():
+    for name, value in d.items():
         part = by_name[name].default_factory
         kwargs[name] = (_dataclass_from_dict(part, value, name)
                         if is_dataclass(part) else value)

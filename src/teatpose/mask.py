@@ -208,25 +208,25 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask, camera: CameraModel
         raise InvalidInputError(
             f"mask {mask.teat_id!r} has vertices outside the image")
     poly = mask.subsampled(stride)
-
-    keep = np.zeros(len(cloud), dtype=bool)
-    z = cloud.points[:, 2]
-    front = z > 0
-    if not np.any(front):
-        return cloud.select(keep)
-    p = cloud.points[front]
-    uv = np.empty((len(p), 2))
-    uv[:, 0] = camera.fx * p[:, 0] / p[:, 2] + camera.cx
-    uv[:, 1] = camera.fy * p[:, 1] / p[:, 2] + camera.cy
-
-    # Bounding-box prefilter is exact: nothing outside the hull can be inside.
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
-    cand = np.all((uv >= lo) & (uv <= hi), axis=1)
-    inside = np.zeros(len(p), dtype=bool)
-    if np.any(cand):
-        inside[cand] = points_in_polygon(uv[cand], poly)
-    keep[front] = inside
+
+    # Bounding-box prefilter is exact: nothing outside the hull can be inside.
+    # u is projected for the whole cloud and v only for the points in the
+    # box's column span, so most of the cloud is never copied.
+    pts = cloud.points
+    z = pts[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = camera.fx * pts[:, 0] / z + camera.cx
+    idx = np.flatnonzero((z > 0) & (u >= lo[0]) & (u <= hi[0]))
+    p = pts[idx]
+    v = camera.fy * p[:, 1] / p[:, 2] + camera.cy
+    in_rows = (v >= lo[1]) & (v <= hi[1])
+    idx = idx[in_rows]
+    uv = np.column_stack([u[idx], v[in_rows]])
+    keep = np.zeros(len(cloud), dtype=bool)
+    if len(idx):
+        keep[idx] = points_in_polygon(uv, poly)
     return cloud.select(keep)
 
 

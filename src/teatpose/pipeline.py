@@ -212,16 +212,21 @@ class _TrackBook:
         self.radius_mm = radius_mm
         self.tips: dict[str, np.ndarray] = {}
 
-    def assign(self, tip_mm: np.ndarray) -> str:
-        best, best_d = None, self.radius_mm
-        for tid, t in self.tips.items():
-            d = float(np.linalg.norm(t - tip_mm))
-            if d <= best_d:
-                best, best_d = tid, d
-        if best is None:
-            best = f"T{len(self.tips) + 1}"
-        self.tips[best] = np.asarray(tip_mm, dtype=float)
-        return best
+    def assign(self, tips: list[np.ndarray]) -> list[str]:
+        """Track id per tip of one frame, one-to-one: tip-track pairs within
+        the radius of the tracks as they stood before the frame are taken in
+        ascending distance; unmatched tips open new tracks in order."""
+        pairs = sorted((float(np.linalg.norm(t - tip)), i, tid)
+                       for i, tip in enumerate(tips)
+                       for tid, t in self.tips.items())
+        ids: dict[int, str] = {}
+        for d, i, tid in pairs:
+            if d <= self.radius_mm and i not in ids and tid not in ids.values():
+                ids[i] = tid
+        for i, tip in enumerate(tips):
+            ids.setdefault(i, f"T{len(self.tips) + 1}")
+            self.tips[ids[i]] = np.asarray(tip, dtype=float)
+        return [ids[i] for i in range(len(tips))]
 
 
 class _FreshestSlot:
@@ -322,8 +327,8 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
             events.append({"event": "pose_failed", "t_us": done,
                            "frame": frame_idx, "mask_id": teat_id,
                            "error": err})
-        for pose in poses:
-            track_id = tracks.assign(pose.tip_mm)
+        track_ids = tracks.assign([pose.tip_mm for pose in poses])
+        for pose, track_id in zip(poses, track_ids):
             tracked = replace(pose, teat_id=track_id)
             emitted.append(tracked)
             events.append({

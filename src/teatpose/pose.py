@@ -315,8 +315,7 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         raise InsufficientPointsError(
             f"teat {teat_id!r}: {len(points)} points < minimum {cfg.min_points}")
 
-    clusters = euclidean_cluster(points, tolerance_mm=cfg.cluster_tolerance_mm,
-                                 min_size=1)
+    clusters = euclidean_cluster(points, tolerance_mm=cfg.cluster_tolerance_mm)
     cluster = clusters[0]
     if len(cluster) < cfg.min_points:
         raise InsufficientPointsError(

@@ -17,7 +17,8 @@ from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .contour import clean_region, largest_component, trace_boundary
 from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
-                     InvalidSceneError, _check_keys, _dataclass_from_dict)
+                     InvalidSceneError, _check_keys, _check_types,
+                     _dataclass_from_dict)
 from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
@@ -191,6 +192,7 @@ class SceneSpec:
     def from_dict(cls, d: dict) -> "SceneSpec":
         _check_keys(d, "scene", ("teats", "udder", "camera", "noise", "seed"),
                     required=("teats", "udder", "camera"))
+        _check_types(cls, d, "scene")
         udder_keys = ("center_mm", "semi_axes_mm")
         udder = _check_keys(d["udder"], "udder", udder_keys, udder_keys)
         return cls(
@@ -199,7 +201,7 @@ class SceneSpec:
             udder_semi_axes_mm=np.array(udder["semi_axes_mm"]),
             camera=CameraModel.from_dict(d["camera"]),
             noise=NoiseModel.from_dict(d.get("noise", {})),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
         )
 
     def save_json(self, path) -> None:

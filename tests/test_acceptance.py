@@ -241,7 +241,7 @@ def test_kernels_match_brute_force_oracles():
     trials.append((rendered.points[::60], 10.0))
     for pts, tol in trials:
         clusters = euclidean_cluster(PointCloud(pts, frame="world"),
-                                     tolerance_mm=tol, min_size=1)
+                                     tolerance_mm=tol)
         cluster_ok &= _cluster_sets(clusters, pts) == _oracle_components(pts, tol)
 
     ok = extract_ok and voxel_ok and cluster_ok

@@ -107,6 +107,16 @@ class TestCameraCurveCommand:
         assert (out / "camera_curve.svg").exists()
         assert "flat:" in capsys.readouterr().out
 
+    def test_presets_file_not_an_object_fails(self, tmp_path, capsys):
+        presets_path = tmp_path / "presets.json"
+        presets_path.write_text(json.dumps([{"a_mm": 0.5}]))
+        code = main(["camera-curve", "--presets", str(presets_path),
+                     "--distances", "200,400,600", "--conditions", "2",
+                     "--out", str(tmp_path / "curve")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: presets: expected a JSON object")
+
     def test_too_few_distances_fails(self, tmp_path, capsys):
         code = main(["camera-curve", "--distances", "200,400",
                      "--conditions", "2", "--out", str(tmp_path / "c")])
@@ -181,8 +191,23 @@ class TestRunCommand:
          "teats"),
         ("--scene", lambda d: dict(d, camera=dict(d["camera"], focal=500.0)),
          "focal"),
+        ("--config", lambda d: dict(d, gate=dict(d["gate"], window="5")),
+         "window"),
+        ("--config", lambda d: dict(d, gate=dict(d["gate"], window=5.0)),
+         "window"),
+        ("--config", lambda d: dict(d, pose=dict(d["pose"], stride=True)),
+         "stride"),
+        ("--scene", lambda d: dict(d, camera=dict(d["camera"], fx="570")),
+         "fx"),
+        ("--scene", lambda d: dict(d, teats=[dict(t, length_mm="50")
+                                             for t in d["teats"]]),
+         "length_mm"),
+        ("--scene", lambda d: dict(d, seed=1.5), "seed"),
     ], ids=["config_unknown_key", "config_unknown_nested_key",
-            "teat_unknown_key", "scene_missing_teats", "camera_unknown_key"])
+            "teat_unknown_key", "scene_missing_teats", "camera_unknown_key",
+            "config_str_for_int", "config_float_for_int",
+            "config_bool_for_int", "camera_str_for_float",
+            "teat_str_for_float", "scene_float_for_int"])
     def test_bad_json_key_rejected(self, tmp_path, capsys, flag, edit, key):
         from teatpose.pipeline import PipelineConfig
 

@@ -42,15 +42,22 @@ def _oracle_components(points: np.ndarray, tol: float) -> list[frozenset]:
 
 
 def _as_sets(clusters, points: np.ndarray) -> set[frozenset]:
-    """Map cluster point rows back to input indices (rows are unique here)."""
-    index = {tuple(p): i for i, p in enumerate(points)}
-    return {frozenset(index[tuple(q)] for q in c.points) for c in clusters}
+    """Map cluster point rows back to input indices.
+
+    Equal rows are at distance 0, so they always share a cluster: each row
+    stands for every input index that holds it.
+    """
+    index: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        index.setdefault(tuple(p), []).append(i)
+    return {frozenset(i for q in c.points for i in index[tuple(q)])
+            for c in clusters}
 
 
 class TestExamples:
     def test_two_close_points_form_one_cluster(self):
         cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        clusters = euclidean_cluster(cloud, tolerance_mm=5.0, min_size=1)
+        clusters = euclidean_cluster(cloud, tolerance_mm=5.0)
         assert len(clusters) == 1
         assert len(clusters[0]) == 2
 
@@ -76,10 +83,19 @@ class TestExamples:
 class TestOracle:
     def test_matches_union_find_on_random_scene(self):
         rng = np.random.default_rng(500)
-        pts = rng.uniform(0.0, 120.0, size=(500, 3))
-        cloud = PointCloud(pts)
-        for tol in (4.0, 8.0, 15.0):
-            got = _as_sets(euclidean_cluster(cloud, tolerance_mm=tol), pts)
+        uniform = rng.uniform(0.0, 120.0, size=(500, 3))
+        # Lattice spacing exactly equal to the tolerance (2.5 is exact in
+        # binary), with repeated sites: every lattice edge is a tie.
+        lattice = rng.integers(-4, 4, size=(300, 3)).astype(float) * 2.5
+        blobs = rng.normal(0.0, 4.0, size=(150, 3)) + rng.choice([0.0, 60.0],
+                                                                size=(150, 1))
+        duplicated = np.vstack([blobs, blobs[rng.integers(0, 150, 60)]])
+        duplicated = duplicated[rng.permutation(len(duplicated))]
+        cases = [(uniform, 4.0), (uniform, 8.0), (uniform, 15.0),
+                 (lattice, 2.5), (duplicated, 3.0)]
+        for pts, tol in cases:
+            got = _as_sets(euclidean_cluster(PointCloud(pts), tolerance_mm=tol),
+                           pts)
             expected = set(_oracle_components(pts, tol))
             assert got == expected
 
@@ -95,31 +111,13 @@ class TestOracle:
 
 
 class TestProperties:
-    def test_partition_of_subset(self):
+    def test_partition_of_input(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 100.0, size=(300, 3))
-        clusters = euclidean_cluster(PointCloud(pts), tolerance_mm=6.0,
-                                     min_size=3)
-        seen = set()
-        rows = {tuple(p) for p in pts}
-        for c in clusters:
-            for q in c.points:
-                key = tuple(q)
-                assert key in rows
-                assert key not in seen
-                seen.add(key)
-
-    def test_size_filtering(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                        [100.0, 0.0, 0.0],
-                        [200.0, 0.0, 0.0], [201.0, 0.0, 0.0],
-                        [202.0, 0.0, 0.0]])
-        clusters = euclidean_cluster(PointCloud(pts), tolerance_mm=5.0,
-                                     min_size=2)
-        assert [len(c) for c in clusters] == [3, 2]
-        clusters = euclidean_cluster(PointCloud(pts), tolerance_mm=5.0,
-                                     min_size=1, max_size=2)
-        assert [len(c) for c in clusters] == [2, 1]
+        clusters = euclidean_cluster(PointCloud(pts), tolerance_mm=6.0)
+        # Every input row lands in exactly one cluster.
+        got = np.vstack([c.points for c in clusters])
+        assert sorted(map(tuple, got)) == sorted(map(tuple, pts))
 
     def test_sorted_by_size_then_centroid(self):
         pts = np.array([[10.0, 0.0, 0.0], [11.0, 0.0, 0.0],
@@ -138,9 +136,6 @@ class TestProperties:
 
     def test_invalid_parameters(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            euclidean_cluster(cloud, tolerance_mm=0.0)
-        with pytest.raises(InvalidInputError):
-            euclidean_cluster(cloud, min_size=0)
-        with pytest.raises(InvalidInputError):
-            euclidean_cluster(cloud, min_size=5, max_size=2)
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                euclidean_cluster(cloud, tolerance_mm=tol)

@@ -277,6 +277,25 @@ class TestRunPipeline:
         result = run_pipeline([scene] * 40 + [scene_b] * 40)
         assert result.summary["tracks"] == ["T1", "T2", "T3", "T4", "T5"]
 
+    def test_two_poses_in_one_track_radius_take_distinct_tracks(
+            self, monkeypatch):
+        # Frame 1 has two poses within the radius of track T1: the nearer
+        # one keeps T1, the other opens T2, and each gate is fed once.
+        frames = iter([[_pose([0.0, 0.0, 600.0])],
+                       [_pose([6.0, 0.0, 600.0], teat_id="B"),
+                        _pose([3.0, 0.0, 600.0], teat_id="A")]])
+        monkeypatch.setattr("teatpose.pipeline.render",
+                            lambda scene, stamp_us=0: (None, [], None))
+        monkeypatch.setattr("teatpose.pipeline.estimate_frame",
+                            lambda *args: (next(frames), []))
+        result = run_pipeline([default_scene()] * 2)
+        got = [(e["frame"], e["mask_id"], e["track_id"])
+               for e in result.events if e["event"] == "pose"]
+        assert got == [(0, "T1", "T1"), (1, "B", "T2"), (1, "A", "T1")]
+        gated = [(e["frame"], e["track_id"])
+                 for e in result.events if e["event"] == "gate"]
+        assert sorted(gated) == [(0, "T1"), (1, "T1"), (1, "T2")]
+
     def test_slow_geometry_drops_with_backlog_reason(self):
         scene = default_scene(seed=0)
         config = PipelineConfig(latency=LatencyModel(geometry_budget_ms=300.0))

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from teatpose.errors import (FrameMismatchError, InsufficientPointsError,
-                             InvalidInputError)
+                             InvalidInputError, TeatPoseError)
 from teatpose.pose import (PoseConfig, TeatPose, disambiguate_direction,
                            estimate_teat_pose, load_poses_jsonl, locate_tip,
                            save_poses_jsonl)
@@ -64,6 +66,32 @@ def _random_teat(rng, max_tilt_deg=30.0):
                      -np.cos(tilt)])
     base = rng.uniform(-50.0, 50.0, 3) + np.array([0.0, 0.0, 600.0])
     return TeatSpec(base_mm=base, axis=axis)
+
+
+@st.composite
+def _degenerate_points(draw):
+    """Finite (n, 3) clouds that are coincident, collinear, planar or a
+    few points duplicated many times, at offsets and spreads up to 1e12."""
+    big = st.floats(-1e12, 1e12, allow_nan=False)
+    origin = np.array(draw(st.tuples(big, big, big)))
+    dirs = np.array(draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+                                  min_size=2, max_size=2)))
+    dirs[np.linalg.norm(dirs, axis=1) == 0.0] = [1.0, 0.0, 0.0]
+    u, v = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 10.0, 1e3, 1e12]))
+    n = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s, t = rng.uniform(-spread, spread, (2, n, 1))
+    kind = draw(st.sampled_from(["coincident", "collinear", "planar",
+                                 "duplicated"]))
+    if kind == "coincident":
+        return np.tile(origin, (n, 1))
+    if kind == "collinear":
+        return origin + s * u
+    if kind == "planar":
+        return origin + s * u + t * v
+    few = origin + rng.uniform(-spread, spread, (draw(st.integers(1, 4)), 3))
+    return few[rng.integers(0, len(few), n)]
 
 
 class TestTeatPose:
@@ -312,6 +340,21 @@ class TestEstimateTeatPose:
         pose = estimate_teat_pose(cloud, camera)
         assert pose.n_points == len(rings)
         assert np.linalg.norm(pose.tip_mm - teat.tip_mm) < 0.5
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(points=_degenerate_points(),
+           method=st.sampled_from(["pca", "normals"]))
+    def test_degenerate_clouds_raise_only_teatpose_errors(self, points,
+                                                          method):
+        # estimate_frame skips a teat only on TeatPoseError; anything else
+        # would abort the whole frame and the pipeline run with it.
+        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
+        try:
+            estimate_teat_pose(PointCloud(points, frame=FRAME_CAMERA), camera,
+                               config=PoseConfig(method=method))
+        except TeatPoseError:
+            pass
 
     def test_world_frame_input_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
