@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_keys, _check_types
+from .errors import (InvalidInputError, _check_keys, _check_types,
+                     _check_vector)
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
@@ -61,7 +62,7 @@ class CameraModel:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidInputError("principal point must lie inside the image")
         object.__setattr__(self, "rotation", _as_matrix(self.rotation))
-        t = np.asarray(self.translation_mm, dtype=float).reshape(3)
+        t = _check_vector(self.translation_mm, 3, "camera", "translation_mm")
         if not np.all(np.isfinite(t)):
             raise InvalidInputError("translation contains non-finite values")
         object.__setattr__(self, "translation_mm", t)
@@ -185,7 +186,9 @@ class CameraModel:
                           ("rotation_rowmajor", "translation_mm"))
         _check_types(cls, kwargs, "camera")
         if "rotation_rowmajor" in ext:
-            kwargs["rotation"] = np.reshape(ext["rotation_rowmajor"], (3, 3))
+            kwargs["rotation"] = _check_vector(
+                ext["rotation_rowmajor"], 9, "camera extrinsic",
+                "rotation_rowmajor").reshape(3, 3)
         if "translation_mm" in ext:
             kwargs["translation_mm"] = ext["translation_mm"]
         return cls(**kwargs)

@@ -69,11 +69,15 @@ def trace_boundary(region: np.ndarray) -> np.ndarray:
 
     Args:
         region: (H, W) boolean image; must be a single 4-connected,
-            hole-free, pinch-free component (see clean_region).
+            hole-free, pinch-free component (see clean_region). A crop of a
+            larger image is valid input.
 
     Returns:
         (M, 2) int array of (u, v) lattice vertices in unit steps, closed
-        implicitly (last connects to first).
+        implicitly (last connects to first), in region's own coordinates.
+        For a crop, adding the image (u, v) of its top-left pixel gives the
+        contour in image coordinates; the start vertex, the smallest
+        (u, v), does not change under that offset.
     """
     if not region.any():
         raise ValueError("cannot trace an empty region")

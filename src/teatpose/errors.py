@@ -2,6 +2,8 @@
 
 from dataclasses import MISSING, fields, is_dataclass
 
+import numpy as np
+
 
 class TeatPoseError(Exception):
     """Base class for all library errors."""
@@ -62,6 +64,20 @@ def _check_types(cls, d: dict, what: str) -> None:
                         or not isinstance(value, allowed)):
             raise InvalidInputError(
                 f"{what}: key {key!r} must be {kinds[key]}, got {value!r}")
+
+
+def _check_vector(value, n: int, what: str, key: str) -> np.ndarray:
+    """value as a float array of n numbers, or raise naming key."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = None
+    if (a is None or a.shape != (n,) or a.dtype.kind not in "iuf"
+            or (isinstance(value, list)
+                and any(isinstance(x, bool) for x in value))):
+        raise InvalidInputError(f"{what}: key {key!r} must be a list of "
+                                f"{n} numbers, got {value!r}")
+    return a.astype(float)
 
 
 def _dataclass_from_dict(cls, d, what: str):

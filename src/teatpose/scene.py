@@ -12,13 +12,14 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from scipy import ndimage
 
 from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .contour import clean_region, largest_component, trace_boundary
 from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
                      InvalidSceneError, _check_keys, _check_types,
-                     _dataclass_from_dict)
+                     _check_vector, _dataclass_from_dict)
 from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
@@ -42,8 +43,8 @@ class TeatSpec:
     tip_shape: str = "hemisphere"
 
     def __post_init__(self):
-        b = np.asarray(self.base_mm, dtype=float).reshape(3)
-        a = np.asarray(self.axis, dtype=float).reshape(3)
+        b = _check_vector(self.base_mm, 3, "teat", "base_mm")
+        a = _check_vector(self.axis, 3, "teat", "axis")
         n = np.linalg.norm(a)
         if n < 1e-12:
             raise InvalidSceneError("teat axis must be non-zero")
@@ -148,8 +149,8 @@ class SceneSpec:
         teats = tuple(self.teats)
         if not 1 <= len(teats) <= 6:
             raise InvalidSceneError(f"teat count must be 1..6, got {len(teats)}")
-        c = np.asarray(self.udder_center_mm, dtype=float).reshape(3)
-        s = np.asarray(self.udder_semi_axes_mm, dtype=float).reshape(3)
+        c = _check_vector(self.udder_center_mm, 3, "udder", "center_mm")
+        s = _check_vector(self.udder_semi_axes_mm, 3, "udder", "semi_axes_mm")
         if np.any(s <= 0):
             raise InvalidSceneError("udder semi-axes must be positive")
         object.__setattr__(self, "teats", teats)
@@ -197,8 +198,8 @@ class SceneSpec:
         udder = _check_keys(d["udder"], "udder", udder_keys, udder_keys)
         return cls(
             teats=tuple(TeatSpec.from_dict(t) for t in d["teats"]),
-            udder_center_mm=np.array(udder["center_mm"]),
-            udder_semi_axes_mm=np.array(udder["semi_axes_mm"]),
+            udder_center_mm=udder["center_mm"],
+            udder_semi_axes_mm=udder["semi_axes_mm"],
             camera=CameraModel.from_dict(d["camera"]),
             noise=NoiseModel.from_dict(d.get("noise", {})),
             seed=d.get("seed", 0),
@@ -385,8 +386,9 @@ def render(scene: SceneSpec, stamp_us: int = 0,
     Rays go through pixel centers (u+0.5, v+0.5) and are parameterized by
     camera depth, so depth noise is a direct scalar perturbation along each
     ray. Masks are the lattice boundaries of the per-teat visible pixel sets
-    (one mask per teat with >= 50 visible pixels). Reproducible bit-for-bit
-    from (scene, seed).
+    (one mask per teat with >= 50 visible pixels). Each teat's pixels are
+    cleaned and traced on the crop of its bounding box, and the contour comes
+    back in image coordinates. Reproducible bit-for-bit from (scene, seed).
     """
     cam = scene.camera
     w, h = cam.width, cam.height
@@ -439,26 +441,41 @@ def render(scene: SceneSpec, stamp_us: int = 0,
     cloud = PointCloud(pts_cam, frame=FRAME_CAMERA, colors=colors)
 
     label_img = label.reshape(h, w)
+    n = len(scene.teats)
+    visible = np.bincount(label + 1, minlength=n + 2)[2:]
     masks = []
-    for i in range(len(scene.teats)):
-        region = label_img == i + 1
-        if int(region.sum()) < MIN_MASK_PIXELS:
+    # In label + 1, 0 is background, 1 the udder and i + 2 teat i.
+    teat_boxes = ndimage.find_objects(label_img + 1, max_label=n + 1)[1:]
+    for i, box in enumerate(teat_boxes):
+        if visible[i] < MIN_MASK_PIXELS:
             continue
-        cleaned = clean_region(region)
-        if int(cleaned.sum()) < MIN_MASK_PIXELS:
-            continue
-        contour = trace_boundary(cleaned)
-        masks.append(TeatMask(teat_id=f"T{i + 1}", stamp_us=stamp_us,
-                              contour=contour))
+        contour = _traced_in_box(label_img[box] == i + 1, box)
+        if contour is not None:
+            masks.append(TeatMask(teat_id=f"T{i + 1}", stamp_us=stamp_us,
+                                  contour=contour))
 
     tips = np.stack([t.tip_mm for t in scene.teats])
     axes = np.stack([-t.axis for t in scene.teats])
-    visible = tuple(int((label_img == i + 1).sum())
-                    for i in range(len(scene.teats)))
-    gt = GroundTruth(teat_ids=tuple(f"T{i + 1}" for i in range(len(scene.teats))),
-                     tips_mm=tips, axes=axes, visible_px=visible,
-                     labels=label_img)
+    gt = GroundTruth(teat_ids=tuple(f"T{i + 1}" for i in range(n)),
+                     tips_mm=tips, axes=axes,
+                     visible_px=tuple(visible.tolist()), labels=label_img)
     return cloud, masks, gt
+
+
+def _traced_in_box(region: np.ndarray, box) -> np.ndarray | None:
+    """Contour of clean_region(region) in image coordinates.
+
+    region is the image cut to box, a (rows, cols) pair of slices; every
+    image pixel outside the box must be background. The crop gets a
+    one-pixel background border, so components, holes and pinches are the
+    ones the full image has, and so is the contour once the crop's origin
+    is added. Returns None when fewer than MIN_MASK_PIXELS pixels survive
+    the cleaning.
+    """
+    cleaned = clean_region(np.pad(region, 1))
+    if int(cleaned.sum()) < MIN_MASK_PIXELS:
+        return None
+    return trace_boundary(cleaned) + (box[1].start - 1, box[0].start - 1)
 
 
 # -- occlusion -----------------------------------------------------------------
@@ -479,21 +496,23 @@ def occlude(masks, occluder_px: tuple[float, float, float, float],
         keeps the source teat_id) and components under 50 px are dropped.
     """
     u0, v0, u1, v1 = occluder_px
+    cols = np.arange(width) + 0.5
+    rows = np.arange(height) + 0.5
+    clear = ~(((rows >= v0) & (rows <= v1))[:, None]
+              & ((cols >= u0) & (cols <= u1)))
     out = []
     for m in masks:
-        region = rasterize_mask(m, width, height)
-        vv, uu = np.mgrid[0:height, 0:width]
-        inside = ((uu + 0.5 >= u0) & (uu + 0.5 <= u1)
-                  & (vv + 0.5 >= v0) & (vv + 0.5 <= v1))
-        remaining = region & ~inside
-        while remaining.sum() >= MIN_MASK_PIXELS:
-            comp = largest_component(remaining)
-            remaining = remaining & ~comp
-            comp = clean_region(comp)
-            if int(comp.sum()) < MIN_MASK_PIXELS:
-                continue
-            out.append(TeatMask(teat_id=m.teat_id, stamp_us=m.stamp_us,
-                                contour=trace_boundary(comp)))
+        region = rasterize_mask(m, width, height) & clear
+        # At most one box: the bounding box of what the occluder left.
+        for box in ndimage.find_objects(region.astype(np.uint8)):
+            remaining = region[box]
+            while remaining.sum() >= MIN_MASK_PIXELS:
+                comp = largest_component(remaining)
+                remaining = remaining & ~comp
+                contour = _traced_in_box(comp, box)
+                if contour is not None:
+                    out.append(TeatMask(teat_id=m.teat_id,
+                                        stamp_us=m.stamp_us, contour=contour))
     return out
 
 

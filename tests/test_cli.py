@@ -203,11 +203,32 @@ class TestRunCommand:
                                              for t in d["teats"]]),
          "length_mm"),
         ("--scene", lambda d: dict(d, seed=1.5), "seed"),
+        ("--scene", lambda d: dict(d, teats=[dict(t, base_mm=[1, 2])
+                                             for t in d["teats"]]),
+         "base_mm"),
+        ("--scene", lambda d: dict(d, teats=[dict(t, axis="abc")
+                                             for t in d["teats"]]),
+         "axis"),
+        ("--scene", lambda d: dict(d, udder=dict(d["udder"],
+                                                 center_mm=[1, 2])),
+         "center_mm"),
+        ("--scene", lambda d: dict(d, udder=dict(d["udder"],
+                                                 semi_axes_mm=[True] * 3)),
+         "semi_axes_mm"),
+        ("--scene", lambda d: dict(d, camera=dict(d["camera"], extrinsic=dict(
+            d["camera"]["extrinsic"], rotation_rowmajor=[1.0] * 8))),
+         "rotation_rowmajor"),
+        ("--scene", lambda d: dict(d, camera=dict(d["camera"], extrinsic=dict(
+            d["camera"]["extrinsic"], translation_mm=["0", "1", "2"]))),
+         "translation_mm"),
     ], ids=["config_unknown_key", "config_unknown_nested_key",
             "teat_unknown_key", "scene_missing_teats", "camera_unknown_key",
             "config_str_for_int", "config_float_for_int",
             "config_bool_for_int", "camera_str_for_float",
-            "teat_str_for_float", "scene_float_for_int"])
+            "teat_str_for_float", "scene_float_for_int",
+            "teat_short_vector", "teat_str_for_vector", "udder_short_vector",
+            "udder_bools_for_vector", "camera_short_rotation",
+            "camera_strs_for_translation"])
     def test_bad_json_key_rejected(self, tmp_path, capsys, flag, edit, key):
         from teatpose.pipeline import PipelineConfig
 

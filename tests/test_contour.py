@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from teatpose.contour import trace_boundary
+from teatpose.contour import clean_region, trace_boundary
 
 
 def _region(rows: str) -> np.ndarray:
@@ -49,3 +50,36 @@ class TestTraceBoundary:
     def test_rejected(self, region, message):
         with pytest.raises(ValueError, match=message):
             trace_boundary(region)
+
+
+class TestCropEquivalence:
+    """Cleaning and tracing a region on its bounding-box crop, padded with
+    one background pixel, gives the full-image contour once the crop's
+    origin is added. render and occlude rely on this."""
+
+    def test_random_regions(self):
+        rng = np.random.default_rng(4)
+        seen = dict.fromkeys(["hole", "pinch", "components", "border"], 0)
+        for _ in range(400):
+            h, w = rng.integers(6, 30, 2)
+            bh, bw = rng.integers(2, h + 1), rng.integers(2, w + 1)
+            r, c = rng.integers(0, h - bh + 1), rng.integers(0, w - bw + 1)
+            density = rng.uniform(0.3, 0.9)
+            full = np.zeros((h, w), dtype=bool)
+            full[r:r + bh, c:c + bw] = rng.random((bh, bw)) < density
+            if not full.any():
+                continue
+            seen["hole"] += bool((ndimage.binary_fill_holes(full)
+                                  & ~full).any())
+            seen["pinch"] += bool((full[:-1, :-1] & full[1:, 1:]
+                                   & ~full[:-1, 1:] & ~full[1:, :-1]).any())
+            seen["components"] += ndimage.label(full)[1] > 1
+            seen["border"] += bool(full[0].any() or full[-1].any()
+                                   or full[:, 0].any() or full[:, -1].any())
+
+            (rows, cols), = ndimage.find_objects(full.astype(np.uint8))
+            cropped = trace_boundary(clean_region(np.pad(full[rows, cols], 1)))
+            expected = trace_boundary(clean_region(full))
+            np.testing.assert_array_equal(
+                cropped + (cols.start - 1, rows.start - 1), expected)
+        assert min(seen.values()) >= 100, seen

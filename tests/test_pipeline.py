@@ -12,7 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teatpose.camera import CameraModel
+from teatpose.cloud import FRAME_CAMERA, PointCloud
+from teatpose.contour import trace_boundary
 from teatpose.errors import InvalidInputError
 from teatpose.mask import TeatMask
 from teatpose.pipeline import (ConsistencyGate, FrameMessage, GateState,
@@ -20,7 +25,7 @@ from teatpose.pipeline import (ConsistencyGate, FrameMessage, GateState,
                                approach_plan, estimate_frame, gate_update,
                                poses_agree, read_events_jsonl, run_pipeline,
                                static_scene_stream, write_events_jsonl)
-from teatpose.pose import TeatPose
+from teatpose.pose import PoseConfig, TeatPose
 from teatpose.scene import TeatSpec, default_scene, orbbec_like_noise, render
 
 
@@ -187,6 +192,50 @@ class TestPipelineConfig:
             PipelineConfig(association_mm=0.0)
 
 
+@st.composite
+def _frame_inputs(draw):
+    """A finite camera-frame cloud and masks over it.
+
+    Masks are rectangles, triangles and traced discs, one pixel wide up to
+    the image size; a quarter are placed from 60 px outside the image on,
+    and most of those reach off it. Clouds are
+    empty, coincident, collinear, planar or scattered, in front of, on or
+    behind the camera plane, around the point the first mask's centre sees
+    at the drawn depth. Half the draws take a plausible depth and spread.
+    """
+    masks = []
+    for k in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)):
+            u0, v0 = draw(st.integers(0, 600)), draw(st.integers(0, 440))
+            du = draw(st.integers(1, 640 - u0))
+            dv = draw(st.integers(1, 480 - v0))
+        else:
+            u0, v0 = draw(st.integers(-60, 700)), draw(st.integers(-60, 540))
+            du, dv = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+        shape = draw(st.sampled_from(["rectangle", "triangle", "disc"]))
+        if shape == "disc":
+            r = min(du, dv) // 2
+            y, x = np.ogrid[-r:r + 1, -r:r + 1]
+            contour = trace_boundary(x * x + y * y <= r * r) + (u0, v0)
+        else:
+            contour = [(u0, v0), (u0, v0 + dv), (u0 + du, v0 + dv),
+                       (u0 + du, v0)][:3 if shape == "triangle" else 4]
+        masks.append(TeatMask(teat_id=f"T{k + 1}", stamp_us=0,
+                              contour=np.array(contour)))
+    u, v = masks[0].contour.mean(axis=0)
+    depth = draw(st.just(500.0)
+                 | st.sampled_from([-500.0, 0.0, 1e-9, 1.0, 1e6, 1e12]))
+    centre = np.array([(u - 320.0) / 570.0, (v - 240.0) / 570.0, 1.0]) * depth
+    spread = draw(st.just(20.0)
+                  | st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e4, 1e12]))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = draw(st.integers(0, 3))  # coincident, collinear, planar, scattered
+    offsets = rng.uniform(-spread, spread, (n, dims)) \
+        @ rng.standard_normal((dims, 3))
+    return PointCloud(centre + offsets, frame=FRAME_CAMERA), masks
+
+
 class TestEstimateFrame:
 
     def test_noiseless_frame_all_teats(self):
@@ -211,6 +260,21 @@ class TestEstimateFrame:
                                          scene.camera, PipelineConfig().pose)
         assert failures == [("TX", "InsufficientPointsError")]
         assert len(poses) == len(masks)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(inputs=_frame_inputs(),
+           method=st.sampled_from(["pca", "normals"]),
+           stride=st.sampled_from([1, 2, 7]))
+    def test_only_teatpose_errors_skip_a_teat(self, inputs, method, stride):
+        # estimate_frame catches only TeatPoseError, so any other exception
+        # from a finite input would abort the frame and the run with it.
+        cloud, masks = inputs
+        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
+        poses, failures = estimate_frame(
+            cloud, masks, camera,
+            PoseConfig(method=method, stride=stride))
+        assert len(poses) + len(failures) == len(masks)
 
 
 class TestRunPipeline:

@@ -8,6 +8,9 @@ against paired noiseless renders of the same scene.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from teatpose.camera import CameraModel
 from teatpose.contour import clean_region
 from teatpose.errors import (CurveFitError, InsufficientPointsError,
                              InvalidInputError, InvalidSceneError)
-from teatpose.mask import rasterize_mask
+from teatpose.mask import TeatMask, rasterize_mask
 from teatpose.scene import (NoiseModel, SceneSpec, TeatSpec, default_scene,
                             fit_error_curve, occlude, orbbec_like_noise,
                             plane_target_measure, render, render_plane_target,
@@ -45,6 +48,45 @@ def _single_teat_scene(noise=None, seed=0):
     return SceneSpec(teats=(teat,), udder_center_mm=_UDDER_CENTER,
                      udder_semi_axes_mm=_UDDER_SEMI, camera=camera,
                      noise=noise or NoiseModel(), seed=seed)
+
+
+def _moved_camera(scene, standoff, aim_mm=(0.0, 0.0, 0.0)):
+    """The scene seen from standoff times its camera's distance to the mean
+    tip, aimed aim_mm away from that tip."""
+    target = np.stack([t.tip_mm for t in scene.teats]).mean(axis=0)
+    camera = CameraModel.look_at(
+        target + standoff * (scene.camera.position_world - target),
+        target + np.asarray(aim_mm))
+    return replace(scene, camera=camera)
+
+
+def _border_scene():
+    """Default rig at 0.6x standoff, aimed so teat T1 is cut by the image
+    border."""
+    return _moved_camera(default_scene(seed=3, noise=orbbec_like_noise()),
+                         0.6, (150.0, 0.0, 0.0))
+
+
+def _render_digest(scene) -> str:
+    """sha256 of a render: cloud points and colours, label image, visible
+    pixel counts, and each mask's teat id and contour, dtypes included."""
+    cloud, masks, gt = render(scene)
+    h = hashlib.sha256()
+    for a in (cloud.points, cloud.colors, gt.labels,
+              np.array(gt.visible_px, dtype=np.int64)):
+        h.update(a.dtype.str.encode() + a.tobytes())
+    for m in masks:
+        h.update(m.teat_id.encode() + m.contour.dtype.str.encode()
+                 + m.contour.tobytes())
+    return h.hexdigest()
+
+
+def _corners(contour) -> list:
+    """Turning vertices of a unit-step lattice contour, which fix it."""
+    step = np.roll(contour, -1, axis=0) - contour
+    assert np.all(np.abs(step).sum(axis=1) == 1)
+    turn = np.any(step != np.roll(step, 1, axis=0), axis=1)
+    return [tuple(v) for v in contour[turn].tolist()]
 
 
 class TestTeatSpec:
@@ -254,6 +296,32 @@ class TestRender:
         assert len(cloud) > 0
 
 
+class TestRenderDigest:
+    """Render output pinned byte for byte by literal digests."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: default_scene(seed=0, noise=orbbec_like_noise()),
+         "8f53365b8ff358de41621ef6dff0c13454012a1e3a3afdc690bf599e1d285ae3"),
+        (lambda: _moved_camera(default_scene(
+            seed=1, noise=orbbec_like_noise(), n_teats=6), 0.6),
+         "2b72430d723a101c81d64e85eed14267145fc106110e5ba70eae452180469d62"),
+        (lambda: default_scene(seed=2, noise=NoiseModel(
+            dropout_rate=0.1, lateral_jitter_px=0.7)),
+         "3e1a886c968dc7860f020ec1a60c8719a537cddaad5d4f3e75b1b25a2cd271d4"),
+        (_border_scene,
+         "e670b3ce6634543f4f5456062dd596baabb15b73396465dd812de612a7b17869"),
+    ], ids=["default_orbbec", "six_teats_close", "dropout_jitter",
+            "teat_on_border"])
+    def test_digest(self, make, digest):
+        assert _render_digest(make()) == digest
+
+    def test_border_scene_cuts_a_teat(self):
+        _, masks, _ = render(_border_scene())
+        c = {m.teat_id: m.contour for m in masks}["T1"]
+        assert np.any((c[:, 0] == 0) | (c[:, 0] == 640)
+                      | (c[:, 1] == 0) | (c[:, 1] == 480))
+
+
 class TestOcclude:
 
     def test_disjoint_occluder_keeps_masks(self):
@@ -277,6 +345,22 @@ class TestOcclude:
                       640, 480)
         assert len(out) == 2
         assert all(m.teat_id == masks[0].teat_id for m in out)
+
+    @pytest.mark.parametrize("contour, occluder, expected", [
+        # A band splits the mask in two; the larger piece comes first.
+        ([(2, 2), (2, 12), (26, 12), (26, 2)], (10.2, 0.0, 13.8, 16.0),
+         [[(14, 2), (14, 12), (26, 12), (26, 2)],
+          [(2, 2), (2, 12), (10, 12), (10, 2)]]),
+        # The mask reaches the right and bottom image borders and the
+        # occluder reaches past them.
+        ([(18, 6), (18, 16), (30, 16), (30, 6)], (24.2, 11.2, 40.0, 40.0),
+         [[(18, 6), (18, 16), (24, 16), (24, 11), (30, 11), (30, 6)]]),
+    ], ids=["split_in_two", "clipped_at_border"])
+    def test_literal_contours(self, contour, occluder, expected):
+        mask = TeatMask(teat_id="T2", stamp_us=5, contour=np.array(contour))
+        out = occlude([mask], occluder, 30, 16)
+        assert all(m.teat_id == "T2" and m.stamp_us == 5 for m in out)
+        assert [_corners(m.contour) for m in out] == expected
 
 
 class TestPlaneTarget:
