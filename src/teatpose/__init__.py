@@ -10,27 +10,24 @@ stack testable without a robot.
 
 from .axes import SurfaceNormalField, estimate_normals, normals_axis, pca_axis
 from .camera import WORLD_UP, CameraModel
-from .cloud import (FRAME_CAMERA, FRAME_WORLD, PointCloud, empty_cloud,
-                    load_ply, save_ply)
+from .cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from .cluster import euclidean_cluster
 from .errors import (AmbiguousAxisError, CurveFitError, EmptyMaskError,
                      FrameMismatchError, InsufficientPointsError,
                      InvalidInputError, InvalidSceneError, TeatPoseError)
 from .experiments import run_camera_curve, run_rate_bench, run_repeatability
-from .mask import (TeatMask, extract_masked_points, load_masks,
-                   points_in_polygon, rasterize_mask, save_masks)
+from .mask import (TeatMask, extract_masked_points, points_in_polygon,
+                   rasterize_mask)
 from .pipeline import (ConsistencyGate, FrameMessage, GateState, LatencyModel,
-                       MaskPromise, PipelineConfig, PipelineResult,
-                       approach_plan, estimate_frame, gate_update,
-                       run_pipeline, static_scene_stream)
+                       PipelineConfig, PipelineResult, estimate_frame,
+                       gate_update, run_pipeline, static_scene_stream)
 from .pose import (PoseConfig, TeatPose, disambiguate_direction,
-                   estimate_teat_pose, load_poses_jsonl, locate_tip,
-                   save_poses_jsonl)
+                   estimate_teat_pose, locate_tip)
 from .scene import (ErrorCurve, GroundTruth, NoiseModel, SceneSpec, TeatSpec,
                     default_scene, fit_error_curve, occlude,
                     orbbec_like_noise, plane_target_measure, render,
                     render_plane_target, sample_teat_surface)
-from .voxel import VoxelGrid, voxel_downsample
+from .voxel import voxel_downsample
 
 __version__ = "0.1.0"
 
@@ -39,17 +36,14 @@ __all__ = [
     "EmptyMaskError", "ErrorCurve", "FRAME_CAMERA", "FRAME_WORLD",
     "FrameMessage", "FrameMismatchError", "GateState", "GroundTruth",
     "InsufficientPointsError", "InvalidInputError", "InvalidSceneError",
-    "LatencyModel", "MaskPromise", "NoiseModel", "PipelineConfig",
-    "PipelineResult", "PointCloud", "PoseConfig", "SceneSpec",
-    "SurfaceNormalField", "TeatMask", "TeatPose", "TeatPoseError", "TeatSpec",
-    "VoxelGrid", "WORLD_UP", "approach_plan", "default_scene",
-    "disambiguate_direction", "empty_cloud", "estimate_frame",
-    "estimate_normals", "estimate_teat_pose", "euclidean_cluster",
-    "extract_masked_points", "fit_error_curve", "gate_update", "load_masks",
-    "load_ply", "load_poses_jsonl", "locate_tip", "normals_axis", "occlude",
+    "LatencyModel", "NoiseModel", "PipelineConfig", "PipelineResult",
+    "PointCloud", "PoseConfig", "SceneSpec", "SurfaceNormalField", "TeatMask",
+    "TeatPose", "TeatPoseError", "TeatSpec", "WORLD_UP", "default_scene",
+    "disambiguate_direction", "estimate_frame", "estimate_normals",
+    "estimate_teat_pose", "euclidean_cluster", "extract_masked_points",
+    "fit_error_curve", "gate_update", "locate_tip", "normals_axis", "occlude",
     "orbbec_like_noise", "pca_axis", "plane_target_measure",
     "points_in_polygon", "rasterize_mask", "render", "render_plane_target",
     "run_camera_curve", "run_pipeline", "run_rate_bench", "run_repeatability",
-    "sample_teat_surface", "save_masks", "save_ply", "save_poses_jsonl",
-    "static_scene_stream", "voxel_downsample",
+    "sample_teat_surface", "static_scene_stream", "voxel_downsample",
 ]

@@ -56,15 +56,10 @@ def pca_axis(cloud: PointCloud, ratio_min: float = AXIS_RATIO_MIN) -> np.ndarray
 
 @dataclass(frozen=True)
 class SurfaceNormalField:
-    """Per-point unit normals oriented toward the sensor.
-
-    `k` records the neighbourhood size the normals were estimated with
-    (0 for hand-built fields).
-    """
+    """Per-point unit normals oriented toward the sensor."""
 
     points: np.ndarray
     normals: np.ndarray
-    k: int = 0
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -116,7 +111,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
     toward = origin - cloud.points
     flip = np.einsum("ni,ni->n", normals, toward) < 0
     normals[flip] *= -1
-    return SurfaceNormalField(points=cloud.points, normals=normals, k=k)
+    return SurfaceNormalField(points=cloud.points, normals=normals)
 
 
 def normals_axis(field: SurfaceNormalField) -> np.ndarray:

@@ -7,7 +7,6 @@ x-right / y-down / z-forward, so every visible point has z > 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,13 +191,3 @@ class CameraModel:
         if "translation_mm" in ext:
             kwargs["translation_mm"] = ext["translation_mm"]
         return cls(**kwargs)
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "CameraModel":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))

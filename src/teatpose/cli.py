@@ -31,11 +31,16 @@ _NOISE_PRESETS = {
 }
 
 
+def _read_json(path: str):
+    with open(path) as f:
+        return json.load(f)
+
+
 def _load_scene(path: str | None, noise_name: str | None,
                 seed: int | None) -> SceneSpec:
     from dataclasses import replace
 
-    scene = SceneSpec.load_json(path) if path else default_scene()
+    scene = SceneSpec.from_dict(_read_json(path)) if path else default_scene()
     if noise_name is not None:
         scene = replace(scene, noise=_NOISE_PRESETS[noise_name]())
     if seed is not None:
@@ -119,8 +124,7 @@ def _cmd_repeatability(args) -> int:
 
 def _cmd_camera_curve(args) -> int:
     if args.presets:
-        with open(args.presets) as f:
-            data = json.load(f)
+        data = _read_json(args.presets)
         if not isinstance(data, dict):
             raise InvalidInputError(
                 f"presets: expected a JSON object, got {type(data).__name__}")
@@ -153,8 +157,8 @@ def _cmd_rate(args) -> int:
 
 def _cmd_run(args) -> int:
     scene = _load_scene(args.scene, args.noise, _master_seed(args.seed))
-    config = PipelineConfig.load_json(args.config) if args.config \
-        else PipelineConfig()
+    config = (PipelineConfig.from_dict(_read_json(args.config))
+              if args.config else PipelineConfig())
     result = run_pipeline(static_scene_stream(scene, args.frames), config)
     write_events_jsonl(result.events, args.events)
     summary = result.summary

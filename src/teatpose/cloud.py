@@ -1,18 +1,15 @@
-"""Point cloud container and PLY serialization.
+"""Point cloud container.
 
 Clouds carry an explicit coordinate-frame tag so that camera-frame and
-world-frame data can never be mixed silently. Coordinates are float64 mm in
-memory and float32 on disk (PLY).
+world-frame data can never be mixed silently. Coordinates are float64 mm.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel
 from .errors import FrameMismatchError, InvalidInputError
 
 FRAME_CAMERA = "camera"
@@ -55,128 +52,3 @@ class PointCloud:
         """Subset cloud by boolean mask or index array, preserving order."""
         colors = self.colors[index] if self.colors is not None else None
         return PointCloud(self.points[index], frame=self.frame, colors=colors)
-
-    def to_world(self, camera: CameraModel) -> "PointCloud":
-        self.require_frame(FRAME_CAMERA, "to_world")
-        return PointCloud(camera.camera_to_world(self.points),
-                          frame=FRAME_WORLD, colors=self.colors)
-
-    def to_camera(self, camera: CameraModel) -> "PointCloud":
-        self.require_frame(FRAME_WORLD, "to_camera")
-        return PointCloud(camera.world_to_camera(self.points),
-                          frame=FRAME_CAMERA, colors=self.colors)
-
-
-def empty_cloud(frame: str = FRAME_CAMERA) -> PointCloud:
-    return PointCloud(np.empty((0, 3)), frame=frame)
-
-
-# -- PLY ----------------------------------------------------------------------
-
-_PLY_FORMATS = ("ascii", "binary_little_endian")
-
-
-def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
-    """Write a cloud as PLY; float32 x/y/z plus optional uchar red/green/blue.
-
-    The frame tag is preserved in a header comment.
-    """
-    has_color = cloud.colors is not None
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = [
-        "ply",
-        f"format {fmt} 1.0",
-        f"comment frame {cloud.frame}",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-    ]
-    if has_color:
-        header += ["property uchar red", "property uchar green", "property uchar blue"]
-    header.append("end_header")
-
-    xyz = cloud.points.astype(np.float32)
-    with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            if has_color:
-                rec = np.empty(len(cloud), dtype=[("xyz", "<f4", 3), ("rgb", "u1", 3)])
-                rec["xyz"] = xyz
-                rec["rgb"] = cloud.colors
-                f.write(rec.tobytes())
-            else:
-                f.write(np.ascontiguousarray(xyz, dtype="<f4").tobytes())
-        else:
-            lines = []
-            for i in range(len(cloud)):
-                row = f"{xyz[i, 0]:.6f} {xyz[i, 1]:.6f} {xyz[i, 2]:.6f}"
-                if has_color:
-                    c = cloud.colors[i]
-                    row += f" {c[0]} {c[1]} {c[2]}"
-                lines.append(row)
-            f.write(("\n".join(lines) + ("\n" if lines else "")).encode("ascii"))
-
-
-def load_ply(path) -> PointCloud:
-    """Read an ascii or binary_little_endian PLY with x/y/z (+ rgb) vertices."""
-    with open(path, "rb") as f:
-        data = f.read()
-
-    end = data.find(b"end_header")
-    if data[:3] != b"ply" or end < 0:
-        raise InvalidInputError(f"{path}: not a PLY file")
-    header_len = data.find(b"\n", end) + 1
-    header = data[:header_len].decode("ascii").splitlines()
-
-    fmt = None
-    count = 0
-    frame = FRAME_CAMERA
-    props: list[str] = []
-    in_vertex = False
-    for line in header[1:]:
-        tok = line.split()
-        if not tok:
-            continue
-        if tok[0] == "format":
-            fmt = tok[1]
-        elif tok[0] == "comment" and len(tok) >= 3 and tok[1] == "frame":
-            frame = tok[2]
-        elif tok[0] == "element":
-            in_vertex = tok[1] == "vertex"
-            if in_vertex:
-                count = int(tok[2])
-        elif tok[0] == "property" and in_vertex:
-            props.append(tok[2])
-    if fmt not in _PLY_FORMATS:
-        raise InvalidInputError(f"{path}: unsupported PLY format {fmt!r}")
-    for name in ("x", "y", "z"):
-        if name not in props:
-            raise InvalidInputError(f"{path}: missing vertex property {name!r}")
-    has_color = all(c in props for c in ("red", "green", "blue"))
-
-    if fmt == "ascii":
-        rows = data[header_len:].decode("ascii").split()
-        ncols = len(props)
-        if count and len(rows) < count * ncols:
-            raise InvalidInputError(f"{path}: truncated vertex data")
-        table = np.array(rows[: count * ncols], dtype=float).reshape(count, ncols)
-        xyz = table[:, [props.index("x"), props.index("y"), props.index("z")]]
-        colors = None
-        if has_color:
-            idx = [props.index(c) for c in ("red", "green", "blue")]
-            colors = table[:, idx].astype(np.uint8)
-    else:
-        # Binary payload: properties in declared order, f4 coords + u1 colors.
-        item = struct.calcsize("<" + "".join("B" if p in ("red", "green", "blue")
-                                             else "f" for p in props))
-        dtype = np.dtype([(p, "u1" if p in ("red", "green", "blue") else "<f4")
-                          for p in props])
-        if len(data) - header_len < count * item:
-            raise InvalidInputError(f"{path}: truncated vertex data")
-        rec = np.frombuffer(data, dtype=dtype, count=count, offset=header_len)
-        xyz = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(float)
-        colors = (np.column_stack([rec["red"], rec["green"], rec["blue"]])
-                  if has_color else None)
-
-    return PointCloud(xyz, frame=frame, colors=colors)

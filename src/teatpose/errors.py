@@ -1,5 +1,6 @@
 """Exception types raised across the estimation pipeline."""
 
+import math
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
@@ -50,33 +51,41 @@ def _check_keys(d, what: str, allowed, required=()) -> dict:
     return d
 
 
-# JSON types a scalar field takes, by its annotation. bool is an int in
-# Python, but true/false is never a number in a config file.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# JSON types a scalar field takes, and how to name them, by its annotation.
+# bool is an int in Python, but true/false is never a number in a config file.
+_JSON_TYPES = {"int": ((int,), "an integer"),
+               "float": ((int, float), "a finite number"),
+               "str": ((str,), "a string")}
 
 
 def _check_types(cls, d: dict, what: str) -> None:
-    """Raise naming a key of d whose value does not fit its field of cls."""
+    """Raise naming a key of d whose value does not fit its field of cls.
+
+    Python's json reads NaN and Infinity, so a float must also be finite.
+    """
     kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
     for key, value in d.items():
-        allowed = _JSON_TYPES.get(kinds.get(key))
-        if allowed and (isinstance(value, bool)
-                        or not isinstance(value, allowed)):
+        if kinds.get(key) not in _JSON_TYPES:
+            continue
+        allowed, name = _JSON_TYPES[kinds[key]]
+        if (isinstance(value, bool) or not isinstance(value, allowed)
+                or (isinstance(value, float) and not math.isfinite(value))):
             raise InvalidInputError(
-                f"{what}: key {key!r} must be {kinds[key]}, got {value!r}")
+                f"{what}: key {key!r} must be {name}, got {value!r}")
 
 
 def _check_vector(value, n: int, what: str, key: str) -> np.ndarray:
-    """value as a float array of n numbers, or raise naming key."""
+    """value as a float array of n finite numbers, or raise naming key."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged nesting
         a = None
     if (a is None or a.shape != (n,) or a.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(a))
             or (isinstance(value, list)
                 and any(isinstance(x, bool) for x in value))):
         raise InvalidInputError(f"{what}: key {key!r} must be a list of "
-                                f"{n} numbers, got {value!r}")
+                                f"{n} finite numbers, got {value!r}")
     return a.astype(float)
 
 

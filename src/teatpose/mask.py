@@ -8,7 +8,6 @@ reduces the polygon before the test; stride 1 is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,31 +129,6 @@ class TeatMask:
         c = self.contour
         return bool(np.all((c[:, 0] >= 0) & (c[:, 0] <= width)
                            & (c[:, 1] >= 0) & (c[:, 1] <= height)))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"teat_id": self.teat_id, "stamp_us": int(self.stamp_us),
-                "contour": self.contour.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TeatMask":
-        return cls(teat_id=d["teat_id"], stamp_us=int(d["stamp_us"]),
-                   contour=np.asarray(d["contour"]))
-
-
-def save_masks(masks, path) -> None:
-    with open(path, "w") as f:
-        json.dump([m.to_dict() for m in masks], f)
-        f.write("\n")
-
-
-def load_masks(path) -> list[TeatMask]:
-    with open(path) as f:
-        data = json.load(f)
-    if isinstance(data, dict):
-        data = [data]
-    return [TeatMask.from_dict(d) for d in data]
 
 
 # -- membership ----------------------------------------------------------------

@@ -51,28 +51,20 @@ class LatencyModel:
 
 
 @dataclass(frozen=True)
-class MaskPromise:
-    """Deferred segmentation result: masks become available at ready_at_us."""
-
-    ready_at_us: int
-    masks: tuple
-
-
-@dataclass(frozen=True)
 class FrameMessage:
-    """Synchronized camera frame: cloud now, masks later.
+    """Synchronized camera frame: the cloud and its teat masks.
 
-    The cloud and every mask in the promise carry the same stamp; that is
-    the synchronization contract and it is asserted, not assumed.
+    The cloud and every mask carry the same stamp; that is the
+    synchronization contract and it is asserted, not assumed.
     """
 
     stamp_us: int
     cloud: PointCloud
     camera: CameraModel
-    masks_promise: MaskPromise
+    masks: tuple
 
     def __post_init__(self):
-        for m in self.masks_promise.masks:
+        for m in self.masks:
             if m.stamp_us != self.stamp_us:
                 raise InvalidInputError(
                     f"mask stamp {m.stamp_us} != frame stamp {self.stamp_us}")
@@ -126,17 +118,6 @@ def gate_update(state: GateState, pose: TeatPose, gate: ConsistencyGate) -> str:
     return "reset"
 
 
-def approach_plan(pose: TeatPose, standoff_mm: float = 50.0) -> np.ndarray:
-    """Straight-line cup approach: standoff point below the tip, then the tip.
-
-    The axis points tip to base, so the approach point sits at
-    tip - standoff * axis and the segment runs parallel to the axis.
-    """
-    if standoff_mm <= 0:
-        raise InvalidInputError("standoff must be > 0")
-    return np.stack([pose.tip_mm - standoff_mm * pose.axis, pose.tip_mm])
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything run_pipeline needs besides the scenes themselves."""
@@ -159,16 +140,6 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         return _dataclass_from_dict(cls, d, "pipeline config")
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "PipelineConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 def estimate_frame(cloud: PointCloud, masks, camera, config: PoseConfig,
@@ -321,7 +292,7 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
     def geometry(item, start_us: int) -> int:
         frame_idx, stamp_us, msg = item
         done = start_us + config.latency.geometry_us
-        poses, failures = estimate_frame(msg.cloud, msg.masks_promise.masks,
+        poses, failures = estimate_frame(msg.cloud, msg.masks,
                                          msg.camera, config.pose)
         for teat_id, err in failures:
             events.append({"event": "pose_failed", "t_us": done,
@@ -356,8 +327,7 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
         events.append({"event": "masks_ready", "t_us": ready,
                        "frame": frame_idx, "n_masks": len(masks)})
         msg = FrameMessage(stamp_us=stamp_us, cloud=cloud, camera=scene.camera,
-                           masks_promise=MaskPromise(ready_at_us=ready,
-                                                     masks=tuple(masks)))
+                           masks=tuple(masks))
         geo_server.offer((frame_idx, stamp_us, msg), ready)
         return ready
 
@@ -386,8 +356,3 @@ def write_events_jsonl(events, path) -> None:
     with open(path, "w") as f:
         for e in events:
             f.write(json.dumps(e) + "\n")
-
-
-def read_events_jsonl(path) -> list[dict]:
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]

@@ -6,7 +6,6 @@ direction is -axis. Tips are reported in the world frame.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,19 +56,6 @@ class TeatPose:
         tip.flags.writeable = False
         ax.flags.writeable = False
 
-    def canonical_frame(self) -> np.ndarray:
-        """Right-handed orthonormal frame with the axis as third column.
-
-        The completion is arbitrary but deterministic (roll about the axis
-        carries no information for a rotationally symmetric cup).
-        """
-        ref = np.zeros(3)
-        ref[int(np.argmin(np.abs(self.axis)))] = 1.0
-        u = np.cross(ref, self.axis)
-        u /= np.linalg.norm(u)
-        v = np.cross(self.axis, u)
-        return np.column_stack([u, v, self.axis])
-
     def to_dict(self) -> dict:
         return {
             "teat_id": self.teat_id,
@@ -79,28 +65,6 @@ class TeatPose:
             "method": self.method,
             "n_points": int(self.n_points),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TeatPose":
-        return cls(teat_id=d["teat_id"], tip_mm=np.array(d["tip_mm"]),
-                   axis=np.array(d["axis"]), method=d["method"],
-                   n_points=int(d["n_points"]), stamp_us=int(d["stamp_us"]))
-
-
-def save_poses_jsonl(poses, path) -> None:
-    with open(path, "w") as f:
-        for pose in poses:
-            f.write(json.dumps(pose.to_dict()) + "\n")
-
-
-def load_poses_jsonl(path) -> list[TeatPose]:
-    poses = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                poses.append(TeatPose.from_dict(json.loads(line)))
-    return poses
 
 
 @dataclass(frozen=True)
@@ -128,6 +92,16 @@ class PoseConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
+        for name in ("voxel_leaf_mm", "cluster_tolerance_mm"):
+            if not getattr(self, name) > 0:
+                raise InvalidInputError(f"{name} must be > 0")
+        if self.min_points < 1:
+            raise InvalidInputError("min_points must be >= 1")
+        if self.normals_k < 3:
+            raise InvalidInputError("normals_k must be >= 3")
+        if self.stride < 1 or int(self.stride) != self.stride:
+            raise InvalidInputError(
+                f"stride must be an integer >= 1, got {self.stride}")
         if not 0 <= self.tip_percentile <= 50:
             raise InvalidInputError("tip percentile must be in [0, 50]")
         if self.tip_slab_mm <= 0:

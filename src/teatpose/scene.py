@@ -8,7 +8,6 @@ surface, which keeps ground truth exact: no meshing, no discretization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -69,11 +68,11 @@ class TeatSpec:
     def cap_center_mm(self) -> np.ndarray:
         return self.base_mm + (self.length_mm - self.radius_mm) * self.axis
 
-    def contains(self, p: np.ndarray, margin: float = 0.0) -> bool:
-        """True if the world point lies inside the solid (inflated by margin)."""
+    def contains(self, p: np.ndarray) -> bool:
+        """True if the world point lies inside the solid."""
         w = np.asarray(p, dtype=float) - self.base_mm
         t = float(w @ self.axis)
-        r = self.radius_mm + margin
+        r = self.radius_mm
         h = self.length_mm - self.radius_mm
         if 0.0 <= t <= h and np.linalg.norm(w - t * self.axis) <= r:
             return True
@@ -194,6 +193,9 @@ class SceneSpec:
         _check_keys(d, "scene", ("teats", "udder", "camera", "noise", "seed"),
                     required=("teats", "udder", "camera"))
         _check_types(cls, d, "scene")
+        if not isinstance(d["teats"], list):
+            raise InvalidInputError(f"scene: key 'teats' must be a list of "
+                                    f"teat objects, got {d['teats']!r}")
         udder_keys = ("center_mm", "semi_axes_mm")
         udder = _check_keys(d["udder"], "udder", udder_keys, udder_keys)
         return cls(
@@ -204,16 +206,6 @@ class SceneSpec:
             noise=NoiseModel.from_dict(d.get("noise", {})),
             seed=d.get("seed", 0),
         )
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "SceneSpec":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)

@@ -2,57 +2,35 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .cloud import PointCloud
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
-class VoxelGrid:
-    """Axis-aligned voxel grid: leaf edge length in mm plus a grid origin.
-
-    A point belongs to voxel floor((p - origin) / leaf) per axis; a point
-    exactly on a cell boundary therefore lands in the higher-index voxel.
-    """
-
-    leaf_mm: float = 5.0
-    origin_mm: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        if not (self.leaf_mm > 0 and np.isfinite(self.leaf_mm)):
-            raise InvalidInputError(f"leaf size must be positive, got {self.leaf_mm}")
-        o = np.asarray(self.origin_mm, dtype=float).reshape(3)
-        object.__setattr__(self, "origin_mm", o)
-        o.flags.writeable = False
-
-    def indices(self, points: np.ndarray) -> np.ndarray:
-        return np.floor((points - self.origin_mm) / self.leaf_mm).astype(np.int64)
-
-
-def voxel_downsample(cloud: PointCloud, grid: VoxelGrid | float = 5.0) -> PointCloud:
+def voxel_downsample(cloud: PointCloud, leaf_mm: float = 5.0) -> PointCloud:
     """Replace every occupied voxel by the centroid of its points.
 
-    Output is ordered by voxel index (ix, iy, iz lexicographic), so the result
-    is deterministic regardless of input order. Idempotent on clouds that are
-    already one-point-per-voxel. Colors are dropped (centroids have no single
-    source pixel).
+    The grid has its origin at (0, 0, 0): a point belongs to voxel
+    floor(p / leaf_mm) per axis, so a point exactly on a cell boundary lands
+    in the higher-index voxel. Output is ordered by voxel index (ix, iy, iz
+    lexicographic), so the result is deterministic regardless of input order.
+    Idempotent on clouds that are already one-point-per-voxel. Colors are
+    dropped (centroids have no single source pixel).
 
     Args:
         cloud: Input cloud, any frame.
-        grid: VoxelGrid, or a bare leaf size in mm with origin (0, 0, 0).
+        leaf_mm: Voxel edge length in mm, finite and positive.
 
     Returns:
         Downsampled PointCloud in the same frame.
     """
-    if not isinstance(grid, VoxelGrid):
-        grid = VoxelGrid(leaf_mm=float(grid))
+    if not (leaf_mm > 0 and np.isfinite(leaf_mm)):
+        raise InvalidInputError(f"leaf size must be positive, got {leaf_mm}")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)), frame=cloud.frame)
 
-    idx = grid.indices(cloud.points)
+    idx = np.floor(cloud.points / leaf_mm).astype(np.int64)
     # Group points by voxel; np.unique sorts keys lexicographically, and
     # np.add.at accumulates in input order so sums are reproducible bit-for-bit.
     keys, inverse, counts = np.unique(idx, axis=0, return_inverse=True,

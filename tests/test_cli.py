@@ -13,9 +13,12 @@ import os
 import pytest
 
 from teatpose.cli import _int_list, build_parser, main
-from teatpose.pipeline import read_events_jsonl
 from teatpose.reports import read_csv
 from teatpose.scene import default_scene
+
+
+def _read_events(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestParser:
@@ -77,7 +80,8 @@ class TestRepeatabilityCommand:
 
     def test_scene_file_used(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
-        default_scene(seed=4, n_teats=2).save_json(scene_path)
+        scene_path.write_text(json.dumps(
+            default_scene(seed=4, n_teats=2).to_dict()))
         out = tmp_path / "rep"
         code = main(["repeatability", "--scene", str(scene_path),
                      "--cycles", "1", "--noise", "none", "--out", str(out)])
@@ -145,7 +149,7 @@ class TestRunCommand:
         code = main(["run", "--frames", "15", "--seed", "2",
                      "--events", str(events), "--summary", str(summary)])
         assert code == 0
-        log = read_events_jsonl(events)
+        log = _read_events(events)
         assert {e["event"] for e in log} >= {"frame_accepted", "pose", "gate"}
         columns, rows = read_csv(summary)
         assert "sim_fps" in columns
@@ -166,13 +170,14 @@ class TestRunCommand:
         from teatpose.pipeline import ConsistencyGate, PipelineConfig
 
         config_path = tmp_path / "config.json"
-        PipelineConfig(gate=ConsistencyGate(window=2)).save_json(config_path)
+        config_path.write_text(json.dumps(
+            PipelineConfig(gate=ConsistencyGate(window=2)).to_dict()))
         events = tmp_path / "events.jsonl"
         code = main(["run", "--frames", "20", "--noise", "none", "--seed",
                      "0", "--config", str(config_path),
                      "--events", str(events)])
         assert code == 0
-        log = read_events_jsonl(events)
+        log = _read_events(events)
         gated = [e for e in log
                  if e["event"] == "gate" and e["decision"] == "consistent"]
         # window of 2 gates on the second accepted frame
@@ -189,6 +194,7 @@ class TestRunCommand:
          "radius"),
         ("--scene", lambda d: {k: v for k, v in d.items() if k != "teats"},
          "teats"),
+        ("--scene", lambda d: dict(d, teats=5), "teats"),
         ("--scene", lambda d: dict(d, camera=dict(d["camera"], focal=500.0)),
          "focal"),
         ("--config", lambda d: dict(d, gate=dict(d["gate"], window="5")),
@@ -221,14 +227,27 @@ class TestRunCommand:
         ("--scene", lambda d: dict(d, camera=dict(d["camera"], extrinsic=dict(
             d["camera"]["extrinsic"], translation_mm=["0", "1", "2"]))),
          "translation_mm"),
+        ("--config", lambda d: dict(d, latency=dict(d["latency"],
+                                                    inference_ms=float("inf"))),
+         "inference_ms"),
+        ("--scene", lambda d: dict(d, camera=dict(d["camera"],
+                                                  fx=float("nan"))),
+         "fx"),
+        ("--scene", lambda d: dict(d, teats=[
+            dict(t, base_mm=[0.0, float("nan"), 0.0]) for t in d["teats"]]),
+         "base_mm"),
+        ("--config", lambda d: dict(d, gate=dict(d["gate"],
+                                                 pos_tol_mm=float("nan"))),
+         "pos_tol_mm"),
     ], ids=["config_unknown_key", "config_unknown_nested_key",
-            "teat_unknown_key", "scene_missing_teats", "camera_unknown_key",
-            "config_str_for_int", "config_float_for_int",
+            "teat_unknown_key", "scene_missing_teats", "scene_teats_not_list",
+            "camera_unknown_key", "config_str_for_int", "config_float_for_int",
             "config_bool_for_int", "camera_str_for_float",
             "teat_str_for_float", "scene_float_for_int",
             "teat_short_vector", "teat_str_for_vector", "udder_short_vector",
             "udder_bools_for_vector", "camera_short_rotation",
-            "camera_strs_for_translation"])
+            "camera_strs_for_translation", "config_infinite_float",
+            "camera_nan_float", "teat_nan_in_vector", "config_nan_float"])
     def test_bad_json_key_rejected(self, tmp_path, capsys, flag, edit, key):
         from teatpose.pipeline import PipelineConfig
 

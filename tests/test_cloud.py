@@ -1,17 +1,11 @@
-"""PointCloud container and PLY serialization tests.
-
-PLY stores coordinates as float32, so round-trip comparisons use the exact
-float32 cast of the input rather than the float64 original.
-"""
+"""PointCloud container tests."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from teatpose.camera import CameraModel
-from teatpose.cloud import (FRAME_CAMERA, FRAME_WORLD, PointCloud,
-                            empty_cloud, load_ply, save_ply)
+from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from teatpose.errors import FrameMismatchError, InvalidInputError
 
 
@@ -53,62 +47,7 @@ class TestPointCloud:
         np.testing.assert_allclose(sub.points, pts[[2, 0]])
         np.testing.assert_array_equal(sub.colors, cols[[2, 0]])
 
-    def test_world_camera_round_trip(self):
-        cam = CameraModel.look_at([0.0, -500.0, 100.0], [0.0, 0.0, 0.0])
-        rng = np.random.default_rng(3)
-        c = PointCloud(rng.uniform(-100, 100, (20, 3)), frame=FRAME_CAMERA)
-        back = c.to_world(cam).to_camera(cam)
-        np.testing.assert_allclose(back.points, c.points, atol=1e-9)
-        assert c.to_world(cam).frame == FRAME_WORLD
-
-    def test_to_world_requires_camera_frame(self):
-        cam = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-        c = PointCloud([[0.0, 0.0, 1.0]], frame=FRAME_WORLD)
-        with pytest.raises(FrameMismatchError):
-            c.to_world(cam)
-
     def test_empty_cloud(self):
-        c = empty_cloud(FRAME_WORLD)
+        c = PointCloud(np.empty((0, 3)), frame=FRAME_WORLD)
         assert len(c) == 0
         assert c.frame == FRAME_WORLD
-
-
-class TestPly:
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_round_trip(self, tmp_path, binary):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-1000, 1000, (100, 3))
-        c = PointCloud(pts, frame=FRAME_WORLD)
-        path = tmp_path / "cloud.ply"
-        save_ply(c, path, binary=binary)
-        loaded = load_ply(path)
-        f32 = pts.astype(np.float32).astype(np.float64)
-        if binary:
-            np.testing.assert_array_equal(loaded.points, f32)
-        else:
-            # ASCII rows are %.6f, so half an ulp of the text format remains.
-            np.testing.assert_allclose(loaded.points, f32, rtol=0, atol=5e-7)
-        assert loaded.colors is None
-        assert loaded.frame == FRAME_WORLD
-
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_round_trip_with_colors(self, tmp_path, binary):
-        rng = np.random.default_rng(12)
-        pts = rng.uniform(-10, 10, (37, 3))
-        cols = rng.integers(0, 256, (37, 3), dtype=np.uint8)
-        path = tmp_path / "colored.ply"
-        save_ply(PointCloud(pts, colors=cols), path, binary=binary)
-        loaded = load_ply(path)
-        np.testing.assert_array_equal(loaded.colors, cols)
-
-    def test_empty_round_trip(self, tmp_path):
-        path = tmp_path / "empty.ply"
-        save_ply(empty_cloud(), path)
-        assert len(load_ply(path)) == 0
-
-    def test_ascii_header(self, tmp_path):
-        path = tmp_path / "header.ply"
-        save_ply(PointCloud([[1.0, 2.0, 3.0]]), path, binary=False)
-        text = path.read_text()
-        assert text.startswith("ply\nformat ascii 1.0\n")
-        assert "element vertex 1" in text

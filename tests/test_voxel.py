@@ -1,8 +1,8 @@
 """Voxel-grid downsampling tests.
 
 The reference implementation is a plain dict-of-lists voxel map built with
-the same floor((p - origin)/leaf) assignment; the production path must match
-its centroids exactly (same arithmetic, different bookkeeping).
+the same floor(p / leaf) assignment; the production path must match its
+centroids exactly (same arithmetic, different bookkeeping).
 """
 
 from __future__ import annotations
@@ -10,39 +10,45 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teatpose.cloud import FRAME_WORLD, PointCloud, empty_cloud
+from teatpose.cloud import FRAME_WORLD, PointCloud
 from teatpose.errors import InvalidInputError
-from teatpose.voxel import VoxelGrid, voxel_downsample
+from teatpose.voxel import voxel_downsample
 
 
-def _oracle_downsample(points: np.ndarray, leaf: float,
-                       origin=(0.0, 0.0, 0.0)) -> np.ndarray:
+def _oracle_downsample(points: np.ndarray, leaf: float) -> np.ndarray:
     """Hash-map brute force: bucket by voxel index, average each bucket."""
     buckets: dict[tuple, list] = {}
     for p in points:
-        key = tuple(int(i) for i in np.floor((p - np.asarray(origin)) / leaf))
+        key = tuple(int(i) for i in np.floor(p / leaf))
         buckets.setdefault(key, []).append(p)
     keys = sorted(buckets)
     return np.array([np.mean(buckets[k], axis=0) for k in keys])
 
 
-class TestVoxelGrid:
+class TestVoxelDownsample:
     def test_rejects_nonpositive_leaf(self):
-        with pytest.raises(InvalidInputError):
-            VoxelGrid(leaf_mm=0.0)
+        for leaf in (0.0, -5.0, np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                voxel_downsample(PointCloud([[1.0, 2.0, 3.0]]), leaf)
 
     def test_indices_floor_rule(self):
-        g = VoxelGrid(leaf_mm=10.0)
-        idx = g.indices(np.array([[0.0, 9.999, 10.0], [-0.1, -10.0, 25.0]]))
-        np.testing.assert_array_equal(idx, [[0, 0, 1], [-1, -1, 2]])
+        # Each point sits alone in its voxel, so the output is the input in
+        # voxel-index order: (-1,-1,2) < (0,0,1) < (0,1,1).
+        pts = np.array([[0.0, 9.999, 10.0], [-0.1, -10.0, 25.0],
+                        [0.0, 10.0, 10.0]])
+        out = voxel_downsample(PointCloud(pts), 10.0)
+        np.testing.assert_array_equal(out.points, pts[[1, 0, 2]])
 
     def test_boundary_point_goes_to_higher_voxel(self):
-        g = VoxelGrid(leaf_mm=5.0)
-        np.testing.assert_array_equal(g.indices(np.array([[5.0, 5.0, 5.0]])),
-                                      [[1, 1, 1]])
+        # 5.0 opens voxel 1 and 4.999 stays in voxel 0, so nothing merges;
+        # 5.0 and 9.999 share voxel 1.
+        split = voxel_downsample(PointCloud([[4.999, 0.0, 0.0],
+                                             [5.0, 0.0, 0.0]]), 5.0)
+        assert len(split) == 2
+        joined = voxel_downsample(PointCloud([[5.0, 0.0, 0.0],
+                                              [9.999, 0.0, 0.0]]), 5.0)
+        assert len(joined) == 1
 
-
-class TestVoxelDownsample:
     def test_single_point_passthrough(self):
         c = PointCloud([[3.0, 4.0, 5.0]])
         out = voxel_downsample(c, 10.0)
@@ -54,7 +60,8 @@ class TestVoxelDownsample:
         np.testing.assert_allclose(out.points, [[0.5, 0.5, 0.5]])
 
     def test_empty_cloud_stays_empty(self):
-        assert len(voxel_downsample(empty_cloud(), 5.0)) == 0
+        empty = PointCloud(np.empty((0, 3)))
+        assert len(voxel_downsample(empty, 5.0)) == 0
 
     def test_matches_hash_map_oracle_exactly(self):
         # 1e5 uniform points in a 1 m cube, 50 mm leaf.
@@ -97,13 +104,3 @@ class TestVoxelDownsample:
     def test_preserves_frame(self):
         c = PointCloud([[1.0, 2.0, 3.0]], frame=FRAME_WORLD)
         assert voxel_downsample(c, 5.0).frame == FRAME_WORLD
-
-    def test_grid_origin_respected(self):
-        # Origin shifts voxel boundaries: points 4 and 6 share a voxel only
-        # when the boundary at 5 moves away.
-        pts = PointCloud([[4.0, 0.0, 0.0], [6.0, 0.0, 0.0]])
-        split = voxel_downsample(pts, VoxelGrid(leaf_mm=5.0))
-        joined = voxel_downsample(pts, VoxelGrid(leaf_mm=5.0,
-                                                 origin_mm=(2.0, 0.0, 0.0)))
-        assert len(split) == 2
-        assert len(joined) == 1
