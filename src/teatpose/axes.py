@@ -25,20 +25,20 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def pca_axis(cloud: PointCloud, ratio_min: float = AXIS_RATIO_MIN) -> np.ndarray:
+def pca_axis(cloud: PointCloud) -> np.ndarray:
     """Principal elongation axis of a cloud (largest covariance eigenvector).
 
     Args:
         cloud: At least 3 points with non-degenerate spread.
-        ratio_min: Required lambda1/lambda2 eigenvalue ratio.
 
     Returns:
         Unit (3,) axis, sign canonicalized.
 
     Raises:
         InsufficientPointsError: Fewer than 3 points.
-        AmbiguousAxisError: Covariance too isotropic (or totally degenerate)
-            to single out an elongation direction.
+        AmbiguousAxisError: Covariance too isotropic (lambda1/lambda2 below
+            AXIS_RATIO_MIN) or totally degenerate to single out an
+            elongation direction.
     """
     if len(cloud) < 3:
         raise InsufficientPointsError(f"pca_axis needs >= 3 points, got {len(cloud)}")
@@ -48,9 +48,9 @@ def pca_axis(cloud: PointCloud, ratio_min: float = AXIS_RATIO_MIN) -> np.ndarray
     lam1, lam2 = evals[2], evals[1]
     if lam1 <= 0:
         raise AmbiguousAxisError("all points coincide; axis undefined")
-    if lam2 > 0 and lam1 / lam2 < ratio_min:
-        raise AmbiguousAxisError(
-            f"isotropic covariance (ratio {lam1 / lam2:.3f} < {ratio_min})")
+    if lam2 > 0 and lam1 / lam2 < AXIS_RATIO_MIN:
+        raise AmbiguousAxisError(f"isotropic covariance (ratio "
+                                 f"{lam1 / lam2:.3f} < {AXIS_RATIO_MIN})")
     return _canonical_sign(evecs[:, 2])
 
 
@@ -58,24 +58,18 @@ def pca_axis(cloud: PointCloud, ratio_min: float = AXIS_RATIO_MIN) -> np.ndarray
 class SurfaceNormalField:
     """Per-point unit normals oriented toward the sensor."""
 
-    points: np.ndarray
     normals: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float).reshape(-1, 3)
         n = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-        if len(p) != len(n):
-            raise InvalidInputError("points and normals length mismatch")
         norms = np.linalg.norm(n, axis=1)
         if len(n) and not np.allclose(norms, 1.0, atol=1e-9):
             raise InvalidInputError("normals must be unit length")
-        object.__setattr__(self, "points", p)
         object.__setattr__(self, "normals", n)
-        p.flags.writeable = False
         n.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.normals)
 
 
 def estimate_normals(cloud: PointCloud, k: int = 12,
@@ -92,7 +86,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
         camera_origin: Sensor position in the cloud's frame.
 
     Returns:
-        SurfaceNormalField aligned with the input points.
+        SurfaceNormalField, one normal per input point in input order.
     """
     if k < 3:
         raise InvalidInputError(f"k must be >= 3, got {k}")
@@ -111,7 +105,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
     toward = origin - cloud.points
     flip = np.einsum("ni,ni->n", normals, toward) < 0
     normals[flip] *= -1
-    return SurfaceNormalField(points=cloud.points, normals=normals)
+    return SurfaceNormalField(normals=normals)
 
 
 def normals_axis(field: SurfaceNormalField) -> np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidInputError, _check_keys, _check_types,
-                     _check_vector)
+from .errors import (InvalidInputError, _check_bound, _check_keys,
+                     _check_types, _check_vector)
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
@@ -54,10 +54,8 @@ class CameraModel:
     translation_mm: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidInputError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidInputError("image size must be positive")
+        _check_bound(self, ("fx", "fy", "width", "height"), lambda v: v > 0,
+                     "> 0")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidInputError("principal point must lie inside the image")
         object.__setattr__(self, "rotation", _as_matrix(self.rotation))

@@ -30,7 +30,7 @@ class AmbiguousAxisError(TeatPoseError):
     """Covariance structure does not single out one axis direction."""
 
 
-class InvalidSceneError(TeatPoseError, ValueError):
+class InvalidSceneError(InvalidInputError):
     """Scene description violates a geometric constraint."""
 
 
@@ -72,6 +72,17 @@ def _check_types(cls, d: dict, what: str) -> None:
                 or (isinstance(value, float) and not math.isfinite(value))):
             raise InvalidInputError(
                 f"{what}: key {key!r} must be {name}, got {value!r}")
+
+
+def _check_bound(obj, names, ok, bound: str, error=InvalidInputError) -> None:
+    """Raise error naming the first field of obj in names whose value fails ok.
+
+    Write ok as a comparison that NaN fails, e.g. `lambda v: v > 0`.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise error(f"{name} must be {bound}, got {value!r}")
 
 
 def _check_vector(value, n: int, what: str, key: str) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -19,7 +20,8 @@ import numpy as np
 
 from .camera import CameraModel
 from .cloud import PointCloud
-from .errors import InvalidInputError, TeatPoseError, _dataclass_from_dict
+from .errors import (InvalidInputError, TeatPoseError, _check_bound,
+                     _dataclass_from_dict)
 from .mask import extract_masked_points
 from .pose import PoseConfig, TeatPose, estimate_teat_pose
 from .scene import SceneSpec, render
@@ -37,8 +39,9 @@ class LatencyModel:
     geometry_budget_ms: float = 50.0
 
     def __post_init__(self):
-        if min(self.inference_ms, self.network_ms, self.geometry_budget_ms) < 0:
-            raise InvalidInputError("latencies must be >= 0")
+        _check_bound(self, ("inference_ms", "network_ms",
+                            "geometry_budget_ms"),
+                     lambda v: 0 <= v < math.inf, "finite and >= 0")
 
     @property
     def round_trip_us(self) -> int:
@@ -79,10 +82,9 @@ class ConsistencyGate:
     axis_tol_deg: float = 5.0
 
     def __post_init__(self):
-        if self.window < 2:
-            raise InvalidInputError("gate window must be >= 2")
-        if self.pos_tol_mm <= 0 or self.axis_tol_deg <= 0:
-            raise InvalidInputError("gate tolerances must be > 0")
+        _check_bound(self, ("window",), lambda v: v >= 2, ">= 2")
+        _check_bound(self, ("pos_tol_mm", "axis_tol_deg"), lambda v: v > 0,
+                     "> 0")
 
 
 @dataclass
@@ -129,10 +131,8 @@ class PipelineConfig:
     association_mm: float = 15.0
 
     def __post_init__(self):
-        if self.camera_period_us <= 0:
-            raise InvalidInputError("camera period must be > 0")
-        if self.association_mm <= 0:
-            raise InvalidInputError("association radius must be > 0")
+        _check_bound(self, ("camera_period_us", "association_mm"),
+                     lambda v: v > 0, "> 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -10,17 +10,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import AXIS_RATIO_MIN, estimate_normals, normals_axis, pca_axis
+from .axes import estimate_normals, normals_axis, pca_axis
 from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .cluster import euclidean_cluster
 from .errors import (InsufficientPointsError, InvalidInputError,
-                     TeatPoseError)
+                     TeatPoseError, _check_bound)
 
 METHODS = ("pca", "normals")
 
 # Near-horizontal axes make the world-up sign rule unreliable below this dot.
 _UP_DOT_MIN = 0.1
+
+# Fewest points, before and after clustering, that a teat pose is built on.
+_MIN_POINTS = 30
+# Euclidean clustering radius that splits stray frustum hits from the teat.
+_CLUSTER_TOLERANCE_MM = 10.0
+# Neighbourhood size of the surface normals. It trades noise robustness
+# against small-cluster fidelity: the normal patch must span clearly more
+# than the noise-thickened shell, so heavy isotropic noise (~2 mm and up)
+# wants k around 32, while typical depth-noise clusters of a few hundred
+# points do best at 12 (large k over-smooths them).
+_NORMALS_K = 12
+# Robust-minimum percentile of the axial positions in locate_tip.
+_TIP_PERCENTILE = 2.0
+# Length of the cap band that _refine_axis drops from the tip-side extreme.
+_TIP_TRIM_MM = 15.0
 
 
 @dataclass(frozen=True)
@@ -69,45 +84,32 @@ class TeatPose:
 
 @dataclass(frozen=True)
 class PoseConfig:
-    """Tunables of the per-teat geometry path.
+    """The settings of the per-teat geometry path that some caller varies.
 
-    normals_k trades noise robustness against small-cluster fidelity: the
-    normal patch must span clearly more than the noise-thickened shell, so
-    heavy isotropic noise (~2 mm and up) wants k around 32, while typical
-    depth-noise clusters of a few hundred points do best at the default 12
-    (large k over-smooths them).
+    Attributes:
+        voxel_leaf_mm: Downsampling leaf; perfbench `frame-close` uses 2 mm.
+        tip_slab_mm: Tip slab half-width of locate_tip; perfbench's test of
+            a changed answer varies it.
+        method: Axis estimator; `teatpose repeatability --method` sets it.
+        stride: Contour vertex stride; the `rate` experiment sweeps it.
+
+    Every other setting of the path is a constant of this module or of
+    `teatpose.axes`.
     """
 
     voxel_leaf_mm: float = 5.0
-    cluster_tolerance_mm: float = 10.0
-    min_points: int = 30
-    normals_k: int = 12
-    axis_ratio_min: float = AXIS_RATIO_MIN
-    tip_percentile: float = 2.0
     tip_slab_mm: float = 5.0
-    tip_trim_mm: float = 15.0
     method: str = "normals"
     stride: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        for name in ("voxel_leaf_mm", "cluster_tolerance_mm"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be > 0")
-        if self.min_points < 1:
-            raise InvalidInputError("min_points must be >= 1")
-        if self.normals_k < 3:
-            raise InvalidInputError("normals_k must be >= 3")
-        if self.stride < 1 or int(self.stride) != self.stride:
-            raise InvalidInputError(
-                f"stride must be an integer >= 1, got {self.stride}")
-        if not 0 <= self.tip_percentile <= 50:
-            raise InvalidInputError("tip percentile must be in [0, 50]")
-        if self.tip_slab_mm <= 0:
-            raise InvalidInputError("tip slab must be positive")
-        if self.tip_trim_mm < 0:
-            raise InvalidInputError("tip trim must be >= 0")
+        _check_bound(self, ("voxel_leaf_mm", "tip_slab_mm"), lambda v: v > 0,
+                     "> 0")
+        _check_bound(self, ("stride",),
+                     lambda v: v >= 1 and float(v).is_integer(),
+                     "an integer >= 1")
 
 
 def disambiguate_direction(axis: np.ndarray, points: PointCloud,
@@ -157,23 +159,23 @@ def disambiguate_direction(axis: np.ndarray, points: PointCloud,
 
 
 def locate_tip(points: PointCloud, axis: np.ndarray,
-               percentile: float = 2.0, slab_mm: float = 5.0) -> np.ndarray:
+               slab_mm: float = 5.0) -> np.ndarray:
     """Tip position from the axial extreme of the cluster.
 
-    The axial coordinates are reduced to a robust minimum (the given low
-    percentile), and the points within `slab_mm` of that position form the
-    tip neighbourhood. That neighbourhood lies on the rounded tip cap, so a
-    free-centre least-squares sphere fit recovers the cap, and the apex is
-    the sphere point furthest along -axis. The fit is exact for a spherical
-    cap and, because the centre is free, stays exact when the camera sees
-    only part of the cap. If the fit is degenerate (too few points, flat or
-    wall-like neighbourhood, apex away from the observed extreme) the
-    percentile position on the axis line through the centroid is used.
+    The axial coordinates are reduced to a robust minimum (their
+    _TIP_PERCENTILE percentile), and the points within `slab_mm` of that
+    position form the tip neighbourhood. That neighbourhood lies on the
+    rounded tip cap, so a free-centre least-squares sphere fit recovers the
+    cap, and the apex is the sphere point furthest along -axis. The fit is
+    exact for a spherical cap and, because the centre is free, stays exact
+    when the camera sees only part of the cap. If the fit is degenerate (too
+    few points, flat or wall-like neighbourhood, apex away from the observed
+    extreme) the percentile position on the axis line through the centroid
+    is used.
 
     Args:
         points: Non-empty cloud of one teat.
         axis: Disambiguated unit axis (tip has the lowest axial coordinate).
-        percentile: Robust-minimum percentile of the axial positions.
         slab_mm: Half-width of the axial slab around the robust minimum.
 
     Returns:
@@ -184,7 +186,7 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
     a = np.asarray(axis, dtype=float).reshape(3)
     c = points.points.mean(axis=0)
     s = (points.points - c) @ a
-    s_floor = float(np.percentile(s, percentile))
+    s_floor = float(np.percentile(s, _TIP_PERCENTILE))
     slab = np.abs(s - s_floor) <= slab_mm
     q = points.points[slab]
 
@@ -206,13 +208,11 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
     return c + s_floor * a
 
 
-def _cluster_axis(cluster: PointCloud, method: str, cfg: PoseConfig,
-                  ) -> np.ndarray:
+def _cluster_axis(cluster: PointCloud, method: str) -> np.ndarray:
     if method == "pca":
-        return pca_axis(cluster, ratio_min=cfg.axis_ratio_min)
-    k = min(cfg.normals_k, len(cluster))
-    field_ = estimate_normals(cluster, k=k, camera_origin=(0.0, 0.0, 0.0))
-    return normals_axis(field_)
+        return pca_axis(cluster)
+    # Callers pass at least _REFINE_MIN_POINTS >= _NORMALS_K points.
+    return normals_axis(estimate_normals(cluster, k=_NORMALS_K))
 
 
 # Refinement floors: minimum wall points and maximum believable correction.
@@ -220,32 +220,29 @@ _REFINE_MIN_POINTS = 12
 _REFINE_MAX_TURN_COS = np.cos(np.radians(45.0))
 
 
-def _refine_axis(cluster: PointCloud, axis: np.ndarray, cfg: PoseConfig,
-                 camera: CameraModel) -> np.ndarray:
+def _refine_axis(cluster: PointCloud, axis: np.ndarray, camera: CameraModel,
+                 ) -> np.ndarray:
     """Re-estimate the normals axis after excluding the tip cap.
 
     A depth camera sees one side of the teat, and the visible part of the
     rounded cap pulls the axis estimators off axis. The wall's normal bundle
     alone is bias-free (wall normals are orthogonal to the axis no matter
-    which side is visible), so the cap band (tip_trim_mm from the tip-side
+    which side is visible), so the cap band (_TIP_TRIM_MM from the tip-side
     extreme) is dropped and the normals axis re-estimated, iterating once
     with the improved axis. This is a normals-only step: the trimmed wall's
     point covariance is nearly isotropic in cross-section versus length for
     typical teat proportions, so a PCA re-fit would be ill-conditioned
     there. Orthogonal flips and estimator failures keep the current axis.
     """
-    if cfg.tip_trim_mm <= 0:
-        return axis
     p = cluster.points
     c = p.mean(axis=0)
     for _ in range(2):
         s = (p - c) @ axis
-        wall = s >= s.min() + cfg.tip_trim_mm
+        wall = s >= s.min() + _TIP_TRIM_MM
         if int(wall.sum()) < _REFINE_MIN_POINTS:
             return axis
         try:
-            cand = _cluster_axis(cluster.select(np.nonzero(wall)[0]),
-                                 "normals", cfg)
+            cand = _cluster_axis(cluster.select(np.nonzero(wall)[0]), "normals")
         except TeatPoseError:
             return axis
         cand = disambiguate_direction(cand, cluster, camera)
@@ -280,28 +277,27 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         TeatPose with tip and axis in the world frame.
 
     Raises:
-        InsufficientPointsError: Fewer than config.min_points points survive.
+        InsufficientPointsError: Fewer than _MIN_POINTS points survive.
         AmbiguousAxisError: No usable elongation direction.
     """
     cfg = config or PoseConfig()
     points.require_frame(FRAME_CAMERA, "estimate_teat_pose")
-    if len(points) < cfg.min_points:
+    if len(points) < _MIN_POINTS:
         raise InsufficientPointsError(
-            f"teat {teat_id!r}: {len(points)} points < minimum {cfg.min_points}")
+            f"teat {teat_id!r}: {len(points)} points < minimum {_MIN_POINTS}")
 
-    clusters = euclidean_cluster(points, tolerance_mm=cfg.cluster_tolerance_mm)
+    clusters = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM)
     cluster = clusters[0]
-    if len(cluster) < cfg.min_points:
+    if len(cluster) < _MIN_POINTS:
         raise InsufficientPointsError(
             f"teat {teat_id!r}: largest cluster has {len(cluster)} points "
-            f"< minimum {cfg.min_points}")
+            f"< minimum {_MIN_POINTS}")
 
-    axis = _cluster_axis(cluster, cfg.method, cfg)
+    axis = _cluster_axis(cluster, cfg.method)
     axis = disambiguate_direction(axis, cluster, camera)
     if cfg.method == "normals":
-        axis = _refine_axis(cluster, axis, cfg, camera)
-    tip_cam = locate_tip(cluster, axis, percentile=cfg.tip_percentile,
-                         slab_mm=cfg.tip_slab_mm)
+        axis = _refine_axis(cluster, axis, camera)
+    tip_cam = locate_tip(cluster, axis, slab_mm=cfg.tip_slab_mm)
 
     tip_world = camera.camera_to_world(tip_cam)
     axis_world = camera.rotate_to_world(axis)

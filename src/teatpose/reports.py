@@ -15,6 +15,10 @@ REPORT_HEADER = "# teatpose-report v1"
 
 _PALETTE = ("#3366cc", "#dc3912", "#109618", "#ff9900", "#990099", "#0099c6")
 
+# Chart size in px, and the bar count of a histogram.
+_SVG_WIDTH, _SVG_HEIGHT = 480, 320
+_HISTOGRAM_BINS = 20
+
 
 def format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -47,12 +51,12 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         return columns, [row for row in reader if row]
 
 
-def _svg_open(width: int, height: int, title: str) -> list[str]:
+def _svg_open(title: str) -> list[str]:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<text x="{_SVG_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
 
@@ -62,17 +66,17 @@ def _axis_text(x: float, y: float, s: str, anchor: str = "middle") -> str:
             f'font-family="sans-serif" font-size="10">{s}</text>')
 
 
-def svg_histogram(values, path, title: str, x_label: str,
-                  bins: int = 20, width: int = 480, height: int = 320) -> None:
+def svg_histogram(values, path, title: str, x_label: str) -> None:
     """Single-series histogram; bar heights scale to the tallest bin."""
     v = np.asarray(list(values), dtype=float)
-    lines = _svg_open(width, height, title)
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
+    lines = _svg_open(title)
     left, right, top, bottom = 50, 15, 35, 45
     plot_w, plot_h = width - left - right, height - top - bottom
     if len(v) > 0:
-        counts, edges = np.histogram(v, bins=bins)
+        counts, edges = np.histogram(v, bins=_HISTOGRAM_BINS)
         peak = max(int(counts.max()), 1)
-        bar_w = plot_w / bins
+        bar_w = plot_w / _HISTOGRAM_BINS
         for i, c in enumerate(counts):
             h = plot_h * c / peak
             x = left + i * bar_w
@@ -93,16 +97,14 @@ def svg_histogram(values, path, title: str, x_label: str,
         f.write("\n".join(lines) + "\n")
 
 
-def svg_lines(series, path, title: str, x_label: str, y_label: str,
-              width: int = 480, height: int = 320, markers: bool = True,
-              ) -> None:
-    """Multi-series line chart.
+def svg_lines(series, path, title: str, x_label: str, y_label: str) -> None:
+    """Multi-series line chart with a dot at each sample.
 
     Args:
         series: Mapping name -> (xs, ys).
-        markers: Also draw a dot at each sample.
     """
-    lines = _svg_open(width, height, title)
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
+    lines = _svg_open(title)
     left, right, top, bottom = 55, 15, 35, 45
     plot_w, plot_h = width - left - right, height - top - bottom
     all_x = np.concatenate([np.asarray(xs, dtype=float)
@@ -130,11 +132,9 @@ def svg_lines(series, path, title: str, x_label: str, y_label: str,
                        for x, y in zip(xs, ys))
         lines.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
-        if markers:
-            for x, y in zip(xs, ys):
-                lines.append(f'<circle cx="{sx(float(x)):.2f}" '
-                             f'cy="{sy(float(y)):.2f}" r="2.5" '
-                             f'fill="{color}"/>')
+        for x, y in zip(xs, ys):
+            lines.append(f'<circle cx="{sx(float(x)):.2f}" '
+                         f'cy="{sy(float(y)):.2f}" r="2.5" fill="{color}"/>')
         lines.append(_axis_text(width - right, top + 12 * (i + 1),
                                 name, "end").replace(
             'font-size="10"', f'font-size="10" fill="{color}"'))

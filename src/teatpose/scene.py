@@ -17,8 +17,8 @@ from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .contour import clean_region, largest_component, trace_boundary
 from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
-                     InvalidSceneError, _check_keys, _check_types,
-                     _check_vector, _dataclass_from_dict)
+                     InvalidSceneError, _check_bound, _check_keys,
+                     _check_types, _check_vector, _dataclass_from_dict)
 from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
@@ -48,8 +48,8 @@ class TeatSpec:
         if n < 1e-12:
             raise InvalidSceneError("teat axis must be non-zero")
         a = a / n
-        if self.length_mm <= 0 or self.radius_mm <= 0:
-            raise InvalidSceneError("teat length and radius must be positive")
+        _check_bound(self, ("length_mm", "radius_mm"), lambda v: v > 0, "> 0",
+                     InvalidSceneError)
         if self.length_mm <= self.radius_mm:
             raise InvalidSceneError(
                 "teat length must exceed the tip radius (cylinder part > 0)")
@@ -104,12 +104,10 @@ class NoiseModel:
     lateral_jitter_px: float = 0.0
 
     def __post_init__(self):
-        if self.a_mm < 0 or self.b_mm_per_m2 < 0:
-            raise InvalidInputError("noise coefficients must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise InvalidInputError("dropout_rate must be in [0, 1)")
-        if self.lateral_jitter_px < 0:
-            raise InvalidInputError("lateral jitter must be >= 0")
+        _check_bound(self, ("a_mm", "b_mm_per_m2", "lateral_jitter_px"),
+                     lambda v: v >= 0, ">= 0")
+        _check_bound(self, ("dropout_rate",), lambda v: 0.0 <= v < 1.0,
+                     "in [0, 1)")
 
     def sigma_mm(self, depth_mm) -> np.ndarray:
         d_m = np.asarray(depth_mm, dtype=float) / 1000.0
@@ -510,15 +508,23 @@ def occlude(masks, occluder_px: tuple[float, float, float, float],
 
 # -- plane-target camera study -------------------------------------------------
 
+# Width and height of the flat target, centred on the optical axis. The
+# renderer draws it and the measurement averages over it, so both read this.
+_PLANE_TARGET_MM = (100.0, 150.0)
+
+
+def _on_plane_target(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return ((np.abs(x) <= _PLANE_TARGET_MM[0] / 2.0)
+            & (np.abs(y) <= _PLANE_TARGET_MM[1] / 2.0))
+
 
 def render_plane_target(distance_mm: float, camera: CameraModel,
                         noise: NoiseModel, seed: int = 0,
-                        size_mm: tuple[float, float] = (100.0, 150.0),
                         systematic_offset_mm: float = 0.0) -> PointCloud:
     """Depth capture of a flat target orthogonal to the optical axis.
 
-    The target is a size_mm[0] x size_mm[1] rectangle centred on the axis at
-    the given depth. Depth noise follows the noise model; a systematic offset
+    The target is a _PLANE_TARGET_MM rectangle centred on the axis at the
+    given depth. Depth noise follows the noise model; a systematic offset
     shifts every return identically (one measurement condition).
     """
     if distance_mm <= 0:
@@ -527,10 +533,8 @@ def render_plane_target(distance_mm: float, camera: CameraModel,
     uu, vv = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
     pix = np.column_stack([uu.ravel(), vv.ravel()])
     dirs = _pixel_dirs(camera, pix)
-    x = dirs[:, 0] * distance_mm
-    y = dirs[:, 1] * distance_mm
-    on = (np.abs(x) <= size_mm[0] / 2.0) & (np.abs(y) <= size_mm[1] / 2.0)
-    dirs = dirs[on]
+    dirs = dirs[_on_plane_target(dirs[:, 0] * distance_mm,
+                                 dirs[:, 1] * distance_mm)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sigma = float(noise.sigma_mm(distance_mm))
     z = distance_mm + systematic_offset_mm \
@@ -541,15 +545,12 @@ def render_plane_target(distance_mm: float, camera: CameraModel,
     return PointCloud(dirs * z[:, None], frame=FRAME_CAMERA)
 
 
-def plane_target_measure(cloud: PointCloud,
-                         region_mm: tuple[float, float] = (100.0, 150.0),
-                         center_mm: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Distance to a plane target: mean z over the points inside the region.
+def plane_target_measure(cloud: PointCloud) -> float:
+    """Distance to a plane target: mean z over the points on the target.
 
     Args:
-        cloud: Camera-frame cloud.
-        region_mm: Target extent (width, height) in mm.
-        center_mm: Target centre in camera x/y.
+        cloud: Camera-frame cloud; points count when their x/y fall in the
+            _PLANE_TARGET_MM rectangle centred on the optical axis.
 
     Returns:
         Mean z in mm.
@@ -559,8 +560,7 @@ def plane_target_measure(cloud: PointCloud,
     """
     cloud.require_frame(FRAME_CAMERA, "plane_target_measure")
     p = cloud.points
-    on = ((np.abs(p[:, 0] - center_mm[0]) <= region_mm[0] / 2.0)
-          & (np.abs(p[:, 1] - center_mm[1]) <= region_mm[1] / 2.0))
+    on = _on_plane_target(p[:, 0], p[:, 1])
     n = int(on.sum())
     if n < 100:
         raise InsufficientPointsError(f"only {n} points on the plane target")

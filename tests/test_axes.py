@@ -205,8 +205,7 @@ class TestEstimateNormals:
 
 class TestNormalsAxis:
     def test_two_orthogonal_normals(self):
-        field = SurfaceNormalField(points=np.zeros((2, 3)),
-                                   normals=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        field = SurfaceNormalField(normals=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         axis = normals_axis(field)
         np.testing.assert_allclose(np.abs(axis), [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -224,7 +223,7 @@ class TestNormalsAxis:
         normals = rng.normal(size=(40, 3))
         normals[:, 2] *= 0.2  # flatten so a clear minimizer exists
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        field = SurfaceNormalField(points=np.zeros((40, 3)), normals=normals)
+        field = SurfaceNormalField(normals=normals)
         axis = normals_axis(field)
         dirs = _fibonacci_directions(100_000)
         cost = np.einsum("di,ni->dn", dirs, normals) ** 2
@@ -232,21 +231,18 @@ class TestNormalsAxis:
         assert _angle_deg(axis, best) < 1.0
 
     def test_parallel_normals_rejected(self):
-        field = SurfaceNormalField(points=np.zeros((5, 3)),
-                                   normals=np.tile([0.0, 0.0, 1.0], (5, 1)))
+        field = SurfaceNormalField(normals=np.tile([0.0, 0.0, 1.0], (5, 1)))
         with pytest.raises(AmbiguousAxisError):
             normals_axis(field)
 
     def test_single_normal_rejected(self):
-        field = SurfaceNormalField(points=np.zeros((1, 3)),
-                                   normals=[[1.0, 0.0, 0.0]])
+        field = SurfaceNormalField(normals=[[1.0, 0.0, 0.0]])
         with pytest.raises(InsufficientPointsError):
             normals_axis(field)
 
     def test_non_unit_normals_rejected(self):
         with pytest.raises(InvalidInputError):
-            SurfaceNormalField(points=np.zeros((2, 3)),
-                               normals=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            SurfaceNormalField(normals=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 class TestCrossMethod:

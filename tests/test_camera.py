@@ -90,6 +90,8 @@ class TestValidation:
     def test_rejects_bad_focal(self):
         with pytest.raises(InvalidInputError):
             _cam(fx=0.0)
+        with pytest.raises(InvalidInputError, match="fx"):
+            _cam(fx=float("nan"))
 
     def test_rejects_principal_point_outside(self):
         with pytest.raises(InvalidInputError):

@@ -64,6 +64,11 @@ class TestLatencyModel:
         with pytest.raises(InvalidInputError):
             LatencyModel(network_ms=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="inference_ms"):
+            LatencyModel(inference_ms=value)
+
 
 class TestFrameMessage:
 
@@ -84,6 +89,8 @@ class TestConsistencyGate:
             ConsistencyGate(window=1)
         with pytest.raises(InvalidInputError):
             ConsistencyGate(pos_tol_mm=0.0)
+        with pytest.raises(InvalidInputError, match="pos_tol_mm"):
+            ConsistencyGate(pos_tol_mm=float("nan"))
 
     def test_poses_agree_boundaries(self):
         gate = ConsistencyGate(pos_tol_mm=3.0, axis_tol_deg=5.0)
@@ -167,6 +174,19 @@ class TestPipelineConfig:
             PipelineConfig(camera_period_us=0)
         with pytest.raises(InvalidInputError):
             PipelineConfig(association_mm=0.0)
+        with pytest.raises(InvalidInputError, match="association_mm"):
+            PipelineConfig(association_mm=float("nan"))
+
+    # Keys that earlier config files carried, at their old defaults.
+    @pytest.mark.parametrize("key, value", [
+        ("cluster_tolerance_mm", 10.0), ("min_points", 30), ("normals_k", 12),
+        ("axis_ratio_min", 1.05), ("tip_percentile", 2.0),
+        ("tip_trim_mm", 15.0)])
+    def test_removed_pose_key_rejected(self, key, value):
+        d = PipelineConfig().to_dict()
+        d["pose"][key] = value
+        with pytest.raises(InvalidInputError, match=key):
+            PipelineConfig.from_dict(d)
 
 
 @st.composite

@@ -127,21 +127,13 @@ class TestPoseConfig:
         with pytest.raises(InvalidInputError):
             PoseConfig(method="hough")
 
-    def test_percentile_out_of_range_rejected(self):
-        with pytest.raises(InvalidInputError):
-            PoseConfig(tip_percentile=60.0)
-
     def test_nonpositive_slab_rejected(self):
         with pytest.raises(InvalidInputError):
             PoseConfig(tip_slab_mm=0.0)
 
-    def test_negative_trim_rejected(self):
-        with pytest.raises(InvalidInputError):
-            PoseConfig(tip_trim_mm=-1.0)
-
     @pytest.mark.parametrize("field, value", [
-        ("voxel_leaf_mm", 0.0), ("cluster_tolerance_mm", 0.0),
-        ("min_points", 0), ("normals_k", 2), ("stride", 0), ("stride", 1.5),
+        ("voxel_leaf_mm", 0.0), ("stride", 0), ("stride", 1.5),
+        ("stride", float("nan")), ("tip_slab_mm", float("nan")),
     ])
     def test_geometry_bounds_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):

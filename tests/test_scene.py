@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from teatpose.camera import CameraModel
+from teatpose.cloud import FRAME_CAMERA, PointCloud
 from teatpose.contour import clean_region
 from teatpose.errors import (CurveFitError, InsufficientPointsError,
                              InvalidInputError, InvalidSceneError)
@@ -105,6 +106,9 @@ class TestTeatSpec:
         with pytest.raises(InvalidSceneError):
             TeatSpec(base_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
                      radius_mm=0.0)
+        with pytest.raises(InvalidInputError, match="length_mm"):
+            TeatSpec(base_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
+                     length_mm=float("nan"))
 
     def test_unsupported_tip_shape_rejected(self):
         with pytest.raises(InvalidSceneError):
@@ -142,6 +146,9 @@ class TestNoiseModel:
             NoiseModel(a_mm=-0.1)
         with pytest.raises(InvalidInputError):
             NoiseModel(b_mm_per_m2=-1.0)
+        for field in ("a_mm", "lateral_jitter_px"):
+            with pytest.raises(InvalidInputError, match=field):
+                NoiseModel(**{field: float("nan")})
 
     def test_dropout_range(self):
         with pytest.raises(InvalidInputError):
@@ -390,8 +397,9 @@ class TestPlaneTarget:
     def test_off_target_region_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         cloud = render_plane_target(800.0, camera, NoiseModel())
+        off = PointCloud(cloud.points + [500.0, 0.0, 0.0], frame=FRAME_CAMERA)
         with pytest.raises(InsufficientPointsError):
-            plane_target_measure(cloud, center_mm=(500.0, 0.0))
+            plane_target_measure(off)
 
 
 class TestErrorCurve:
