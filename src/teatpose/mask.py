@@ -4,6 +4,13 @@ A mask is a closed integer-pixel contour polygon. Membership is the even-odd
 (crossing-number) rule with the half-open edge convention, evaluated on the
 pinhole projection of each 3D point. Subsampling the contour at a stride
 reduces the polygon before the test; stride 1 is exact.
+
+When every edge of the polygon is axis-aligned, as in every contour that
+`trace_boundary` emits, the rule depends only on the unit cell a point falls
+in, so membership is one lookup in a parity raster of the bounding box
+(`_parity_raster`) instead of one crossing test per edge. Other polygons
+(a contour subsampled at stride > 1, hand-made masks) go through
+`points_in_polygon`.
 """
 
 from __future__ import annotations
@@ -160,6 +167,45 @@ def points_in_polygon(uv: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _parity_raster(poly: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray | None:
+    """Even-odd membership of each unit cell of the window [lo, hi].
+
+    Cell [r, c] covers [lo_u + c, lo_u + c + 1) x [lo_v + r, lo_v + r + 1);
+    the result has shape (hi_v - lo_v, hi_u - lo_u). Returns None unless
+    every edge of the polygon is axis-aligned.
+
+    Under the half-open rule of `points_in_polygon` with integer vertices,
+    a horizontal edge never counts, and a vertical edge at x counts for a
+    point (u, v) exactly when min y <= v < max y and u < x (its crossing is
+    x itself). Both conditions hold for (u, v) exactly when they hold for
+    (floor(u), floor(v)), so every point of a cell gets the cell's answer:
+    the parity of the vertical edges that cover its row and lie right of it.
+    With the polygon's bounding box as the window, points with
+    floor(u) == hi_u or floor(v) == hi_v have no such edge and are outside.
+    """
+    x, y = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    vertical = x == x2
+    if not np.all(vertical | (y == y2)):
+        return None
+    w, h = hi - lo
+    # Clipping to the window changes no answer inside it: an edge at
+    # x >= hi_u lies right of every cell, one at x <= lo_u right of none,
+    # and rows outside the window are never read.
+    cols = np.tile(np.clip(x[vertical], lo[0], hi[0]) - lo[0], 2)
+    rows = np.clip(np.concatenate([y[vertical], y2[vertical]]),
+                   lo[1], hi[1]) - lo[1]
+    # Each vertical edge toggles its column at both end rows; a running sum
+    # down each column then counts the edges that cover a row.
+    toggles = np.bincount(rows * (w + 1) + cols, minlength=(h + 1) * (w + 1))
+    covering = np.cumsum(toggles.reshape(h + 1, w + 1)[:h], axis=0)
+    # Cell c counts the covering edges at x > c: a running sum from the
+    # right that starts at column c + 1.
+    right = np.cumsum(covering[:, :0:-1], axis=1)[:, ::-1]
+    return (right & 1).astype(bool)
+
+
 def extract_masked_points(cloud: PointCloud, mask: TeatMask, camera: CameraModel,
                           stride: int = 1) -> PointCloud:
     """Keep the cloud points whose projection falls inside the mask contour.
@@ -167,6 +213,12 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask, camera: CameraModel
     The contour is subsampled at `stride` first (the candidate polygon the
     frustum is built from); stride 1 uses every vertex and is exact. Points
     with z <= 0 cannot project and are never kept. Input order is preserved.
+
+    Membership is the even-odd rule of `points_in_polygon`. When every edge
+    of the polygon is axis-aligned (any contour from `trace_boundary` at
+    stride 1), it is read from the polygon's parity raster at
+    (floor(u), floor(v)), which gives the same answer for every point (see
+    `_parity_raster`); otherwise `points_in_polygon` tests each candidate.
 
     Args:
         cloud: Camera-frame cloud.
@@ -193,19 +245,33 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask, camera: CameraModel
     with np.errstate(divide="ignore", invalid="ignore"):
         u = camera.fx * pts[:, 0] / z + camera.cx
     idx = np.flatnonzero((z > 0) & (u >= lo[0]) & (u <= hi[0]))
-    p = pts[idx]
-    v = camera.fy * p[:, 1] / p[:, 2] + camera.cy
+    v = camera.fy * pts[idx, 1] / z[idx] + camera.cy
     in_rows = (v >= lo[1]) & (v <= hi[1])
     idx = idx[in_rows]
-    uv = np.column_stack([u[idx], v[in_rows]])
-    keep = np.zeros(len(cloud), dtype=bool)
-    if len(idx):
-        keep[idx] = points_in_polygon(uv, poly)
-    return cloud.select(keep)
+    u = u[idx]
+    v = v[in_rows]
+    region = _parity_raster(poly, lo, hi)
+    if region is None:
+        if len(idx):
+            idx = idx[points_in_polygon(np.column_stack([u, v]), poly)]
+    else:
+        col = np.floor(u).astype(np.int64) - lo[0]
+        row = np.floor(v).astype(np.int64) - lo[1]
+        inside = (col < region.shape[1]) & (row < region.shape[0])
+        inside[inside] = region[row[inside], col[inside]]
+        idx = idx[inside]
+    return cloud.select(idx)
 
 
 def rasterize_mask(mask: TeatMask, width: int, height: int) -> np.ndarray:
-    """Boolean (height, width) image of pixels whose center is inside the mask."""
+    """Boolean (height, width) image of pixels whose center is inside the mask.
+
+    For an axis-aligned contour (any contour from `trace_boundary`) this is
+    the contour's parity raster over the part of its bounding box inside
+    the image; a cell's value is the answer for every point of the cell,
+    the pixel center included. Other contours test each pixel center with
+    `points_in_polygon`.
+    """
     c = mask.contour
     u0 = max(int(c[:, 0].min()), 0)
     u1 = min(int(c[:, 0].max()), width)
@@ -214,8 +280,11 @@ def rasterize_mask(mask: TeatMask, width: int, height: int) -> np.ndarray:
     out = np.zeros((height, width), dtype=bool)
     if u1 <= u0 or v1 <= v0:
         return out
-    uu, vv = np.meshgrid(np.arange(u0, u1) + 0.5, np.arange(v0, v1) + 0.5)
-    uv = np.column_stack([uu.ravel(), vv.ravel()])
-    hit = points_in_polygon(uv, c).reshape(v1 - v0, u1 - u0)
-    out[v0:v1, u0:u1] = hit
+    region = _parity_raster(c, np.array([u0, v0]), np.array([u1, v1]))
+    if region is None:
+        uu, vv = np.meshgrid(np.arange(u0, u1) + 0.5,
+                             np.arange(v0, v1) + 0.5)
+        uv = np.column_stack([uu.ravel(), vv.ravel()])
+        region = points_in_polygon(uv, c).reshape(v1 - v0, u1 - u0)
+    out[v0:v1, u0:u1] = region
     return out

@@ -8,7 +8,7 @@ surface, which keeps ground truth exact: no meshing, no discretization.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage

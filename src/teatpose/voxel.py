@@ -30,12 +30,18 @@ def voxel_downsample(cloud: PointCloud, leaf_mm: float = 5.0) -> PointCloud:
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)), frame=cloud.frame)
 
-    idx = np.floor(cloud.points / leaf_mm).astype(np.int64)
-    # Group points by voxel; np.unique sorts keys lexicographically, and
-    # np.add.at accumulates in input order so sums are reproducible bit-for-bit.
-    keys, inverse, counts = np.unique(idx, axis=0, return_inverse=True,
-                                      return_counts=True)
-    sums = np.zeros((len(keys), 3))
-    np.add.at(sums, inverse.ravel(), cloud.points)
-    centroids = sums / counts[:, None]
-    return PointCloud(centroids, frame=cloud.frame)
+    pts = cloud.points
+    idx = np.floor(pts / leaf_mm).astype(np.int64)
+    # One stable lexicographic sort of the voxel indices groups each voxel's
+    # points into a run and keeps them in input order. lexsort compares the
+    # three columns, so no combined 1-D key can overflow. bincount then sums
+    # each run in that order, so the centroids are reproducible bit-for-bit
+    # and come out in (ix, iy, iz) order.
+    order = np.lexsort(idx.T[::-1])
+    key = idx[order]
+    start = np.concatenate([[True], np.any(key[1:] != key[:-1], axis=1)])
+    label = np.cumsum(start) - 1
+    counts = np.bincount(label)
+    sums = [np.bincount(label, weights=pts[order, k]) for k in range(3)]
+    return PointCloud(np.column_stack(sums) / counts[:, None],
+                      frame=cloud.frame)

@@ -11,8 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import teatpose.mask as tp_mask
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_WORLD, PointCloud
+from teatpose.contour import clean_region, trace_boundary
 from teatpose.errors import EmptyMaskError, InvalidInputError
 from teatpose.mask import (TeatMask, extract_masked_points, points_in_polygon,
                            polygon_area, rasterize_mask)
@@ -204,6 +206,12 @@ class TestRasterize:
         assert img.sum() == 100
         assert img[15, 15] and not img[15, 25]
 
+    def test_rasterize_clips_a_huge_contour_to_the_image(self):
+        big = 10 ** 9
+        mask = TeatMask("T1", 0, np.array([[-big, -big], [big, -big],
+                                           [big, big], [-big, big]]))
+        assert rasterize_mask(mask, 64, 48).all()
+
     def test_rasterize_matches_membership(self):
         poly = _circle_contour(24, 30.0, center=(60, 50))
         mask = TeatMask("T1", 0, poly)
@@ -211,3 +219,92 @@ class TestRasterize:
         vv, uu = np.nonzero(img)
         for u, v in zip(uu[:50], vv[:50]):
             assert _point_in_polygon_scalar(u + 0.5, v + 0.5, poly)
+
+
+class TestParityLookup:
+    """Axis-aligned contours are decided by a per-cell parity lookup; it must
+    give exactly the answers of points_in_polygon, boundaries included."""
+
+    # Identity projection: a point (u, v, 1) projects to exactly (u, v).
+    CAMERA = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=40, height=40)
+
+    def _lattice_polygons(self):
+        rng = np.random.default_rng(11)
+        polys = []
+        for _ in range(60):
+            # Random blobs with holes and pinches, some on the image border
+            # (contour vertices at 0 or 40), cleaned and traced.
+            h, w = rng.integers(2, 41, 2)
+            r, c = rng.integers(0, 41 - h), rng.integers(0, 41 - w)
+            blob = np.zeros((40, 40), dtype=bool)
+            blob[r:r + h, c:c + w] = rng.random((h, w)) < rng.uniform(0.4, 0.9)
+            region = clean_region(blob)
+            if region.any():
+                polys.append(trace_boundary(region))
+        for _ in range(20):
+            # Rectangles with long edges, down to one pixel wide.
+            (u0, u1), (v0, v1) = (np.sort(rng.choice(41, 2, replace=False))
+                                  for _ in range(2))
+            polys.append(np.array([[u0, v0], [u1, v0], [u1, v1], [u0, v1]]))
+        return polys
+
+    @staticmethod
+    def _queries(poly):
+        lo = poly.min(axis=0) - 1.0
+        hi = poly.max(axis=0) + 1.0
+        # Grid lines (u == hi_u and v == hi_v among them), one ulp either
+        # side of them, and pixel centres, in every combination.
+        axes = []
+        for a in range(2):
+            g = np.arange(lo[a], hi[a] + 1.0)
+            axes.append(np.concatenate([g, np.nextafter(g, -np.inf),
+                                        np.nextafter(g, np.inf), g + 0.5]))
+        uu, vv = np.meshgrid(*axes)
+        return np.column_stack([uu.ravel(), vv.ravel()])
+
+    def test_matches_polygon_test_on_lattice_polygons(self):
+        for poly in self._lattice_polygons():
+            mask = TeatMask("T1", 0, poly)
+            uv = self._queries(poly)
+            cloud = PointCloud(np.column_stack([uv, np.ones(len(uv))]))
+            got = extract_masked_points(cloud, mask, self.CAMERA)
+            np.testing.assert_array_equal(
+                got.points, cloud.points[points_in_polygon(uv, poly)])
+            # The image clips the raster: a smaller image, and the contour
+            # moved to negative coordinates.
+            for size, shift in ((40, 0), (17, -10)):
+                uu, vv = np.meshgrid(np.arange(size) + 0.5,
+                                     np.arange(size) + 0.5)
+                centres = np.column_stack([uu.ravel(), vv.ravel()])
+                np.testing.assert_array_equal(
+                    rasterize_mask(TeatMask("T1", 0, poly + shift), size, size),
+                    points_in_polygon(centres, poly + shift).reshape(size, size))
+
+    def test_lattice_and_polygon_paths_keep_the_same_pixels(self, monkeypatch):
+        calls = []
+
+        def counting(uv, polygon):
+            calls.append(len(uv))
+            return points_in_polygon(uv, polygon)
+
+        monkeypatch.setattr(tp_mask, "points_in_polygon", counting)
+        block = np.zeros((40, 40), dtype=bool)
+        block[10:30, 5:25] = True
+        lattice = TeatMask("T1", 0, trace_boundary(block))
+        # The same pixels as a non-rectilinear polygon: cutting the two left
+        # corners by unit diagonals moves no pixel centre across the
+        # boundary (a centre on a diagonal has it on its left, so it stays
+        # inside).
+        cut = TeatMask("T1", 0, np.array([[5, 11], [6, 10], [25, 10], [25, 30],
+                                          [6, 30], [5, 29]]))
+        uu, vv = np.meshgrid(np.arange(40) + 0.5, np.arange(40) + 0.5)
+        uv = np.column_stack([uu.ravel(), vv.ravel()])
+        cloud = PointCloud(np.column_stack([uv, np.ones(len(uv))]))
+        by_lookup = extract_masked_points(cloud, lattice, self.CAMERA)
+        assert calls == []
+        by_polygon = extract_masked_points(cloud, cut, self.CAMERA)
+        assert len(calls) == 1
+        assert len(by_lookup) == 400
+        np.testing.assert_array_equal(by_lookup.points, by_polygon.points)
+        np.testing.assert_array_equal(rasterize_mask(lattice, 40, 40),
+                                      rasterize_mask(cut, 40, 40))

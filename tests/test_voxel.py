@@ -72,6 +72,41 @@ class TestVoxelDownsample:
         assert len(out) == len(expected)
         np.testing.assert_array_equal(out.points, expected)
 
+    @pytest.mark.parametrize("kind", ["boundaries", "negative", "duplicates",
+                                      "far-offset"])
+    def test_matches_hash_map_oracle_on_edge_clouds(self, kind):
+        rng = np.random.default_rng(31)
+        leaf = 0.5 if kind == "far-offset" else 5.0
+        if kind == "boundaries":
+            # Exact multiples of the leaf, and their neighbours one ulp below.
+            cells = rng.integers(-6, 6, (400, 3)) * leaf
+            pts = np.vstack([cells, np.nextafter(cells, -np.inf)])
+        elif kind == "negative":
+            pts = rng.uniform(-100.0, -0.001, (3000, 3))
+        elif kind == "duplicates":
+            pts = np.repeat(rng.uniform(-30.0, 30.0, (200, 3)), 7, axis=0)
+            pts = pts[rng.permutation(len(pts))]
+        else:
+            # Corners of a 2e9 mm cube: 4e9 cells per axis, so a 1-D key
+            # raveled from the three indices would overflow int64.
+            corners = rng.choice([-1e9, 1e9], (2000, 3))
+            pts = corners + np.round(rng.normal(0.0, 1.0, (2000, 3)), 1)
+        out = voxel_downsample(PointCloud(pts), leaf)
+        np.testing.assert_array_equal(out.points, _oracle_downsample(pts, leaf))
+
+    def test_member_order_preserving_permutation_is_bitwise_equal(self):
+        # Shuffle the voxels but keep each voxel's points in input order:
+        # every centroid sums the same values in the same order.
+        rng = np.random.default_rng(32)
+        pts = rng.normal(0.0, 20.0, (5000, 3))
+        cell = np.unique(np.floor(pts / 5.0), axis=0, return_inverse=True)[1]
+        rank = rng.permutation(cell.max() + 1)[cell.ravel()]
+        shuffled = pts[np.argsort(rank, kind="stable")]
+        assert not np.array_equal(shuffled, pts)
+        np.testing.assert_array_equal(
+            voxel_downsample(PointCloud(shuffled), 5.0).points,
+            voxel_downsample(PointCloud(pts), 5.0).points)
+
     def test_output_not_larger_than_input(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(0.0, 30.0, size=(500, 3))
