@@ -2,8 +2,13 @@
 
 Subcommands cover the evaluation suite: repeatability statistics, camera
 distance-error curves, geometry-path rate benchmarks, and a full pipeline
-run with an event log. TEATPOSE_SEED overrides every master seed, which is
-how CI pins runs without editing scene files.
+run with an event log.
+
+The scene commands (repeatability, rate, run) share one way to build their
+scene: `--scene` loads a scene file (default: the built-in rig with
+Orbbec-like noise), `--noise` swaps in a noise preset, and `--seed`
+replaces the scene's seed. The seed is the only seed a scene command reads.
+camera-curve has no scene; its `--seed` seeds the sweep directly.
 """
 
 from __future__ import annotations
@@ -11,15 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
+from dataclasses import replace
 
 from .errors import InvalidInputError, TeatPoseError
 from .experiments import (DEFAULT_DISTANCES_MM, run_camera_curve,
                           run_rate_bench, run_repeatability)
 from .pipeline import PipelineConfig, run_pipeline, static_scene_stream, \
     write_events_jsonl
-from .pose import PoseConfig
+from .pose import METHODS, PoseConfig
 from .reports import write_csv
 from .scene import NoiseModel, SceneSpec, default_scene, orbbec_like_noise
 
@@ -36,23 +41,14 @@ def _read_json(path: str):
         return json.load(f)
 
 
-def _load_scene(path: str | None, noise_name: str | None,
-                seed: int | None) -> SceneSpec:
-    from dataclasses import replace
-
-    scene = SceneSpec.from_dict(_read_json(path)) if path else default_scene()
-    if noise_name is not None:
-        scene = replace(scene, noise=_NOISE_PRESETS[noise_name]())
-    if seed is not None:
-        scene = replace(scene, seed=seed)
+def _load_scene(args) -> SceneSpec:
+    scene = (SceneSpec.from_dict(_read_json(args.scene)) if args.scene
+             else default_scene(noise=orbbec_like_noise()))
+    if args.noise is not None:
+        scene = replace(scene, noise=_NOISE_PRESETS[args.noise]())
+    if args.seed is not None:
+        scene = replace(scene, seed=args.seed)
     return scene
-
-
-def _master_seed(args_seed: int | None) -> int | None:
-    env = os.environ.get("TEATPOSE_SEED")
-    if env is not None:
-        return int(env)
-    return args_seed
 
 
 def _int_list(text: str) -> list[int]:
@@ -67,13 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("repeatability",
+    scene_args = argparse.ArgumentParser(add_help=False)
+    scene_args.add_argument(
+        "--scene", help="scene JSON (default: built-in 4-teat rig with "
+                        "orbbec noise)")
+    scene_args.add_argument(
+        "--noise", choices=sorted(_NOISE_PRESETS),
+        help="noise preset replacing the scene's own noise")
+    scene_args.add_argument("--seed", type=int,
+                            help="replaces the scene's seed")
+
+    p = sub.add_parser("repeatability", parents=[scene_args],
                        help="repeated estimation cycles vs ground truth")
-    p.add_argument("--scene", help="scene JSON (default: built-in 4-teat rig)")
     p.add_argument("--cycles", type=int, default=200)
-    p.add_argument("--noise", choices=sorted(_NOISE_PRESETS), default="orbbec")
-    p.add_argument("--method", choices=("pca", "normals"), default="normals")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--method", choices=METHODS, default="normals")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("camera-curve",
@@ -88,28 +91,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("rate", help="geometry path wall-time benchmark")
-    p.add_argument("--scene", help="scene JSON (default: built-in)")
+    p = sub.add_parser("rate", parents=[scene_args],
+                       help="geometry path wall-time benchmark")
     p.add_argument("--strides", default="1,2,5,10")
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--noise", choices=sorted(_NOISE_PRESETS), default="orbbec")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("run", help="message-driven pipeline over a scene")
-    p.add_argument("--scene", help="scene JSON (default: built-in)")
+    p = sub.add_parser("run", parents=[scene_args],
+                       help="message-driven pipeline over a scene")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--frames", type=int, default=150,
                    help="camera frames to emit")
-    p.add_argument("--noise", choices=sorted(_NOISE_PRESETS), default="orbbec")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--events", required=True, help="event log JSONL path")
     p.add_argument("--summary", help="summary CSV path")
     return parser
 
 
 def _cmd_repeatability(args) -> int:
-    scene = _load_scene(args.scene, args.noise, _master_seed(args.seed))
+    scene = _load_scene(args)
     report = run_repeatability(scene, args.cycles, args.out,
                                config=PoseConfig(method=args.method))
     print(f"cycles={report['cycles']} samples={report['samples']} "
@@ -131,11 +130,11 @@ def _cmd_camera_curve(args) -> int:
         presets = {name: NoiseModel.from_dict(fields)
                    for name, fields in data.items()}
     else:
-        presets = {"none": NoiseModel(), "orbbec": orbbec_like_noise()}
+        presets = {name: make() for name, make in _NOISE_PRESETS.items()}
     curves = run_camera_curve(presets, args.out,
                               distances_mm=_int_list(args.distances),
                               conditions=args.conditions,
-                              master_seed=_master_seed(args.seed) or 0)
+                              master_seed=args.seed)
     for name, c in curves.items():
         print(f"{name}: a={c['a_mm']:.4f}mm b={c['b_mm_per_m2']:.4f}mm/m^2 "
               f"max@1m={c['max_error_at_1m_mm']:.4f}mm")
@@ -143,7 +142,7 @@ def _cmd_camera_curve(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    scene = _load_scene(args.scene, args.noise, _master_seed(args.seed))
+    scene = _load_scene(args)
     report = run_rate_bench(scene, _int_list(args.strides), args.out,
                             repeats=args.repeats)
     for stride, row in report.items():
@@ -156,7 +155,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scene = _load_scene(args.scene, args.noise, _master_seed(args.seed))
+    scene = _load_scene(args)
     config = (PipelineConfig.from_dict(_read_json(args.config))
               if args.config else PipelineConfig())
     result = run_pipeline(static_scene_stream(scene, args.frames), config)

@@ -46,7 +46,6 @@ def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
-                      master_seed: int | None = None,
                       config: PoseConfig | None = None,
                       tilt_deg: float = 2.0, shift_mm: float = 15.0) -> dict:
     """Repeated estimation cycles with fresh noise and viewpoint jitter.
@@ -54,6 +53,7 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
     One raw row per (cycle, teat): tip and axis error against ground truth,
     or ok=0 with the failure reason. Success means a tip error under 5 mm;
     teats that produced no estimate count as failures in the success rate.
+    Cycle k draws its viewpoint jitter and render seed from (scene.seed, k).
 
     Returns:
         Summary dict: per-teat stats, overall success rate, elapsed seconds.
@@ -61,7 +61,6 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
     if cycles < 1:
         raise InvalidInputError("cycles must be >= 1")
     config = config or PoseConfig()
-    seed = scene.seed if master_seed is None else master_seed
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
 
@@ -69,7 +68,8 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
                "n_points", "note"]
     rows = []
     for cycle in range(cycles):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, cycle)))
+        rng = np.random.default_rng(
+            np.random.SeedSequence((scene.seed, cycle)))
         cam = _perturbed_camera(scene.camera, rng, tilt_deg, shift_mm)
         frame_scene = replace(scene, camera=cam,
                               seed=int(rng.integers(2 ** 63)))
@@ -95,65 +95,56 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
 
     # Re-derive all summary statistics from the emitted file.
     _, raw = read_csv(raw_path)
-    per_teat: dict[str, dict] = {}
-    for r in raw:
-        teat_id, ok = r[1], r[2] == "1"
-        entry = per_teat.setdefault(teat_id, {"errors": [], "axis": [],
-                                              "successes": 0})
-        if ok:
-            err = float(r[3])
-            entry["errors"].append(err)
-            entry["axis"].append(float(r[4]))
-            if err < SUCCESS_THRESHOLD_MM:
-                entry["successes"] += 1
-
-    summary_columns = ["teat_id", "cycles", "samples", "mean_mm", "std_mm",
-                       "mean_axis_deg", "success_rate"]
     summary_rows = []
-    total_success = 0
-    for teat_id in sorted(per_teat):
-        e = per_teat[teat_id]
-        errs = np.array(e["errors"])
-        n = len(errs)
-        mean = float(errs.mean()) if n else float("nan")
-        std = float(errs.std(ddof=1)) if n > 1 else 0.0
-        mean_axis = float(np.mean(e["axis"])) if n else float("nan")
-        rate = e["successes"] / cycles
-        total_success += e["successes"]
-        summary_rows.append([teat_id, cycles, n, mean, std, mean_axis, rate])
-        svg_histogram(errs, os.path.join(out_dir, f"repeatability_{teat_id}.svg"),
-                      title=f"Tip error, {teat_id} ({n} samples)",
+    teat_ids = sorted({r[1] for r in raw})
+    for teat_id in teat_ids:
+        sel = [r for r in raw if r[1] == teat_id]
+        summary_rows.append(_repeatability_row(teat_id, sel, cycles, 1))
+        svg_histogram([float(r[3]) for r in sel if r[2] == "1"],
+                      os.path.join(out_dir, f"repeatability_{teat_id}.svg"),
+                      title=f"Tip error, {teat_id} "
+                            f"({summary_rows[-1][2]} samples)",
                       x_label="tip error [mm]")
-    overall_rate = total_success / (cycles * len(per_teat)) if per_teat else 0.0
-    all_errs = np.array([float(r[3]) for r in raw if r[2] == "1"])
-    summary_rows.append(["all", cycles, len(all_errs),
-                         float(all_errs.mean()) if len(all_errs) else float("nan"),
-                         float(all_errs.std(ddof=1)) if len(all_errs) > 1 else 0.0,
-                         float(np.mean([float(r[4]) for r in raw
-                                        if r[2] == "1"]))
-                         if len(all_errs) else float("nan"),
-                         overall_rate])
+    overall = _repeatability_row("all", raw, cycles, len(teat_ids))
+    summary_rows.append(overall)
 
     # Sanity check the file-derived stats against the in-memory samples.
     mem_errs = np.array([r[3] for r in rows if r[2] == 1])
-    if len(mem_errs) != len(all_errs) or (
-            len(all_errs) and abs(mem_errs.mean() - all_errs.mean()) > 1e-4):
+    if len(mem_errs) != overall[2] or (
+            overall[2] and abs(mem_errs.mean() - overall[3]) > 1e-4):
         raise AssertionError("summary does not match the emitted raw table")
 
     write_csv(os.path.join(out_dir, "repeatability_summary.csv"),
-              summary_columns, summary_rows)
-    elapsed = time.perf_counter() - t0
+              ["teat_id", "cycles", "samples", "mean_mm", "std_mm",
+               "mean_axis_deg", "success_rate"], summary_rows)
     return {
         "cycles": cycles,
-        "samples": int(len(all_errs)),
-        "mean_mm": float(all_errs.mean()) if len(all_errs) else float("nan"),
-        "std_mm": float(all_errs.std(ddof=1)) if len(all_errs) > 1 else 0.0,
-        "success_rate": overall_rate,
+        "samples": overall[2],
+        "mean_mm": overall[3],
+        "std_mm": overall[4],
+        "success_rate": overall[6],
         "per_teat": {row[0]: {"mean_mm": row[3], "std_mm": row[4],
                               "success_rate": row[6]}
                      for row in summary_rows[:-1]},
-        "elapsed_s": elapsed,
+        "elapsed_s": time.perf_counter() - t0,
     }
+
+
+def _repeatability_row(label: str, raw, cycles: int, n_teats: int) -> list:
+    """Summary row over raw table rows covering `n_teats` teats per cycle.
+
+    Failed estimates count against the success rate but add no error sample.
+    """
+    ok = [r for r in raw if r[2] == "1"]
+    errs = np.array([float(r[3]) for r in ok])
+    axis = np.array([float(r[4]) for r in ok])
+    n = len(ok)
+    successes = int(np.count_nonzero(errs < SUCCESS_THRESHOLD_MM))
+    return [label, cycles, n,
+            float(errs.mean()) if n else float("nan"),
+            float(errs.std(ddof=1)) if n > 1 else 0.0,
+            float(axis.mean()) if n else float("nan"),
+            successes / (cycles * n_teats)]
 
 
 DEFAULT_DISTANCES_MM = tuple(range(200, 1401, 200))
@@ -234,8 +225,8 @@ def run_camera_curve(presets: dict[str, NoiseModel], out_dir,
             for name, c in curves.items()}
 
 
-def run_rate_bench(scene: SceneSpec, strides, out_dir, repeats: int = 20,
-                   config: PoseConfig | None = None) -> dict:
+def run_rate_bench(scene: SceneSpec, strides, out_dir,
+                   repeats: int = 20) -> dict:
     """Wall-clock benchmark of the geometry path at several contour strides.
 
     Wall times are the payload here, so this is the one report that is not
@@ -247,22 +238,20 @@ def run_rate_bench(scene: SceneSpec, strides, out_dir, repeats: int = 20,
     strides = [int(s) for s in strides]
     if not strides or min(strides) < 1:
         raise InvalidInputError("strides must be positive")
-    base = config or PoseConfig()
     os.makedirs(out_dir, exist_ok=True)
     cloud, masks, _ = render(scene)
     if not masks:
         raise InvalidInputError("scene renders no masks to benchmark")
 
     ref_poses, _ = estimate_frame(cloud, masks, scene.camera,
-                                  replace(base, stride=1))
+                                  PoseConfig(stride=1))
     ref_tips = {p.teat_id: p.tip_mm for p in ref_poses}
 
     columns = ["stride", "repeat", "extract_ms", "full_ms", "tip_delta_mm",
                "mean_vertices"]
     rows = []
-    result = {}
     for stride in strides:
-        cfg = replace(base, stride=stride)
+        cfg = PoseConfig(stride=stride)
         poses, _ = estimate_frame(cloud, masks, scene.camera, cfg)
         deltas = [float(np.linalg.norm(p.tip_mm - ref_tips[p.teat_id]))
                   for p in poses if p.teat_id in ref_tips]
@@ -293,11 +282,6 @@ def run_rate_bench(scene: SceneSpec, strides, out_dir, repeats: int = 20,
                              float(full.mean()),
                              float(np.percentile(full, 95)),
                              float(sel[0][4]), float(sel[0][5])])
-        result[stride] = {"mean_full_ms": float(full.mean()),
-                          "p95_full_ms": float(np.percentile(full, 95)),
-                          "mean_extract_ms": float(extract.mean()),
-                          "tip_delta_mm": float(sel[0][4]),
-                          "mean_vertices": float(sel[0][5])}
     write_csv(os.path.join(out_dir, "rate_summary.csv"),
               summary_columns, summary_rows)
     svg_lines({"mean full path": ([r[0] for r in summary_rows],
@@ -305,4 +289,5 @@ def run_rate_bench(scene: SceneSpec, strides, out_dir, repeats: int = 20,
               os.path.join(out_dir, "rate.svg"),
               title="Geometry path wall time vs contour stride",
               x_label="stride [px]", y_label="time [ms]")
-    return result
+    return {row[0]: dict(zip(summary_columns[2:], row[2:]))
+            for row in summary_rows}

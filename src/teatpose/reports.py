@@ -8,6 +8,9 @@ which makes equal inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+# Escapes &, < and > as xml.sax.saxutils.escape does, without importing
+# urllib.request and ssl with it.
+from html import escape
 
 import numpy as np
 
@@ -57,13 +60,15 @@ def _svg_open(title: str) -> list[str]:
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<text x="{_SVG_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">'
+        f'{escape(title, quote=False)}</text>',
     ]
 
 
 def _axis_text(x: float, y: float, s: str, anchor: str = "middle") -> str:
     return (f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="10">{s}</text>')
+            f'font-family="sans-serif" font-size="10">'
+            f'{escape(s, quote=False)}</text>')
 
 
 def svg_histogram(values, path, title: str, x_label: str) -> None:

@@ -20,7 +20,8 @@ def voxel_downsample(cloud: PointCloud, leaf_mm: float = 5.0) -> PointCloud:
 
     Args:
         cloud: Input cloud, any frame.
-        leaf_mm: Voxel edge length in mm, finite and positive.
+        leaf_mm: Voxel edge length in mm, finite and positive. Every
+            |p / leaf_mm| must stay below 2^63 so the voxel indices fit int64.
 
     Returns:
         Downsampled PointCloud in the same frame.
@@ -31,7 +32,11 @@ def voxel_downsample(cloud: PointCloud, leaf_mm: float = 5.0) -> PointCloud:
         return PointCloud(np.empty((0, 3)), frame=cloud.frame)
 
     pts = cloud.points
-    idx = np.floor(pts / leaf_mm).astype(np.int64)
+    cells = np.floor(pts / leaf_mm)
+    if np.abs(cells).max() >= 2.0 ** 63:
+        raise InvalidInputError(
+            f"points lie 2^63 or more voxels of {leaf_mm} mm from the origin")
+    idx = cells.astype(np.int64)
     # One stable lexicographic sort of the voxel indices groups each voxel's
     # points into a run and keeps them in input order. lexsort compares the
     # three columns, so no combined 1-D key can overflow. bincount then sums

@@ -150,7 +150,7 @@ def _cluster_sets(clusters, points):
 def test_accuracy_on_default_noisy_scene(tmp_path):
     scene = default_scene(seed=0, noise=orbbec_like_noise())
     t0 = time.perf_counter()
-    rep = run_repeatability(scene, cycles=200, out_dir=tmp_path, master_seed=0)
+    rep = run_repeatability(scene, cycles=200, out_dir=tmp_path)
     elapsed = time.perf_counter() - t0
     ok = rep["success_rate"] >= 0.90 and elapsed < 60.0
     _verdict("accuracy", ok,
@@ -161,7 +161,7 @@ def test_accuracy_on_default_noisy_scene(tmp_path):
 def test_repeatability_long_run(tmp_path):
     scene = default_scene(seed=0, noise=orbbec_like_noise())
     t0 = time.perf_counter()
-    rep = run_repeatability(scene, cycles=789, out_dir=tmp_path, master_seed=0)
+    rep = run_repeatability(scene, cycles=789, out_dir=tmp_path)
     elapsed = time.perf_counter() - t0
     worst_std = max(t["std_mm"] for t in rep["per_teat"].values())
     worst_mean = max(t["mean_mm"] for t in rep["per_teat"].values())
@@ -317,7 +317,7 @@ def test_reruns_byte_identical(tmp_path):
     tables = []
     for tag in ("a", "b"):
         out = tmp_path / f"rep_{tag}"
-        run_repeatability(scene, cycles=3, out_dir=out, master_seed=9)
+        run_repeatability(replace(scene, seed=9), cycles=3, out_dir=out)
         tables.append((out / "repeatability_raw.csv").read_bytes()
                       + (out / "repeatability_summary.csv").read_bytes())
     ok = logs[0] == logs[1] and tables[0] == tables[1]

@@ -2,7 +2,8 @@
 
 Each subcommand runs in a temp directory and is checked for exit code,
 expected artifacts, and stdout shape. Determinism contracts (same seed, same
-bytes; TEATPOSE_SEED precedence) are asserted on the emitted files.
+bytes; how a scene file, --noise and --seed combine) are asserted on the
+emitted files.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import os
 import pytest
 
 from teatpose.cli import _int_list, build_parser, main
+from teatpose.experiments import run_repeatability
 from teatpose.reports import read_csv
-from teatpose.scene import default_scene
+from teatpose.scene import NoiseModel, default_scene
 
 
 def _read_events(path):
@@ -33,7 +35,7 @@ class TestParser:
         args = build_parser().parse_args(
             ["repeatability", "--out", "somewhere"])
         assert args.cycles == 200
-        assert args.noise == "orbbec"
+        assert args.noise is None
         assert args.method == "normals"
         assert args.seed is None
 
@@ -66,17 +68,32 @@ class TestRepeatabilityCommand:
         assert "cycles=2" in stdout
         assert "T1:" in stdout
 
-    def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TEATPOSE_SEED", "5")
-        dir_a = tmp_path / "a"
-        dir_b = tmp_path / "b"
-        assert main(["repeatability", "--cycles", "2", "--seed", "1",
-                     "--out", str(dir_a)]) == 0
-        assert main(["repeatability", "--cycles", "2", "--seed", "2",
-                     "--out", str(dir_b)]) == 0
-        raw_a = (dir_a / "repeatability_raw.csv").read_bytes()
-        raw_b = (dir_b / "repeatability_raw.csv").read_bytes()
-        assert raw_a == raw_b
+    def _raw_bytes(self, tmp_path, tag, *args):
+        out = tmp_path / tag
+        assert main(["repeatability", "--cycles", "2", *args,
+                     "--out", str(out)]) == 0
+        return (out / "repeatability_raw.csv").read_bytes()
+
+    def _scene_file(self, tmp_path, tag, scene):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(scene.to_dict()))
+        return str(path)
+
+    def test_seed_flag_overrides_scene_file_seed(self, tmp_path):
+        seed_4 = self._scene_file(tmp_path, "s4", default_scene(seed=4))
+        seed_1 = self._scene_file(tmp_path, "s1", default_scene(seed=1))
+        overridden = self._raw_bytes(tmp_path, "a", "--scene", seed_4,
+                                     "--seed", "1")
+        assert overridden == self._raw_bytes(tmp_path, "b", "--scene", seed_1)
+        assert overridden != self._raw_bytes(tmp_path, "c", "--scene", seed_4)
+
+    def test_scene_file_keeps_its_noise_without_noise_flag(self, tmp_path):
+        scene = default_scene(seed=4, noise=NoiseModel(a_mm=7.0,
+                                                       dropout_rate=0.5))
+        path = self._scene_file(tmp_path, "noisy", scene)
+        run_repeatability(scene, cycles=2, out_dir=tmp_path / "ref")
+        expected = (tmp_path / "ref" / "repeatability_raw.csv").read_bytes()
+        assert self._raw_bytes(tmp_path, "cli", "--scene", path) == expected
 
     def test_scene_file_used(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"

@@ -106,6 +106,20 @@ class TestSvg:
         svg_lines({}, path, title="none", x_label="d", y_label="e")
         ET.fromstring(path.read_text())
 
+    def test_markup_in_text_is_escaped(self, tmp_path):
+        title, name = "R&D <cam> tip error", "R&D <cam>"
+        path = tmp_path / "h.svg"
+        svg_histogram([1.0, 2.0], path, title=title, x_label="a < b")
+        texts = [c.text for c in ET.fromstring(path.read_text())
+                 if c.tag.endswith("text")]
+        assert title in texts and "a < b" in texts
+        path = tmp_path / "l.svg"
+        svg_lines({name: ([0.0, 1.0], [2.0, 3.0])}, path, title=title,
+                  x_label="d", y_label="e & f")
+        texts = [c.text for c in ET.fromstring(path.read_text())
+                 if c.tag.endswith("text")]
+        assert {title, name, "e & f"} <= set(texts)
+
     def test_lines_deterministic(self, tmp_path):
         series = {"s": ([0.0, 1.0], [5.0, 6.0])}
         path_a = tmp_path / "a.svg"

@@ -31,6 +31,13 @@ class TestVoxelDownsample:
             with pytest.raises(InvalidInputError):
                 voxel_downsample(PointCloud([[1.0, 2.0, 3.0]]), leaf)
 
+    def test_rejects_indices_beyond_int64(self):
+        # Cast unchecked, both indices would become INT64_MIN and the two
+        # points would merge into one phantom centroid at the origin.
+        far = PointCloud([[1e19, 0.0, 0.0], [-1e19, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="1.0 mm"):
+            voxel_downsample(far, 1.0)
+
     def test_indices_floor_rule(self):
         # Each point sits alone in its voxel, so the output is the input in
         # voxel-index order: (-1,-1,2) < (0,0,1) < (0,1,1).
