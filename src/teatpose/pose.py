@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import estimate_normals, normals_axis, pca_axis
+from .axes import (SurfaceNormalField, estimate_normals, normals_axis,
+                   pca_axis)
 from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .cluster import euclidean_cluster
@@ -61,13 +62,16 @@ class TeatPose:
     def __post_init__(self):
         tip = np.asarray(self.tip_mm, dtype=float).reshape(3)
         ax = np.asarray(self.axis, dtype=float).reshape(3)
+        object.__setattr__(self, "tip_mm", tip)
+        object.__setattr__(self, "axis", ax)
+        _check_bound(self, ("tip_mm", "axis"),
+                     lambda v: bool(np.all(np.isfinite(v))), "finite")
+        _check_bound(self, ("n_points",), lambda v: v >= 0, ">= 0")
         norm = np.linalg.norm(ax)
         if abs(norm - 1.0) > 1e-9:
             raise InvalidInputError(f"axis must be unit length, |axis| = {norm}")
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "tip_mm", tip)
-        object.__setattr__(self, "axis", ax)
         tip.flags.writeable = False
         ax.flags.writeable = False
 
@@ -181,6 +185,8 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
     Returns:
         (3,) tip position in the cloud's frame.
     """
+    if not slab_mm > 0:
+        raise InvalidInputError(f"slab_mm must be > 0, got {slab_mm!r}")
     if len(points) == 0:
         raise InsufficientPointsError("locate_tip needs at least one point")
     a = np.asarray(axis, dtype=float).reshape(3)
@@ -208,20 +214,13 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
     return c + s_floor * a
 
 
-def _cluster_axis(cluster: PointCloud, method: str) -> np.ndarray:
-    if method == "pca":
-        return pca_axis(cluster)
-    # Callers pass at least _REFINE_MIN_POINTS >= _NORMALS_K points.
-    return normals_axis(estimate_normals(cluster, k=_NORMALS_K))
-
-
 # Refinement floors: minimum wall points and maximum believable correction.
 _REFINE_MIN_POINTS = 12
 _REFINE_MAX_TURN_COS = np.cos(np.radians(45.0))
 
 
-def _refine_axis(cluster: PointCloud, axis: np.ndarray, camera: CameraModel,
-                 ) -> np.ndarray:
+def _refine_axis(cluster: PointCloud, field: SurfaceNormalField,
+                 axis: np.ndarray, camera: CameraModel) -> np.ndarray:
     """Re-estimate the normals axis after excluding the tip cap.
 
     A depth camera sees one side of the teat, and the visible part of the
@@ -233,16 +232,22 @@ def _refine_axis(cluster: PointCloud, axis: np.ndarray, camera: CameraModel,
     point covariance is nearly isotropic in cross-section versus length for
     typical teat proportions, so a PCA re-fit would be ill-conditioned
     there. Orthogonal flips and estimator failures keep the current axis.
+
+    `field` is the cluster's normal field. Each pass's wall normals copy it
+    wherever a wall point's k neighbours all lie in the wall, and search
+    the wall only for the rest (see `estimate_normals`).
     """
     p = cluster.points
     c = p.mean(axis=0)
     for _ in range(2):
         s = (p - c) @ axis
-        wall = s >= s.min() + _TIP_TRIM_MM
-        if int(wall.sum()) < _REFINE_MIN_POINTS:
+        rows = np.nonzero(s >= s.min() + _TIP_TRIM_MM)[0]
+        # _REFINE_MIN_POINTS >= _NORMALS_K, so estimate_normals accepts it.
+        if len(rows) < _REFINE_MIN_POINTS:
             return axis
         try:
-            cand = _cluster_axis(cluster.select(np.nonzero(wall)[0]), "normals")
+            cand = normals_axis(estimate_normals(
+                cluster.select(rows), k=_NORMALS_K, subset_of=(field, rows)))
         except TeatPoseError:
             return axis
         cand = disambiguate_direction(cand, cluster, camera)
@@ -293,10 +298,12 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
             f"teat {teat_id!r}: largest cluster has {len(cluster)} points "
             f"< minimum {_MIN_POINTS}")
 
-    axis = _cluster_axis(cluster, cfg.method)
-    axis = disambiguate_direction(axis, cluster, camera)
-    if cfg.method == "normals":
-        axis = _refine_axis(cluster, axis, camera)
+    if cfg.method == "pca":
+        axis = disambiguate_direction(pca_axis(cluster), cluster, camera)
+    else:
+        field = estimate_normals(cluster, k=_NORMALS_K)
+        axis = disambiguate_direction(normals_axis(field), cluster, camera)
+        axis = _refine_axis(cluster, field, axis, camera)
     tip_cam = locate_tip(cluster, axis, slab_mm=cfg.tip_slab_mm)
 
     tip_world = camera.camera_to_world(tip_cam)

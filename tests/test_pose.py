@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teatpose.axes as tp_axes
+import teatpose.pose as tp_pose
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from teatpose.errors import (FrameMismatchError, InsufficientPointsError,
@@ -105,6 +107,18 @@ class TestTeatPose:
             TeatPose(teat_id="T1", tip_mm=np.zeros(3),
                      axis=np.array([0.0, 0.0, 1.0]), method="ransac",
                      n_points=50)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tip_mm", [np.nan, 0.0, 0.0]), ("axis", [np.nan, 0.0, 0.0]),
+        ("n_points", -3),
+    ])
+    def test_non_finite_or_negative_fields_rejected(self, field, value):
+        kwargs = dict(teat_id="T1", tip_mm=np.zeros(3),
+                      axis=np.array([0.0, 0.0, 1.0]), method="pca",
+                      n_points=50)
+        kwargs[field] = value
+        with pytest.raises(InvalidInputError, match=field):
+            TeatPose(**kwargs)
 
     def test_arrays_immutable(self):
         pose = TeatPose(teat_id="T1", tip_mm=np.array([1.0, 2.0, 3.0]),
@@ -208,6 +222,11 @@ class TestLocateTip:
         with pytest.raises(InsufficientPointsError):
             locate_tip(cloud, np.array([0.0, 0.0, 1.0]))
 
+    def test_nan_slab_rejected(self):
+        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
+        with pytest.raises(InvalidInputError, match="slab_mm"):
+            locate_tip(cloud, np.array([0.0, 0.0, 1.0]), slab_mm=np.nan)
+
     def test_single_point_returns_it(self):
         p = np.array([3.0, -2.0, 500.0])
         cloud = PointCloud(p[None, :], frame=FRAME_CAMERA)
@@ -285,6 +304,31 @@ class TestEstimateTeatPose:
             assert _angle_deg(nrm.axis, teat.axis) < 5.0
             assert np.linalg.norm(pca.tip_mm - teat.tip_mm) < 2.0
             assert np.linalg.norm(nrm.tip_mm - teat.tip_mm) < 2.0
+
+    def test_refinement_reuse_matches_fresh_wall_search(self, monkeypatch):
+        # Each wall pass copies the cluster's normals where it can; a fresh
+        # search of every wall point must give the same axis, bit for bit.
+        rng = np.random.default_rng(12)
+        clouds = []
+        for _ in range(6):
+            teat = _random_teat(rng)
+            pts = sample_teat_surface(teat, 3000, rng, noise_mm=1.0)
+            clouds.append(self._camera_cloud(teat, pts))
+        reused = [estimate_teat_pose(cloud, camera)
+                  for camera, cloud in clouds]
+        walls = []
+
+        def fresh(cloud, k, camera_origin=(0.0, 0.0, 0.0), *, subset_of=None):
+            if subset_of is not None:
+                walls.append(len(cloud))
+            return tp_axes.estimate_normals(cloud, k, camera_origin)
+
+        monkeypatch.setattr(tp_pose, "estimate_normals", fresh)
+        for pose, (camera, cloud) in zip(reused, clouds):
+            again = estimate_teat_pose(cloud, camera)
+            assert again.axis.tobytes() == pose.axis.tobytes()
+            assert again.tip_mm.tobytes() == pose.tip_mm.tobytes()
+        assert min(walls) >= 400
 
     def test_too_few_points_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
