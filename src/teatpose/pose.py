@@ -66,7 +66,9 @@ class TeatPose:
         object.__setattr__(self, "axis", ax)
         _check_bound(self, ("tip_mm", "axis"),
                      lambda v: bool(np.all(np.isfinite(v))), "finite")
-        _check_bound(self, ("n_points",), lambda v: v >= 0, ">= 0")
+        _check_bound(self, ("n_points",),
+                     lambda v: v >= 0 and float(v).is_integer(),
+                     "an integer >= 0")
         norm = np.linalg.norm(ax)
         if abs(norm - 1.0) > 1e-9:
             raise InvalidInputError(f"axis must be unit length, |axis| = {norm}")
@@ -116,6 +118,14 @@ class PoseConfig:
                      "an integer >= 1")
 
 
+def _finite_axis(axis) -> np.ndarray:
+    """axis as a (3,) float array; InvalidInputError unless all finite."""
+    a = np.asarray(axis, dtype=float).reshape(3)
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"axis must be finite, got {a.tolist()}")
+    return a
+
+
 def disambiguate_direction(axis: np.ndarray, points: PointCloud,
                            camera: CameraModel) -> np.ndarray:
     """Resolve the sign of an estimated axis so it points tip -> base.
@@ -134,7 +144,7 @@ def disambiguate_direction(axis: np.ndarray, points: PointCloud,
     Returns:
         Unit axis with the sign resolved.
     """
-    a = np.asarray(axis, dtype=float).reshape(3)
+    a = _finite_axis(axis)
     norm = np.linalg.norm(a)
     if norm < 1e-12:
         raise InvalidInputError("axis must be non-zero")
@@ -189,7 +199,7 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
         raise InvalidInputError(f"slab_mm must be > 0, got {slab_mm!r}")
     if len(points) == 0:
         raise InsufficientPointsError("locate_tip needs at least one point")
-    a = np.asarray(axis, dtype=float).reshape(3)
+    a = _finite_axis(axis)
     c = points.points.mean(axis=0)
     s = (points.points - c) @ a
     s_floor = float(np.percentile(s, _TIP_PERCENTILE))

@@ -4,6 +4,9 @@ Scene geometry lives in the world frame (z up, mm). A teat is a solid
 cylinder capped by a hemisphere; the udder is an axis-aligned ellipsoid.
 Rendering casts one ray per pixel center through the nearest analytic
 surface, which keeps ground truth exact: no meshing, no discretization.
+Rays are cast only inside the window, the image rectangle that holds the
+image of every surface (a teat's bounding box, the udder's silhouette);
+every pixel outside it is background by construction.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
 
-_UDDER_COLOR = (208, 178, 158)
-_TEAT_COLOR = (232, 156, 168)
+# Point colours, indexed by min(label, 1): udder, then teat.
+_PALETTE = np.array([(208, 178, 158), (232, 156, 168)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -325,23 +328,59 @@ def _teat_depths(o, dirs, teat: TeatSpec) -> np.ndarray:
 
 
 def _rays_in_box(camera: CameraModel, lo: np.ndarray, hi: np.ndarray,
-                 ) -> np.ndarray:
-    """Flat pixel indices inside the conservative image bbox of a world AABB.
+                 ellipsoid: bool = False) -> tuple[int, int, int, int]:
+    """Pixel rectangle (v0, v1, u0, u1), clipped to the image and empty when
+    off it, holding with a 2 px margin the image of the world AABB [lo, hi]
+    or, with ellipsoid set, the tighter silhouette of the ellipsoid that
+    the AABB circumscribes.
 
-    Every pixel is returned when the box reaches behind the camera.
+    The whole image is returned when the box reaches behind the camera.
     """
     corners = np.array([[x, y, zz] for x in (lo[0], hi[0])
                         for y in (lo[1], hi[1]) for zz in (lo[2], hi[2])])
     cam = camera.world_to_camera(corners)
     if np.any(cam[:, 2] <= 1.0):
-        return np.arange(camera.width * camera.height)
-    uv = camera.project(cam)
+        return 0, camera.height, 0, camera.width
+    uv = (_silhouette_uv(camera, (lo + hi) / 2.0, (hi - lo) / 2.0)
+          if ellipsoid else camera.project(cam))
     u0 = max(int(np.floor(uv[:, 0].min())) - 2, 0)
     u1 = min(int(np.ceil(uv[:, 0].max())) + 2, camera.width)
     v0 = max(int(np.floor(uv[:, 1].min())) - 2, 0)
     v1 = min(int(np.ceil(uv[:, 1].max())) + 2, camera.height)
-    return (np.arange(v0, v1)[:, None] * camera.width
-            + np.arange(u0, u1)).ravel()
+    return v0, v1, u0, u1
+
+
+def _silhouette_uv(camera: CameraModel, center: np.ndarray,
+                   semi: np.ndarray) -> np.ndarray:
+    """Corners [[u_min, v_min], [u_max, v_max]] of the image bbox of an
+    axis-aligned ellipsoid wholly in front of the camera.
+
+    In the camera frame the ellipsoid has centre m and shape
+    S = R^T diag(semi^2) R. The rays (x, y, 1) that meet it fill a conic
+    whose dual is D = m m^T - S, so the line x = x0 touches the silhouette
+    where D00 - 2 x0 D02 + x0^2 D22 = 0, and y = y0 where
+    D11 - 2 y0 D12 + y0^2 D22 = 0. D22 = m_z^2 - S_zz > 0 because the
+    ellipsoid is in front.
+    """
+    m = (center - camera.position_world) @ camera.rotation
+    dual = np.outer(m, m) - camera.rotation.T @ np.diag(semi ** 2) \
+        @ camera.rotation
+    uv = np.empty((2, 2))
+    for k, f, c in ((0, camera.fx, camera.cx), (1, camera.fy, camera.cy)):
+        root = np.sqrt(dual[k, 2] ** 2 - dual[k, k] * dual[2, 2])
+        uv[:, k] = f * (dual[k, 2] + np.array([-root, root])) / dual[2, 2] + c
+    return uv
+
+
+def _rect_rays(camera: CameraModel, v0: int, v1: int, u0: int, u1: int,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel centres (u+0.5, v+0.5) of rows v0:v1 and columns u0:u1 in
+    row-major order, and their camera-frame ray directions."""
+    pix = np.empty((v1 - v0, u1 - u0, 2))
+    pix[..., 0] = np.arange(u0, u1) + 0.5
+    pix[..., 1] = (np.arange(v0, v1) + 0.5)[:, None]
+    pix = pix.reshape(-1, 2)
+    return pix, _pixel_dirs(camera, pix)
 
 
 def _cast_scene(scene: SceneSpec, dirs_world: np.ndarray, origin: np.ndarray,
@@ -375,75 +414,93 @@ def render(scene: SceneSpec, stamp_us: int = 0,
 
     Rays go through pixel centers (u+0.5, v+0.5) and are parameterized by
     camera depth, so depth noise is a direct scalar perturbation along each
-    ray. Masks are the lattice boundaries of the per-teat visible pixel sets
-    (one mask per teat with >= 50 visible pixels). Each teat's pixels are
-    cleaned and traced on the crop of its bounding box, and the contour comes
-    back in image coordinates. Reproducible bit-for-bit from (scene, seed).
+    ray. Each surface is cast only against the pixels of its image
+    rectangle (2 px around a teat's bounding box or the udder's
+    silhouette), and rays are built only for the window, the rectangle
+    that spans those rectangles: a pixel outside the window can hit no
+    surface, so it is background by construction. Masks are the lattice
+    boundaries of the per-teat visible pixel sets (one mask per teat with
+    >= 50 visible pixels). Each teat's pixels are cleaned and traced on
+    the crop of its bounding box, and the contour comes back in image
+    coordinates. Reproducible bit-for-bit from (scene, seed).
     """
     cam = scene.camera
-    w, h = cam.width, cam.height
     rng = np.random.default_rng(np.random.SeedSequence(scene.seed))
     origin = cam.position_world
 
-    uu, vv = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
-    pix = np.column_stack([uu.ravel(), vv.ravel()])
-    dirs_cam = _pixel_dirs(cam, pix)
-    dirs_w = dirs_cam @ cam.rotation.T
-
-    boxes = [_rays_in_box(cam, scene.udder_center_mm - scene.udder_semi_axes_mm,
-                          scene.udder_center_mm + scene.udder_semi_axes_mm)]
+    rects = [_rays_in_box(cam, scene.udder_center_mm - scene.udder_semi_axes_mm,
+                          scene.udder_center_mm + scene.udder_semi_axes_mm,
+                          ellipsoid=True)]
     for teat in scene.teats:
         ends = np.stack([teat.base_mm, teat.tip_mm])
-        boxes.append(_rays_in_box(cam, ends.min(axis=0) - teat.radius_mm,
+        rects.append(_rays_in_box(cam, ends.min(axis=0) - teat.radius_mm,
                                   ends.max(axis=0) + teat.radius_mm))
-    z_buf, label = _cast_scene(scene, dirs_w, origin, boxes)
+    # The window, rows v0:v1 and columns u0:u1, spans the non-empty rects.
+    live = [r for r in rects if r[0] < r[1] and r[2] < r[3]] or [(0, 0, 0, 0)]
+    v0, u0 = (min(r[k] for r in live) for k in (0, 2))
+    v1, u1 = (max(r[k] for r in live) for k in (1, 3))
+    # Window-local ray indices of each rectangle; an empty one gives none.
+    boxes = [(np.arange(a - v0, b - v0)[:, None] * (u1 - u0)
+              + np.arange(c - u0, d - u0)).ravel() for a, b, c, d in rects]
+    pix, dirs_cam = _rect_rays(cam, v0, v1, u0, u1)
+    # Row for row, this matmul gives the bits of a full-image matmul, which
+    # the digests in tests/test_scene.py pin. Per-component sums need not:
+    # BLAS kernels may round with fused multiply-adds.
+    z_buf, label = _cast_scene(scene, dirs_cam @ cam.rotation.T, origin,
+                               boxes)
 
     hit_idx = np.flatnonzero(np.isfinite(z_buf))
     z_true = z_buf[hit_idx]
+    lab_hit = label[hit_idx]
 
     # Noise draws happen in a fixed order: jitter, depth eps, dropout.
     noise = scene.noise
     dirs_sample = dirs_cam[hit_idx]
     z_sample = z_true
-    keep_jitter = np.ones(len(hit_idx), dtype=bool)
+    keep = None
     if noise.lateral_jitter_px > 0:
         jit = pix[hit_idx] + rng.standard_normal((len(hit_idx), 2)) \
             * noise.lateral_jitter_px
         dirs_j = _pixel_dirs(cam, jit)
         zj, _ = _cast_scene(scene, dirs_j @ cam.rotation.T, origin)
-        keep_jitter = np.isfinite(zj)
-        dirs_sample = np.where(keep_jitter[:, None], dirs_j, dirs_sample)
-        z_sample = np.where(keep_jitter, zj, z_true)
+        keep = np.isfinite(zj)
+        dirs_sample = np.where(keep[:, None], dirs_j, dirs_sample)
+        z_sample = np.where(keep, zj, z_true)
 
     sigma = noise.sigma_mm(z_sample)
     z_noisy = z_sample + rng.standard_normal(len(z_sample)) * sigma
 
     if noise.dropout_rate > 0:
-        keep = (rng.random(len(hit_idx)) >= noise.dropout_rate) & keep_jitter
-    else:
-        keep = keep_jitter
+        kept = rng.random(len(hit_idx)) >= noise.dropout_rate
+        keep = kept if keep is None else kept & keep
+    if keep is not None:
+        dirs_sample, z_noisy, lab_hit = (dirs_sample[keep], z_noisy[keep],
+                                         lab_hit[keep])
 
-    pts_cam = dirs_sample[keep] * z_noisy[keep, None]
-    lab_kept = label[hit_idx][keep]
-    colors = np.empty((len(pts_cam), 3), dtype=np.uint8)
-    colors[lab_kept == 0] = _UDDER_COLOR
-    colors[lab_kept > 0] = _TEAT_COLOR
+    pts_cam = dirs_sample * z_noisy[:, None]
+    colors = _PALETTE[np.minimum(lab_hit, 1)]
     cloud = PointCloud(pts_cam, frame=FRAME_CAMERA, colors=colors)
 
-    label_img = label.reshape(h, w)
     n = len(scene.teats)
     visible = np.bincount(label + 1, minlength=n + 2)[2:]
+    label_win = label.reshape(v1 - v0, u1 - u0)
     masks = []
     # In label + 1, 0 is background, 1 the udder and i + 2 teat i.
-    teat_boxes = ndimage.find_objects(label_img + 1, max_label=n + 1)[1:]
+    teat_boxes = ndimage.find_objects(label_win + 1, max_label=n + 1)[1:]
     for i, box in enumerate(teat_boxes):
         if visible[i] < MIN_MASK_PIXELS:
             continue
-        contour = _traced_in_box(label_img[box] == i + 1, box)
+        rows, cols = box
+        contour = _traced_in_box(
+            label_win[box] == i + 1,
+            (slice(rows.start + v0, rows.stop + v0),
+             slice(cols.start + u0, cols.stop + u0)))
         if contour is not None:
             masks.append(TeatMask(teat_id=f"T{i + 1}", stamp_us=stamp_us,
                                   contour=contour))
 
+    label_img = np.full((cam.height, cam.width), -1, dtype=np.int16)
+    label_img[v0:v1, u0:u1] = label_win
     tips = np.stack([t.tip_mm for t in scene.teats])
     axes = np.stack([-t.axis for t in scene.teats])
     gt = GroundTruth(teat_ids=tuple(f"T{i + 1}" for i in range(n)),
@@ -529,10 +586,7 @@ def render_plane_target(distance_mm: float, camera: CameraModel,
     """
     if distance_mm <= 0:
         raise InvalidInputError("target distance must be positive")
-    w, h = camera.width, camera.height
-    uu, vv = np.meshgrid(np.arange(w) + 0.5, np.arange(h) + 0.5)
-    pix = np.column_stack([uu.ravel(), vv.ravel()])
-    dirs = _pixel_dirs(camera, pix)
+    _, dirs = _rect_rays(camera, 0, camera.height, 0, camera.width)
     dirs = dirs[_on_plane_target(dirs[:, 0] * distance_mm,
                                  dirs[:, 1] * distance_mm)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))

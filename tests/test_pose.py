@@ -120,6 +120,14 @@ class TestTeatPose:
         with pytest.raises(InvalidInputError, match=field):
             TeatPose(**kwargs)
 
+    def test_n_points_must_be_integral(self):
+        kwargs = dict(teat_id="T1", tip_mm=np.zeros(3),
+                      axis=np.array([0.0, 0.0, 1.0]), method="pca")
+        with pytest.raises(InvalidInputError, match="n_points"):
+            TeatPose(n_points=2.5, **kwargs)
+        for n in (np.int64(7), np.int32(7), 7.0):
+            assert TeatPose(n_points=n, **kwargs).to_dict()["n_points"] == 7
+
     def test_arrays_immutable(self):
         pose = TeatPose(teat_id="T1", tip_mm=np.array([1.0, 2.0, 3.0]),
                         axis=np.array([0.0, 0.0, 1.0]), method="pca",
@@ -176,6 +184,14 @@ class TestDisambiguateDirection:
         with pytest.raises(InvalidInputError):
             disambiguate_direction(np.zeros(3), cloud, camera)
 
+    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0],
+                                      [np.inf, 0.0, 1.0]])
+    def test_non_finite_axis_rejected(self, axis):
+        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
+        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
+        with pytest.raises(InvalidInputError, match="axis"):
+            disambiguate_direction(np.array(axis), cloud, camera)
+
     def test_horizontal_axis_points_away_from_sensor(self):
         # identity extrinsics: up_in_camera = (0, 0, 1), sensor at the origin.
         # Axis along camera x is orthogonal to up, so the fallback kicks in:
@@ -226,6 +242,15 @@ class TestLocateTip:
         cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
         with pytest.raises(InvalidInputError, match="slab_mm"):
             locate_tip(cloud, np.array([0.0, 0.0, 1.0]), slab_mm=np.nan)
+
+    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0],
+                                      [0.0, -np.inf, 1.0]])
+    def test_non_finite_axis_rejected(self, axis):
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(rng.normal(size=(50, 3)) + [0.0, 0.0, 500.0],
+                           frame=FRAME_CAMERA)
+        with pytest.raises(InvalidInputError, match="axis"):
+            locate_tip(cloud, np.array(axis))
 
     def test_single_point_returns_it(self):
         p = np.array([3.0, -2.0, 500.0])

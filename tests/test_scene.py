@@ -21,7 +21,8 @@ from teatpose.contour import clean_region
 from teatpose.errors import (CurveFitError, InsufficientPointsError,
                              InvalidInputError, InvalidSceneError)
 from teatpose.mask import TeatMask, rasterize_mask
-from teatpose.scene import (NoiseModel, SceneSpec, TeatSpec, default_scene,
+from teatpose.scene import (NoiseModel, SceneSpec, TeatSpec, _cast_scene,
+                            _pixel_dirs, _rays_in_box, default_scene,
                             fit_error_curve, occlude, orbbec_like_noise,
                             plane_target_measure, render, render_plane_target,
                             sample_teat_surface)
@@ -67,6 +68,54 @@ def _border_scene():
     border."""
     return _moved_camera(default_scene(seed=3, noise=orbbec_like_noise()),
                          0.6, (150.0, 0.0, 0.0))
+
+
+def _full_image_cast(scene):
+    """Label image and visible pixel counts of a cast of every pixel against
+    every surface: no surface boxes, no window."""
+    cam = scene.camera
+    uu, vv = np.meshgrid(np.arange(cam.width) + 0.5,
+                         np.arange(cam.height) + 0.5)
+    dirs = _pixel_dirs(cam, np.column_stack([uu.ravel(), vv.ravel()]))
+    _, label = _cast_scene(scene, dirs @ cam.rotation.T, cam.position_world)
+    visible = np.bincount(label + 1, minlength=len(scene.teats) + 2)[2:]
+    return label.reshape(cam.height, cam.width), tuple(visible.tolist())
+
+
+def _surface_rects(scene) -> list:
+    """Image rectangles (v0, v1, u0, u1) of the udder's silhouette and of
+    each teat's world bounding box."""
+    rects = [_rays_in_box(scene.camera,
+                          scene.udder_center_mm - scene.udder_semi_axes_mm,
+                          scene.udder_center_mm + scene.udder_semi_axes_mm,
+                          ellipsoid=True)]
+    for t in scene.teats:
+        ends = np.stack([t.base_mm, t.tip_mm])
+        rects.append(_rays_in_box(scene.camera,
+                                  ends.min(axis=0) - t.radius_mm,
+                                  ends.max(axis=0) + t.radius_mm))
+    return rects
+
+
+def _teat_off_image_scene():
+    """Default rig at 0.6x standoff aimed 250 mm to the side: the image
+    rectangles of T1 and T3 lie wholly outside the image."""
+    return _moved_camera(default_scene(seed=6), 0.6, (250.0, 0.0, 0.0))
+
+
+def _nothing_in_view_scene():
+    """Default rig aimed 250 mm below its tips: every surface is in front of
+    the camera and off the image, so no rectangle and no window is left."""
+    return _moved_camera(default_scene(seed=6), 0.6, (0.0, 0.0, -250.0))
+
+
+def _facing_away_scene():
+    """Default rig seen by a camera turned away from it: every surface
+    reaches behind the camera, so every rectangle is the whole image."""
+    scene = default_scene(seed=6)
+    pos = scene.camera.position_world
+    return replace(scene, camera=CameraModel.look_at(
+        pos, pos + np.array([0.0, -1000.0, 0.0])))
 
 
 def _render_digest(scene) -> str:
@@ -325,6 +374,55 @@ class TestRenderDigest:
         c = {m.teat_id: m.contour for m in masks}["T1"]
         assert np.any((c[:, 0] == 0) | (c[:, 0] == 640)
                       | (c[:, 1] == 0) | (c[:, 1] == 480))
+
+
+class TestRenderWindow:
+    """render casts rays only inside the window that the surfaces' image
+    rectangles span; a full-image cast without boxes is the oracle."""
+
+    @pytest.mark.parametrize("make", [
+        default_scene,
+        lambda: _moved_camera(default_scene(seed=1, n_teats=6), 0.6),
+        _border_scene,
+        lambda: default_scene(seed=2, noise=NoiseModel(
+            dropout_rate=0.1, lateral_jitter_px=0.7)),
+        _teat_off_image_scene,
+        _nothing_in_view_scene,
+        _facing_away_scene,
+    ], ids=["default", "six_teats_close", "teat_on_border", "dropout_jitter",
+            "teat_off_image", "nothing_in_view", "facing_away"])
+    def test_labels_match_full_image_cast(self, make):
+        scene = make()
+        _, _, gt = render(scene)
+        labels, visible = _full_image_cast(scene)
+        assert gt.labels.dtype == labels.dtype
+        np.testing.assert_array_equal(gt.labels, labels)
+        assert gt.visible_px == visible
+
+    def test_teat_off_image_is_skipped(self):
+        scene = _teat_off_image_scene()
+        empty = [v0 >= v1 or u0 >= u1
+                 for v0, v1, u0, u1 in _surface_rects(scene)]
+        assert empty == [False, True, False, True, False]
+        _, masks, gt = render(scene)
+        assert gt.visible_px[0] == gt.visible_px[2] == 0
+        assert [m.teat_id for m in masks] == ["T2", "T4"]
+
+    @pytest.mark.parametrize("make, rect", [
+        (_nothing_in_view_scene, None), (_facing_away_scene, (0, 480, 0, 640)),
+    ], ids=["empty_window", "full_window"])
+    def test_nothing_in_view_renders_empty(self, make, rect):
+        scene = make()
+        for v0, v1, u0, u1 in _surface_rects(scene):
+            if rect is None:
+                assert v0 >= v1 or u0 >= u1
+            else:
+                assert (v0, v1, u0, u1) == rect
+        cloud, masks, gt = render(scene)
+        assert len(cloud) == 0 and cloud.colors.shape == (0, 3)
+        assert masks == []
+        assert gt.visible_px == (0, 0, 0, 0)
+        assert gt.labels.shape == (480, 640) and np.all(gt.labels == -1)
 
 
 class TestOcclude:
