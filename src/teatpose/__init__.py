@@ -12,9 +12,9 @@ from .axes import SurfaceNormalField, estimate_normals, normals_axis, pca_axis
 from .camera import WORLD_UP, CameraModel
 from .cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from .cluster import euclidean_cluster
-from .errors import (AmbiguousAxisError, CurveFitError, EmptyMaskError,
-                     FrameMismatchError, InsufficientPointsError,
-                     InvalidInputError, InvalidSceneError, TeatPoseError)
+from .errors import (AmbiguousAxisError, CurveFitError, FrameMismatchError,
+                     InsufficientPointsError, InvalidInputError,
+                     InvalidSceneError, TeatPoseError)
 from .experiments import run_camera_curve, run_rate_bench, run_repeatability
 from .mask import (TeatMask, extract_masked_points, points_in_polygon,
                    rasterize_mask)
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousAxisError", "CameraModel", "ConsistencyGate", "CurveFitError",
-    "EmptyMaskError", "ErrorCurve", "FRAME_CAMERA", "FRAME_WORLD",
-    "FrameMessage", "FrameMismatchError", "GateState", "GroundTruth",
+    "ErrorCurve", "FRAME_CAMERA", "FRAME_WORLD", "FrameMessage",
+    "FrameMismatchError", "GateState", "GroundTruth",
     "InsufficientPointsError", "InvalidInputError", "InvalidSceneError",
     "LatencyModel", "NoiseModel", "PipelineConfig", "PipelineResult",
     "PointCloud", "PoseConfig", "SceneSpec", "SurfaceNormalField", "TeatMask",

@@ -54,8 +54,12 @@ class CameraModel:
     translation_mm: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        _check_bound(self, ("fx", "fy", "width", "height"), lambda v: v > 0,
-                     "> 0")
+        _check_bound(self, ("fx", "fy"), lambda v: v > 0, "> 0")
+        # bool is an int in Python, but never an image size.
+        _check_bound(self, ("width", "height"),
+                     lambda v: (isinstance(v, (int, np.integer))
+                                and not isinstance(v, bool) and v > 0),
+                     "a positive integer")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidInputError("principal point must lie inside the image")
         object.__setattr__(self, "rotation", _as_matrix(self.rotation))
@@ -167,7 +171,7 @@ class CameraModel:
     def to_dict(self) -> dict:
         return {
             "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-            "width": self.width, "height": self.height,
+            "width": int(self.width), "height": int(self.height),
             "extrinsic": {
                 "rotation_rowmajor": [float(x) for x in self.rotation.ravel()],
                 "translation_mm": [float(x) for x in self.translation_mm],

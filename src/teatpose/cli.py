@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", parents=[scene_args],
                        help="geometry path wall-time benchmark")
-    p.add_argument("--strides", default="1,2,5,10")
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--out", required=True)
 
@@ -143,14 +142,10 @@ def _cmd_camera_curve(args) -> int:
 
 def _cmd_rate(args) -> int:
     scene = _load_scene(args)
-    report = run_rate_bench(scene, _int_list(args.strides), args.out,
-                            repeats=args.repeats)
-    for stride, row in report.items():
-        print(f"stride={stride}: full={row['mean_full_ms']:.2f}ms "
-              f"p95={row['p95_full_ms']:.2f}ms "
-              f"extract={row['mean_extract_ms']:.2f}ms "
-              f"tip_delta={row['tip_delta_mm']:.3f}mm "
-              f"vertices={row['mean_vertices']:.0f}")
+    row = run_rate_bench(scene, args.out, repeats=args.repeats)
+    print(f"repeats={row['repeats']} full={row['mean_full_ms']:.2f}ms "
+          f"p95={row['p95_full_ms']:.2f}ms "
+          f"extract={row['mean_extract_ms']:.2f}ms")
     return 0
 
 

@@ -18,10 +18,6 @@ class FrameMismatchError(TeatPoseError, ValueError):
     """Operation received a point cloud in the wrong coordinate frame."""
 
 
-class EmptyMaskError(TeatPoseError):
-    """Mask contour is degenerate (fewer than 3 vertices or zero area)."""
-
-
 class InsufficientPointsError(TeatPoseError):
     """Too few points to run the requested estimator."""
 

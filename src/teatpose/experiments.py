@@ -225,69 +225,47 @@ def run_camera_curve(presets: dict[str, NoiseModel], out_dir,
             for name, c in curves.items()}
 
 
-def run_rate_bench(scene: SceneSpec, strides, out_dir,
-                   repeats: int = 20) -> dict:
-    """Wall-clock benchmark of the geometry path at several contour strides.
+def run_rate_bench(scene: SceneSpec, out_dir, repeats: int = 20) -> dict:
+    """Wall-clock benchmark of the geometry path on one rendered frame.
 
+    Each repeat times mask extraction alone, then the full `estimate_frame`.
     Wall times are the payload here, so this is the one report that is not
-    byte-reproducible across runs. Tip deltas compare each stride's poses
-    against stride 1 per teat.
+    byte-reproducible across runs.
+
+    Returns:
+        The summary row as a dict: repeats and the mean and p95 times.
     """
     if repeats < 1:
         raise InvalidInputError("repeats must be >= 1")
-    strides = [int(s) for s in strides]
-    if not strides or min(strides) < 1:
-        raise InvalidInputError("strides must be positive")
     os.makedirs(out_dir, exist_ok=True)
     cloud, masks, _ = render(scene)
     if not masks:
         raise InvalidInputError("scene renders no masks to benchmark")
 
-    ref_poses, _ = estimate_frame(cloud, masks, scene.camera,
-                                  PoseConfig(stride=1))
-    ref_tips = {p.teat_id: p.tip_mm for p in ref_poses}
-
-    columns = ["stride", "repeat", "extract_ms", "full_ms", "tip_delta_mm",
-               "mean_vertices"]
+    config = PoseConfig()
     rows = []
-    for stride in strides:
-        cfg = PoseConfig(stride=stride)
-        poses, _ = estimate_frame(cloud, masks, scene.camera, cfg)
-        deltas = [float(np.linalg.norm(p.tip_mm - ref_tips[p.teat_id]))
-                  for p in poses if p.teat_id in ref_tips]
-        tip_delta = max(deltas) if deltas else float("nan")
-        verts = float(np.mean([len(m.subsampled(stride)) for m in masks]))
-        for rep in range(repeats):
-            t0 = time.perf_counter()
-            for m in masks:
-                extract_masked_points(cloud, m, scene.camera, stride=stride)
-            t1 = time.perf_counter()
-            estimate_frame(cloud, masks, scene.camera, cfg)
-            t2 = time.perf_counter()
-            rows.append([stride, rep, (t1 - t0) * 1e3, (t2 - t1) * 1e3,
-                         tip_delta, verts])
+    for rep in range(repeats):
+        t0 = time.perf_counter()
+        for m in masks:
+            extract_masked_points(cloud, m, scene.camera)
+        t1 = time.perf_counter()
+        estimate_frame(cloud, masks, scene.camera, config)
+        t2 = time.perf_counter()
+        rows.append([rep, (t1 - t0) * 1e3, (t2 - t1) * 1e3])
 
     raw_path = os.path.join(out_dir, "rate_raw.csv")
-    write_csv(raw_path, columns, rows)
+    write_csv(raw_path, ["repeat", "extract_ms", "full_ms"], rows)
 
     _, raw = read_csv(raw_path)
-    summary_columns = ["stride", "repeats", "mean_extract_ms", "mean_full_ms",
-                       "p95_full_ms", "tip_delta_mm", "mean_vertices"]
-    summary_rows = []
-    for stride in strides:
-        sel = [r for r in raw if int(r[0]) == stride]
-        extract = np.array([float(r[2]) for r in sel])
-        full = np.array([float(r[3]) for r in sel])
-        summary_rows.append([stride, len(sel), float(extract.mean()),
-                             float(full.mean()),
-                             float(np.percentile(full, 95)),
-                             float(sel[0][4]), float(sel[0][5])])
-    write_csv(os.path.join(out_dir, "rate_summary.csv"),
-              summary_columns, summary_rows)
-    svg_lines({"mean full path": ([r[0] for r in summary_rows],
-                                  [r[3] for r in summary_rows])},
-              os.path.join(out_dir, "rate.svg"),
-              title="Geometry path wall time vs contour stride",
-              x_label="stride [px]", y_label="time [ms]")
-    return {row[0]: dict(zip(summary_columns[2:], row[2:]))
-            for row in summary_rows}
+    extract = np.array([float(r[1]) for r in raw])
+    full = np.array([float(r[2]) for r in raw])
+    summary = {"repeats": len(raw),
+               "mean_extract_ms": float(extract.mean()),
+               "mean_full_ms": float(full.mean()),
+               "p95_full_ms": float(np.percentile(full, 95))}
+    write_csv(os.path.join(out_dir, "rate_summary.csv"), list(summary),
+              [list(summary.values())])
+    svg_histogram(full.tolist(), os.path.join(out_dir, "rate.svg"),
+                  title=f"Geometry path wall time ({len(full)} repeats)",
+                  x_label="full path [ms]")
+    return summary

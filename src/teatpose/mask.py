@@ -2,15 +2,13 @@
 
 A mask is a closed integer-pixel contour polygon. Membership is the even-odd
 (crossing-number) rule with the half-open edge convention, evaluated on the
-pinhole projection of each 3D point. Subsampling the contour at a stride
-reduces the polygon before the test; stride 1 is exact.
+pinhole projection of each 3D point against the mask's own contour.
 
 When every edge of the polygon is axis-aligned, as in every contour that
 `trace_boundary` emits, the rule depends only on the unit cell a point falls
 in, so membership is one lookup in a parity raster of the bounding box
 (`_parity_raster`) instead of one crossing test per edge. Other polygons
-(a contour subsampled at stride > 1, hand-made masks) go through
-`points_in_polygon`.
+(hand-made masks) go through `points_in_polygon`.
 """
 
 from __future__ import annotations
@@ -21,16 +19,9 @@ import numpy as np
 
 from .camera import CameraModel
 from .cloud import PointCloud
-from .errors import EmptyMaskError, InvalidInputError
+from .errors import InvalidInputError
 
 _CHUNK = 4096
-
-
-def polygon_area(contour: np.ndarray) -> float:
-    """Signed shoelace area of a closed polygon (last edge implicit)."""
-    x = contour[:, 0]
-    y = contour[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _segments_cross(contour: np.ndarray) -> bool:
@@ -122,16 +113,6 @@ class TeatMask:
     def __len__(self) -> int:
         return len(self.contour)
 
-    def subsampled(self, stride: int = 1) -> np.ndarray:
-        """Every stride-th contour vertex; raises if the result is degenerate."""
-        if stride < 1 or int(stride) != stride:
-            raise InvalidInputError(f"stride must be an integer >= 1, got {stride}")
-        sub = self.contour[::int(stride)]
-        if len(sub) < 3 or polygon_area(sub) == 0.0:
-            raise EmptyMaskError(
-                f"mask {self.teat_id!r}: contour degenerate at stride {stride}")
-        return sub
-
     def bounds_ok(self, width: int, height: int) -> bool:
         c = self.contour
         return bool(np.all((c[:, 0] >= 0) & (c[:, 0] <= width)
@@ -206,25 +187,23 @@ def _parity_raster(poly: np.ndarray, lo: np.ndarray,
     return (right & 1).astype(bool)
 
 
-def extract_masked_points(cloud: PointCloud, mask: TeatMask, camera: CameraModel,
-                          stride: int = 1) -> PointCloud:
+def extract_masked_points(cloud: PointCloud, mask: TeatMask,
+                          camera: CameraModel) -> PointCloud:
     """Keep the cloud points whose projection falls inside the mask contour.
 
-    The contour is subsampled at `stride` first (the candidate polygon the
-    frustum is built from); stride 1 uses every vertex and is exact. Points
-    with z <= 0 cannot project and are never kept. Input order is preserved.
+    Points with z <= 0 cannot project and are never kept. Input order is
+    preserved.
 
     Membership is the even-odd rule of `points_in_polygon`. When every edge
-    of the polygon is axis-aligned (any contour from `trace_boundary` at
-    stride 1), it is read from the polygon's parity raster at
-    (floor(u), floor(v)), which gives the same answer for every point (see
-    `_parity_raster`); otherwise `points_in_polygon` tests each candidate.
+    of the contour is axis-aligned (any contour from `trace_boundary`), it
+    is read from the contour's parity raster at (floor(u), floor(v)), which
+    gives the same answer for every point (see `_parity_raster`); otherwise
+    `points_in_polygon` tests each candidate.
 
     Args:
         cloud: Camera-frame cloud.
         mask: Contour to test against; vertices must lie inside the image.
         camera: Intrinsics used for the projection.
-        stride: Contour subsampling step, >= 1.
 
     Returns:
         The in-mask subset as a new PointCloud.
@@ -233,7 +212,7 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask, camera: CameraModel
     if not mask.bounds_ok(camera.width, camera.height):
         raise InvalidInputError(
             f"mask {mask.teat_id!r} has vertices outside the image")
-    poly = mask.subsampled(stride)
+    poly = mask.contour
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
 

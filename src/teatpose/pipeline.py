@@ -156,8 +156,7 @@ def estimate_frame(cloud: PointCloud, masks, camera, config: PoseConfig,
     failures = []
     for mask in masks:
         try:
-            pts = extract_masked_points(cloud, mask, camera,
-                                        stride=config.stride)
+            pts = extract_masked_points(cloud, mask, camera)
             pts = voxel_downsample(pts, config.voxel_leaf_mm)
             poses.append(estimate_teat_pose(
                 pts, camera, config=config, teat_id=mask.teat_id,

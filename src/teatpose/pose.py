@@ -97,7 +97,6 @@ class PoseConfig:
         tip_slab_mm: Tip slab half-width of locate_tip; perfbench's test of
             a changed answer varies it.
         method: Axis estimator; `teatpose repeatability --method` sets it.
-        stride: Contour vertex stride; the `rate` experiment sweeps it.
 
     Every other setting of the path is a constant of this module or of
     `teatpose.axes`.
@@ -106,16 +105,12 @@ class PoseConfig:
     voxel_leaf_mm: float = 5.0
     tip_slab_mm: float = 5.0
     method: str = "normals"
-    stride: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
         _check_bound(self, ("voxel_leaf_mm", "tip_slab_mm"), lambda v: v > 0,
                      "> 0")
-        _check_bound(self, ("stride",),
-                     lambda v: v >= 1 and float(v).is_integer(),
-                     "an integer >= 1")
 
 
 def _finite_axis(axis) -> np.ndarray:

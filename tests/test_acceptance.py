@@ -199,7 +199,7 @@ def test_axis_estimators_on_randomized_poses():
 def test_kernels_match_brute_force_oracles():
     rng = np.random.default_rng(4)
 
-    # Mask extraction at stride 1 vs the no-prefilter membership oracle.
+    # Mask extraction vs the no-prefilter membership oracle.
     n_scenes, n_masks, n_decisions = 50, 0, 0
     extract_ok = True
     cloud = None
@@ -214,7 +214,7 @@ def test_kernels_match_brute_force_oracles():
         scene = replace(scene, camera=cam)
         cloud, masks, _ = render(scene)
         for mask in masks:
-            got = extract_masked_points(cloud, mask, cam, stride=1)
+            got = extract_masked_points(cloud, mask, cam)
             keep = _brute_force_inside(cloud.points, mask.contour, cam)
             extract_ok &= np.array_equal(got.points, cloud.select(keep).points)
             n_masks += 1
@@ -253,16 +253,13 @@ def test_kernels_match_brute_force_oracles():
 
 
 def test_geometry_rate_budget_and_stride_fidelity(tmp_path):
-    # Noiseless scene: the stride-10 tip shift then measures subsampling
-    # alone, not the noise realization.
-    bench = run_rate_bench(default_scene(seed=0), strides=(1, 10),
-                           out_dir=tmp_path, repeats=20)
-    mean_ms = bench[10]["mean_full_ms"]
-    delta = bench[10]["tip_delta_mm"]
-    ok = mean_ms <= 50.0 and delta < 1.0
-    _verdict("rate", ok,
-             f"stride-10 geometry path {mean_ms:.1f} ms mean (<= 50), "
-             f"tip shift vs stride 1 {delta:.2f} mm (< 1)")
+    # The name predates the removal of the contour stride and is kept
+    # because perfbench/README.md cites it; each mask now has one contour,
+    # so only the runtime budget is left to gate.
+    bench = run_rate_bench(default_scene(seed=0), tmp_path, repeats=20)
+    mean_ms = bench["mean_full_ms"]
+    _verdict("rate", mean_ms <= 50.0,
+             f"geometry path {mean_ms:.1f} ms mean (<= 50)")
 
 
 def test_pipeline_throughput_and_gate_latency():

@@ -93,6 +93,20 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match="fx"):
             _cam(fx=float("nan"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("width", 640.5), ("width", 640.0), ("height", np.float64(480.0)),
+        ("width", True), ("height", 0),
+    ])
+    def test_rejects_non_integer_image_size(self, field, value):
+        # A float size would only fail later, in render's array shapes.
+        with pytest.raises(InvalidInputError, match=field):
+            _cam(**{field: value})
+
+    def test_accepts_numpy_integer_image_size(self):
+        cam = _cam(width=np.int64(640), height=np.int32(480))
+        assert (cam.width, cam.height) == (640, 480)
+        assert json.loads(json.dumps(cam.to_dict()))["width"] == 640
+
     def test_rejects_principal_point_outside(self):
         with pytest.raises(InvalidInputError):
             _cam(cx=640.0)

@@ -149,13 +149,18 @@ class TestRateCommand:
 
     def test_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "rate"
-        code = main(["rate", "--strides", "1,5", "--repeats", "1",
-                     "--noise", "none", "--out", str(out)])
+        code = main(["rate", "--repeats", "2", "--noise", "none",
+                     "--out", str(out)])
         assert code == 0
-        assert (out / "rate_summary.csv").exists()
-        stdout = capsys.readouterr().out
-        assert "stride=1:" in stdout
-        assert "stride=5:" in stdout
+        for name in ("rate_raw.csv", "rate_summary.csv", "rate.svg"):
+            assert (out / name).exists()
+        stdout = capsys.readouterr().out.splitlines()
+        assert len(stdout) == 1 and stdout[0].startswith("repeats=2 full=")
+
+    def test_strides_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--strides", "1,10", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestRunCommand:
@@ -218,8 +223,8 @@ class TestRunCommand:
          "window"),
         ("--config", lambda d: dict(d, gate=dict(d["gate"], window=5.0)),
          "window"),
-        ("--config", lambda d: dict(d, pose=dict(d["pose"], stride=True)),
-         "stride"),
+        ("--config", lambda d: dict(d, gate=dict(d["gate"], window=True)),
+         "window"),
         ("--scene", lambda d: dict(d, camera=dict(d["camera"], fx="570")),
          "fx"),
         ("--scene", lambda d: dict(d, teats=[dict(t, length_mm="50")

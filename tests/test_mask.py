@@ -15,9 +15,9 @@ import teatpose.mask as tp_mask
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_WORLD, PointCloud
 from teatpose.contour import clean_region, trace_boundary
-from teatpose.errors import EmptyMaskError, InvalidInputError
+from teatpose.errors import InvalidInputError
 from teatpose.mask import (TeatMask, extract_masked_points, points_in_polygon,
-                           polygon_area, rasterize_mask)
+                           rasterize_mask)
 
 
 def _point_in_polygon_scalar(u: float, v: float, poly: np.ndarray) -> bool:
@@ -66,30 +66,11 @@ class TestTeatMask:
         mask = TeatMask("T1", 0, lshape)
         assert len(mask) == 6
 
-    def test_polygon_area(self):
-        rect = np.array([[0, 0], [10, 0], [10, 5], [0, 5]])
-        assert polygon_area(rect) == 50.0
-
     def test_bounds_check_closed_rectangle(self):
         mask = TeatMask("T1", 0, np.array([[0, 0], [640, 0], [640, 480],
                                            [0, 480]]))
         assert mask.bounds_ok(640, 480)
         assert not mask.bounds_ok(639, 480)
-
-    def test_subsample_stride(self):
-        mask = TeatMask("T1", 0, _circle_contour(400, 150.0))
-        assert len(mask) == 400
-        assert len(mask.subsampled(10)) == 40
-        np.testing.assert_array_equal(mask.subsampled(1), mask.contour)
-
-    def test_subsample_degenerate_raises(self):
-        # Stride 2 on a 4-gon leaves 2 vertices: no polygon at all.
-        with pytest.raises(EmptyMaskError):
-            _square().subsampled(2)
-
-    def test_subsample_bad_stride(self):
-        with pytest.raises(InvalidInputError):
-            _square().subsampled(0)
 
 
 class TestPointsInPolygon:
@@ -186,16 +167,6 @@ class TestExtractMaskedPoints:
                                            [700, 470], [600, 470]]))
         with pytest.raises(InvalidInputError):
             extract_masked_points(self._cloud_grid(), mask, cam)
-
-    def test_stride_subsampling_changes_candidate_polygon(self):
-        cam = self._camera()
-        mask = TeatMask("T1", 0, _circle_contour(400, 150.0))
-        cloud = self._cloud_grid()
-        exact = extract_masked_points(cloud, mask, cam, stride=1)
-        coarse = extract_masked_points(cloud, mask, cam, stride=10)
-        # The 40-gon differs from the 400-gon by less than a pixel, so the
-        # kept sets may differ only near the boundary.
-        assert abs(len(exact) - len(coarse)) <= 0.05 * len(exact) + 5
 
 
 class TestRasterize:

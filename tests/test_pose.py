@@ -143,7 +143,6 @@ class TestPoseConfig:
     def test_defaults_valid(self):
         cfg = PoseConfig()
         assert cfg.method == "normals"
-        assert cfg.stride == 1
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -154,8 +153,7 @@ class TestPoseConfig:
             PoseConfig(tip_slab_mm=0.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("voxel_leaf_mm", 0.0), ("stride", 0), ("stride", 1.5),
-        ("stride", float("nan")), ("tip_slab_mm", float("nan")),
+        ("voxel_leaf_mm", 0.0), ("tip_slab_mm", float("nan")),
     ])
     def test_geometry_bounds_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
