@@ -159,7 +159,8 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
     `subset_of`, also for clouds with distance ties.
 
     Args:
-        cloud: Camera-frame cloud with len(cloud) >= k.
+        cloud: Camera-frame cloud with len(cloud) >= k and a finite
+            squared bbox diagonal.
         k: Neighbourhood size, an integer >= 3.
         camera_origin: Sensor position in the cloud's frame, finite.
         subset_of: Optional (field, rows) as above; rows are strictly
@@ -180,6 +181,7 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
     if not np.all(np.isfinite(origin)):
         raise InvalidInputError(
             f"camera_origin must be finite, got {camera_origin!r}")
+    cloud.require_finite_extent("estimate_normals")
 
     p = cloud.points
     if subset_of is None:

@@ -48,6 +48,22 @@ class PointCloud:
             raise FrameMismatchError(
                 f"{op} expects a {frame}-frame cloud, got {self.frame!r}")
 
+    def require_finite_extent(self, op: str) -> None:
+        """InvalidInputError unless the squared bbox diagonal is finite.
+
+        Every squared point distance is at most that diagonal, so k-d tree
+        searches cannot overflow on such a cloud.
+        """
+        if len(self.points) == 0:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent = self.points.max(axis=0) - self.points.min(axis=0)
+            diag2 = float(np.sum(extent * extent))
+        if not np.isfinite(diag2):
+            raise InvalidInputError(
+                f"{op}: cloud extent {extent.tolist()} mm overflows squared "
+                "distances")
+
     def select(self, index) -> "PointCloud":
         """Subset cloud by boolean mask or index array, preserving order."""
         colors = self.colors[index] if self.colors is not None else None

@@ -275,6 +275,18 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
     for the normals method re-estimate on the cap-trimmed wall, locate the
     tip, and report everything in the world frame.
 
+    The normals method searches neighbours once, before clustering: it
+    estimates the normals of the whole cloud and hands their k-NN rows to
+    `euclidean_cluster`. The row edges provably shorter than the tolerance
+    (below it by a strict relative margin that absorbs rounding) form a
+    subgraph of the radius graph; the graph stores only those edges,
+    because csgraph counts a stored zero as an edge. If they connect the
+    cloud, so does the radius graph: the one cluster is the whole cloud in
+    input order, and the field already computed is the cluster's field,
+    bit for bit. Otherwise the radius clustering runs and the largest
+    cluster's normals are estimated afresh. The PCA method computes no
+    normals and clusters by radius search.
+
     Args:
         points: Camera-frame points of one teat (already voxel-downsampled
             by the caller in the standard pipeline).
@@ -296,7 +308,12 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         raise InsufficientPointsError(
             f"teat {teat_id!r}: {len(points)} points < minimum {_MIN_POINTS}")
 
-    clusters = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM)
+    field = None
+    if cfg.method == "normals":
+        field = estimate_normals(points, k=_NORMALS_K)
+    clusters = euclidean_cluster(
+        points, tolerance_mm=_CLUSTER_TOLERANCE_MM,
+        neighbours=None if field is None else field.neighbours)
     cluster = clusters[0]
     if len(cluster) < _MIN_POINTS:
         raise InsufficientPointsError(
@@ -306,7 +323,8 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
     if cfg.method == "pca":
         axis = disambiguate_direction(pca_axis(cluster), cluster, camera)
     else:
-        field = estimate_normals(cluster, k=_NORMALS_K)
+        if len(clusters) > 1:
+            field = estimate_normals(cluster, k=_NORMALS_K)
         axis = disambiguate_direction(normals_axis(field), cluster, camera)
         axis = _refine_axis(cluster, field, axis, camera)
     tip_cam = locate_tip(cluster, axis, slab_mm=cfg.tip_slab_mm)

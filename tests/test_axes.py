@@ -213,6 +213,19 @@ class TestEstimateNormals:
         with pytest.raises(InvalidInputError, match="camera_origin"):
             estimate_normals(PointCloud(pts), camera_origin=(np.nan, 0.0, 0.0))
 
+    @pytest.mark.parametrize("x", [1e150, 1e155])
+    def test_overflowing_extent_rejected(self, x):
+        # Past ~1.3e154 mm a squared distance overflows, and the k-d tree
+        # answers with missing neighbours (index n) instead of rows.
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(np.vstack([rng.uniform(-1.0, 1.0, (40, 3)),
+                                      [x, 0.0, 0.0]]))
+        if x < 1e154:
+            assert len(estimate_normals(cloud)) == 41
+        else:
+            with pytest.raises(InvalidInputError, match="extent"):
+                estimate_normals(cloud)
+
     def test_neighbours_are_the_k_nearest_rows(self):
         rng = np.random.default_rng(35)
         pts = _cylinder_points(300, 10.0, 40.0, (0.0, 0.0, 1.0), rng)

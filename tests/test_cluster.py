@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import teatpose.cluster as tp_cluster
+from teatpose.axes import estimate_normals
 from teatpose.cloud import PointCloud
 from teatpose.cluster import euclidean_cluster
 from teatpose.errors import InvalidInputError
@@ -80,20 +83,24 @@ class TestExamples:
         assert euclidean_cluster(PointCloud(np.empty((0, 3)))) == []
 
 
+def _random_scene_cases() -> list[tuple[np.ndarray, float]]:
+    """(points, tolerance) pairs of the random-scene oracle test."""
+    rng = np.random.default_rng(500)
+    uniform = rng.uniform(0.0, 120.0, size=(500, 3))
+    # Lattice spacing exactly equal to the tolerance (2.5 is exact in
+    # binary), with repeated sites: every lattice edge is a tie.
+    lattice = rng.integers(-4, 4, size=(300, 3)).astype(float) * 2.5
+    blobs = rng.normal(0.0, 4.0, size=(150, 3)) + rng.choice([0.0, 60.0],
+                                                            size=(150, 1))
+    duplicated = np.vstack([blobs, blobs[rng.integers(0, 150, 60)]])
+    duplicated = duplicated[rng.permutation(len(duplicated))]
+    return [(uniform, 4.0), (uniform, 8.0), (uniform, 15.0),
+            (lattice, 2.5), (duplicated, 3.0)]
+
+
 class TestOracle:
     def test_matches_union_find_on_random_scene(self):
-        rng = np.random.default_rng(500)
-        uniform = rng.uniform(0.0, 120.0, size=(500, 3))
-        # Lattice spacing exactly equal to the tolerance (2.5 is exact in
-        # binary), with repeated sites: every lattice edge is a tie.
-        lattice = rng.integers(-4, 4, size=(300, 3)).astype(float) * 2.5
-        blobs = rng.normal(0.0, 4.0, size=(150, 3)) + rng.choice([0.0, 60.0],
-                                                                size=(150, 1))
-        duplicated = np.vstack([blobs, blobs[rng.integers(0, 150, 60)]])
-        duplicated = duplicated[rng.permutation(len(duplicated))]
-        cases = [(uniform, 4.0), (uniform, 8.0), (uniform, 15.0),
-                 (lattice, 2.5), (duplicated, 3.0)]
-        for pts, tol in cases:
+        for pts, tol in _random_scene_cases():
             got = _as_sets(euclidean_cluster(PointCloud(pts), tolerance_mm=tol),
                            pts)
             expected = set(_oracle_components(pts, tol))
@@ -139,3 +146,93 @@ class TestProperties:
         for tol in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 euclidean_cluster(cloud, tolerance_mm=tol)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("x", [1e150, 1e155])
+    def test_overflowing_extent_rejected(self, x):
+        # Past ~1.3e154 mm the k-d tree's squared distances overflow.
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(np.vstack([rng.uniform(-1.0, 1.0, (40, 3)),
+                                      [x, 0.0, 0.0]]))
+        if x < 1e154:
+            assert [len(c) for c in euclidean_cluster(cloud)] == [40, 1]
+        else:
+            with pytest.raises(InvalidInputError, match="extent"):
+                euclidean_cluster(cloud)
+
+
+def _knn_rows(pts: np.ndarray, k: int = 12) -> np.ndarray:
+    return cKDTree(pts).query(pts, k=k)[1]
+
+
+def _normals_rows(pts: np.ndarray) -> np.ndarray:
+    return estimate_normals(PointCloud(pts), k=12).neighbours
+
+
+class TestNeighbours:
+    """Clustering with given neighbour rows against the radius path."""
+
+    @staticmethod
+    def _clouds():
+        """The oracle's cases, plus connected clouds for the shortcut."""
+        cases = _random_scene_cases()
+        (uniform, _), _, _, (lattice, _), (duplicated, _) = cases
+        one_blob = np.random.default_rng(501).normal(0.0, 4.0, size=(400, 3))
+        return cases + [(uniform, 40.0), (lattice, 3.0), (duplicated, 100.0),
+                        (one_blob, 10.0)]
+
+    @pytest.mark.parametrize("rows", [_knn_rows, _normals_rows])
+    def test_matches_radius_path_bit_for_bit(self, rows, monkeypatch):
+        searches = []
+
+        def tree(points):
+            searches.append(len(points))
+            return cKDTree(points)
+
+        monkeypatch.setattr(tp_cluster, "cKDTree", tree)
+        shortcuts = 0
+        for pts, tol in self._clouds():
+            cloud = PointCloud(pts)
+            expected = euclidean_cluster(cloud, tolerance_mm=tol)
+            before = len(searches)
+            got = euclidean_cluster(cloud, tolerance_mm=tol,
+                                    neighbours=rows(pts))
+            shortcuts += len(searches) == before
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.points.tobytes() == e.points.tobytes()
+                assert g.points.flags.c_contiguous
+        # Both paths ran: the lattice edges lie exactly at 2.5 mm, so no
+        # k-NN edge is kept there, while the single blob connects.
+        assert 0 < shortcuts < len(self._clouds())
+
+    def test_knn_rows_across_a_gap_do_not_join(self):
+        # Two blobs of 6 points and k = 8: every k-NN row reaches across
+        # the 50 mm gap. Those edges are longer than the tolerance, so they
+        # must be left out of the graph, not stored with weight zero.
+        rng = np.random.default_rng(4)
+        a = rng.normal(0.0, 1.0, size=(6, 3))
+        pts = np.vstack([a, a[::-1] + [50.0, 0.0, 0.0]])
+        nbr = _knn_rows(pts, k=8)
+        assert np.all((nbr[:6] >= 6).any(axis=1))
+        assert np.all((nbr[6:] < 6).any(axis=1))
+        got = euclidean_cluster(PointCloud(pts), tolerance_mm=10.0,
+                                neighbours=nbr)
+        assert [len(c) for c in got] == [6, 6]
+        expected = euclidean_cluster(PointCloud(pts), tolerance_mm=10.0)
+        assert [c.points.tobytes() for c in got] == \
+            [c.points.tobytes() for c in expected]
+
+    @pytest.mark.parametrize("neighbours", [
+        np.zeros((5, 3), dtype=int),            # wrong row count
+        np.zeros(6, dtype=int),                 # 1-D
+        np.zeros((6, 3)),                       # float rows
+        np.zeros((6, 3), dtype=bool),           # boolean rows
+        np.full((6, 3), -1),                    # negative row
+        np.full((6, 3), 6),                     # past the cloud
+    ])
+    def test_bad_neighbours_rejected(self, neighbours):
+        cloud = PointCloud(np.arange(18.0).reshape(6, 3))
+        with pytest.raises(InvalidInputError, match="neighbours"):
+            euclidean_cluster(cloud, neighbours=neighbours)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teatpose.axes as tp_axes
+import teatpose.cluster as tp_cluster
 import teatpose.pose as tp_pose
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
@@ -361,17 +362,95 @@ class TestEstimateTeatPose:
         with pytest.raises(InsufficientPointsError):
             estimate_teat_pose(cloud, camera)
 
-    def test_largest_cluster_wins(self):
+    @classmethod
+    def _rings_and_stray_blob(cls):
+        """(teat, rings, camera, cloud): the rings plus a 20-point blob."""
         teat = TeatSpec(base_mm=np.array([0.0, 0.0, 640.0]),
                         axis=np.array([0.0, 0.0, -1.0]))
         rings = _teat_rings(teat)
         # stray blob well beyond the cluster tolerance
         blob = np.tile(teat.tip_mm + [200.0, 0.0, 0.0], (20, 1)) \
             + np.linspace(0.0, 2.0, 20)[:, None]
-        camera, cloud = self._camera_cloud(teat, np.vstack([rings, blob]))
+        return (teat, rings,
+                *cls._camera_cloud(teat, np.vstack([rings, blob])))
+
+    def test_largest_cluster_wins(self):
+        teat, rings, camera, cloud = self._rings_and_stray_blob()
         pose = estimate_teat_pose(cloud, camera)
         assert pose.n_points == len(rings)
         assert np.linalg.norm(pose.tip_mm - teat.tip_mm) < 0.5
+
+    def test_knn_clustering_matches_radius_clustering(self, monkeypatch):
+        # The normals method reads the cluster off its k-NN rows. The poses
+        # must be those of radius clustering followed by a fresh normal
+        # estimate on the largest cluster, bit for bit.
+        rng = np.random.default_rng(13)
+        cases = []
+        for _ in range(6):
+            teat = _random_teat(rng)
+            pts = sample_teat_surface(teat, 3000, rng, noise_mm=1.0)
+            cases.append((*self._camera_cloud(teat, pts), "normals"))
+        # The stray blob is not reached by any k-NN row: the fallback runs.
+        _, _, camera, cloud = self._rings_and_stray_blob()
+        cases += [(camera, cloud, "normals"), (camera, cloud, "pca")]
+        got = [estimate_teat_pose(cloud, camera, PoseConfig(method=method))
+               for camera, cloud, method in cases]
+
+        def radius_only(cloud, tolerance_mm, neighbours=None):
+            # A trailing empty cluster makes the normals method estimate the
+            # largest cluster's normals afresh.
+            return (tp_cluster.euclidean_cluster(cloud, tolerance_mm)
+                    + [PointCloud(np.empty((0, 3)))])
+
+        monkeypatch.setattr(tp_pose, "euclidean_cluster", radius_only)
+        for pose, (camera, cloud, method) in zip(got, cases):
+            ref = estimate_teat_pose(cloud, camera, PoseConfig(method=method))
+            assert pose.tip_mm.tobytes() == ref.tip_mm.tobytes()
+            assert pose.axis.tobytes() == ref.axis.tobytes()
+            assert pose.n_points == ref.n_points
+
+    @pytest.mark.parametrize("stray", [False, True])
+    def test_one_neighbour_search_before_refinement(self, monkeypatch,
+                                                    stray):
+        calls = []
+
+        def spy(name, fn):
+            def traced(cloud, *args, **kwargs):
+                calls.append((name, len(cloud), "subset_of" in kwargs))
+                return fn(cloud, *args, **kwargs)
+            return traced
+
+        for name in ("euclidean_cluster", "estimate_normals"):
+            monkeypatch.setattr(tp_pose, name,
+                                spy(name, getattr(tp_pose, name)))
+        if stray:
+            _, rings, camera, cloud = self._rings_and_stray_blob()
+        else:
+            rng = np.random.default_rng(14)
+            teat = _random_teat(rng)
+            camera, cloud = self._camera_cloud(
+                teat, sample_teat_surface(teat, 3000, rng, noise_mm=1.0))
+        estimate_teat_pose(cloud, camera)
+        head = [("estimate_normals", len(cloud), False),
+                ("euclidean_cluster", len(cloud), False)]
+        if stray:
+            # Fallback: the largest cluster's normals are estimated afresh.
+            head.append(("estimate_normals", len(rings), False))
+        assert calls[:len(head)] == head
+        walls = calls[len(head):]
+        assert 1 <= len(walls) <= 2
+        assert all(name == "estimate_normals" and subset
+                   for name, _, subset in walls)
+
+    @pytest.mark.parametrize("method", ["pca", "normals"])
+    def test_overflowing_extent_rejected(self, method):
+        rng = np.random.default_rng(3)
+        pts = np.vstack([rng.uniform(-1.0, 1.0, (40, 3)) + [0.0, 0.0, 500.0],
+                         [1e155, 0.0, 500.0]])
+        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
+        with pytest.raises(InvalidInputError, match="extent"):
+            estimate_teat_pose(PointCloud(pts, frame=FRAME_CAMERA), camera,
+                               PoseConfig(method=method))
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
