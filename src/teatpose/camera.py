@@ -7,12 +7,13 @@ x-right / y-down / z-forward, so every visible point has z > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidInputError, _check_bound, _check_keys,
-                     _check_types, _check_vector)
+                     _check_types, _check_vector, _is_int)
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
@@ -54,11 +55,9 @@ class CameraModel:
     translation_mm: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        _check_bound(self, ("fx", "fy"), lambda v: v > 0, "> 0")
-        # bool is an int in Python, but never an image size.
-        _check_bound(self, ("width", "height"),
-                     lambda v: (isinstance(v, (int, np.integer))
-                                and not isinstance(v, bool) and v > 0),
+        _check_bound(self, ("fx", "fy"), lambda v: 0 < v < math.inf,
+                     "finite and > 0")
+        _check_bound(self, ("width", "height"), lambda v: _is_int(v) and v > 0,
                      "a positive integer")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidInputError("principal point must lie inside the image")

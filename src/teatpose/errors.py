@@ -81,6 +81,12 @@ def _check_bound(obj, names, ok, bound: str, error=InvalidInputError) -> None:
             raise error(f"{name} must be {bound}, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """True for a Python or NumPy integer; bool is an int in Python, but
+    never a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_vector(value, n: int, what: str, key: str) -> np.ndarray:
     """value as a float array of n finite numbers, or raise naming key."""
     try:

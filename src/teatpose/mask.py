@@ -1,14 +1,15 @@
 """Teat segmentation masks and mask-driven point extraction.
 
-A mask is a closed integer-pixel contour polygon. Membership is the even-odd
-(crossing-number) rule with the half-open edge convention, evaluated on the
-pinhole projection of each 3D point against the mask's own contour.
+Masks come from 2D image segmentation, so a mask is a set of pixels, and
+its contour is the lattice boundary that `trace_boundary` draws around
+that set: closed, every edge one pixel long along u or v, no vertex
+visited twice. `TeatMask` accepts nothing else.
 
-When every edge of the polygon is axis-aligned, as in every contour that
-`trace_boundary` emits, the rule depends only on the unit cell a point falls
-in, so membership is one lookup in a parity raster of the bounding box
-(`_parity_raster`) instead of one crossing test per edge. Other polygons
-(hand-made masks) go through `points_in_polygon`.
+Membership is the even-odd (crossing-number) rule with the half-open edge
+convention of `points_in_polygon`, evaluated on the pinhole projection of
+each 3D point against the mask's own contour. On a lattice contour that
+rule depends only on the unit cell a point falls in, so membership is one
+lookup in a parity raster of the bounding box (`_parity_raster`).
 """
 
 from __future__ import annotations
@@ -24,64 +25,6 @@ from .errors import InvalidInputError
 _CHUNK = 4096
 
 
-def _segments_cross(contour: np.ndarray) -> bool:
-    """True if any two non-adjacent edges of the closed polygon intersect.
-
-    Integer coordinates make every orientation test exact.
-    """
-    n = len(contour)
-    p1 = contour
-    p2 = np.roll(contour, -1, axis=0)
-    for i in range(n - 2):
-        # Skip the two neighbours of edge i (shared-endpoint contact is legal).
-        js = np.arange(i + 2, n - 1 if i == 0 else n)
-        if len(js) == 0:
-            continue
-        a1, a2 = p1[i], p2[i]
-        b1, b2 = p1[js], p2[js]
-        d = a2 - a1
-        e = b2 - b1
-        d1 = e[:, 0] * (a1[1] - b1[:, 1]) - e[:, 1] * (a1[0] - b1[:, 0])
-        d2 = e[:, 0] * (a2[1] - b1[:, 1]) - e[:, 1] * (a2[0] - b1[:, 0])
-        d3 = d[0] * (b1[:, 1] - a1[1]) - d[1] * (b1[:, 0] - a1[0])
-        d4 = d[0] * (b2[:, 1] - a1[1]) - d[1] * (b2[:, 0] - a1[0])
-        proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-        if np.any(proper):
-            return True
-
-        def on_seg(s1, s2, q, dz):
-            lo = np.minimum(s1, s2)
-            hi = np.maximum(s1, s2)
-            return (dz == 0) & np.all((q >= lo) & (q <= hi), axis=-1)
-
-        touch = (on_seg(b1, b2, a1, d1) | on_seg(b1, b2, a2, d2)
-                 | on_seg(a1, a2, b1, d3) | on_seg(a1, a2, b2, d4))
-        if np.any(touch):
-            return True
-    return False
-
-
-def _validate_simple(contour: np.ndarray) -> None:
-    n = len(contour)
-    nxt = np.roll(contour, -1, axis=0)
-    if np.any(np.all(contour == nxt, axis=1)):
-        raise InvalidInputError("contour has a zero-length edge")
-    uniq = np.unique(contour, axis=0)
-    if len(uniq) != n:
-        raise InvalidInputError("contour revisits a vertex (polygon not simple)")
-    edges = nxt - contour
-    prev = np.roll(edges, 1, axis=0)
-    cross = prev[:, 0] * edges[:, 1] - prev[:, 1] * edges[:, 0]
-    dot = prev[:, 0] * edges[:, 0] + prev[:, 1] * edges[:, 1]
-    if np.any((cross == 0) & (dot < 0)):
-        raise InvalidInputError("contour folds back on itself (polygon not simple)")
-    # Unit axis-aligned edges with distinct vertices cannot cross; skip O(n^2).
-    if np.all(np.abs(edges).sum(axis=1) == 1):
-        return
-    if _segments_cross(contour):
-        raise InvalidInputError("contour is self-intersecting (polygon not simple)")
-
-
 @dataclass(frozen=True)
 class TeatMask:
     """One teat's segmentation contour for one image.
@@ -89,8 +32,11 @@ class TeatMask:
     Attributes:
         teat_id: Opaque identifier from the segmentation stage.
         stamp_us: Timestamp of the source image in microseconds.
-        contour: (M, 2) integer pixel vertices of a simple closed polygon
-            (closing edge implicit).
+        contour: (M, 2) integer pixel vertices of the lattice boundary of a
+            pixel set, as `trace_boundary` returns it: closing edge
+            implicit, every edge one pixel long along u or v, and no vertex
+            twice. Two such edges can meet only at a shared vertex, so the
+            polygon is simple.
     """
 
     teat_id: str
@@ -106,7 +52,13 @@ class TeatMask:
         ci = np.asarray(np.rint(c), dtype=np.int64)
         if not np.all(np.asarray(c, dtype=float) == ci):
             raise InvalidInputError("contour vertices must be integer pixels")
-        _validate_simple(ci)
+        if np.any(np.abs(np.roll(ci, -1, axis=0) - ci).sum(axis=1) != 1):
+            raise InvalidInputError(
+                "contour edges must each be one pixel along u or v "
+                "(a traced pixel boundary)")
+        if len(np.unique(ci, axis=0)) != len(ci):
+            raise InvalidInputError(
+                "contour revisits a vertex (polygon not simple)")
         object.__setattr__(self, "contour", ci)
         ci.flags.writeable = False
 
@@ -149,12 +101,12 @@ def points_in_polygon(uv: np.ndarray, polygon: np.ndarray) -> np.ndarray:
 
 
 def _parity_raster(poly: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> np.ndarray | None:
+                   hi: np.ndarray) -> np.ndarray:
     """Even-odd membership of each unit cell of the window [lo, hi].
 
     Cell [r, c] covers [lo_u + c, lo_u + c + 1) x [lo_v + r, lo_v + r + 1);
-    the result has shape (hi_v - lo_v, hi_u - lo_u). Returns None unless
-    every edge of the polygon is axis-aligned.
+    the result has shape (hi_v - lo_v, hi_u - lo_u). poly is a lattice
+    contour (see `TeatMask`).
 
     Under the half-open rule of `points_in_polygon` with integer vertices,
     a horizontal edge never counts, and a vertical edge at x counts for a
@@ -166,21 +118,18 @@ def _parity_raster(poly: np.ndarray, lo: np.ndarray,
     floor(u) == hi_u or floor(v) == hi_v have no such edge and are outside.
     """
     x, y = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
-    vertical = x == x2
-    if not np.all(vertical | (y == y2)):
-        return None
+    y2 = np.roll(y, -1)
+    # A unit vertical edge covers exactly one row, its lower end.
+    vertical = y != y2
+    rows = np.minimum(y, y2)[vertical] - lo[1]
+    # Clipping columns to the window changes no answer inside it: an edge
+    # at x >= hi_u lies right of every cell, one at x <= lo_u right of
+    # none. Edges on rows outside the window are dropped.
+    cols = np.clip(x[vertical], lo[0], hi[0]) - lo[0]
     w, h = hi - lo
-    # Clipping to the window changes no answer inside it: an edge at
-    # x >= hi_u lies right of every cell, one at x <= lo_u right of none,
-    # and rows outside the window are never read.
-    cols = np.tile(np.clip(x[vertical], lo[0], hi[0]) - lo[0], 2)
-    rows = np.clip(np.concatenate([y[vertical], y2[vertical]]),
-                   lo[1], hi[1]) - lo[1]
-    # Each vertical edge toggles its column at both end rows; a running sum
-    # down each column then counts the edges that cover a row.
-    toggles = np.bincount(rows * (w + 1) + cols, minlength=(h + 1) * (w + 1))
-    covering = np.cumsum(toggles.reshape(h + 1, w + 1)[:h], axis=0)
+    keep = (rows >= 0) & (rows < h)
+    covering = np.bincount(rows[keep] * (w + 1) + cols[keep],
+                           minlength=h * (w + 1)).reshape(h, w + 1)
     # Cell c counts the covering edges at x > c: a running sum from the
     # right that starts at column c + 1.
     right = np.cumsum(covering[:, :0:-1], axis=1)[:, ::-1]
@@ -194,11 +143,9 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask,
     Points with z <= 0 cannot project and are never kept. Input order is
     preserved.
 
-    Membership is the even-odd rule of `points_in_polygon`. When every edge
-    of the contour is axis-aligned (any contour from `trace_boundary`), it
-    is read from the contour's parity raster at (floor(u), floor(v)), which
-    gives the same answer for every point (see `_parity_raster`); otherwise
-    `points_in_polygon` tests each candidate.
+    Membership is the even-odd rule of `points_in_polygon`, read from the
+    lattice contour's parity raster at (floor(u), floor(v)), which gives
+    the same answer for every point of a cell (see `_parity_raster`).
 
     Args:
         cloud: Camera-frame cloud.
@@ -230,26 +177,20 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask,
     u = u[idx]
     v = v[in_rows]
     region = _parity_raster(poly, lo, hi)
-    if region is None:
-        if len(idx):
-            idx = idx[points_in_polygon(np.column_stack([u, v]), poly)]
-    else:
-        col = np.floor(u).astype(np.int64) - lo[0]
-        row = np.floor(v).astype(np.int64) - lo[1]
-        inside = (col < region.shape[1]) & (row < region.shape[0])
-        inside[inside] = region[row[inside], col[inside]]
-        idx = idx[inside]
-    return cloud.select(idx)
+    col = np.floor(u).astype(np.int64) - lo[0]
+    row = np.floor(v).astype(np.int64) - lo[1]
+    inside = (col < region.shape[1]) & (row < region.shape[0])
+    inside[inside] = region[row[inside], col[inside]]
+    return cloud.select(idx[inside])
 
 
 def rasterize_mask(mask: TeatMask, width: int, height: int) -> np.ndarray:
     """Boolean (height, width) image of pixels whose center is inside the mask.
 
-    For an axis-aligned contour (any contour from `trace_boundary`) this is
-    the contour's parity raster over the part of its bounding box inside
-    the image; a cell's value is the answer for every point of the cell,
-    the pixel center included. Other contours test each pixel center with
-    `points_in_polygon`.
+    This is the lattice contour's parity raster over the part of its
+    bounding box inside the image; a cell's value is the answer for every
+    point of the cell, the pixel center included. Any part of the contour
+    outside the image is clipped away.
     """
     c = mask.contour
     u0 = max(int(c[:, 0].min()), 0)
@@ -259,11 +200,6 @@ def rasterize_mask(mask: TeatMask, width: int, height: int) -> np.ndarray:
     out = np.zeros((height, width), dtype=bool)
     if u1 <= u0 or v1 <= v0:
         return out
-    region = _parity_raster(c, np.array([u0, v0]), np.array([u1, v1]))
-    if region is None:
-        uu, vv = np.meshgrid(np.arange(u0, u1) + 0.5,
-                             np.arange(v0, v1) + 0.5)
-        uv = np.column_stack([uu.ravel(), vv.ravel()])
-        region = points_in_polygon(uv, c).reshape(v1 - v0, u1 - u0)
-    out[v0:v1, u0:u1] = region
+    out[v0:v1, u0:u1] = _parity_raster(c, np.array([u0, v0]),
+                                       np.array([u1, v1]))
     return out

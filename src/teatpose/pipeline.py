@@ -21,7 +21,7 @@ import numpy as np
 from .camera import CameraModel
 from .cloud import PointCloud
 from .errors import (InvalidInputError, TeatPoseError, _check_bound,
-                     _dataclass_from_dict)
+                     _dataclass_from_dict, _is_int)
 from .mask import extract_masked_points
 from .pose import PoseConfig, TeatPose, estimate_teat_pose
 from .scene import SceneSpec, render
@@ -82,7 +82,10 @@ class ConsistencyGate:
     axis_tol_deg: float = 5.0
 
     def __post_init__(self):
-        _check_bound(self, ("window",), lambda v: v >= 2, ">= 2")
+        _check_bound(self, ("window",), lambda v: _is_int(v) and v >= 2,
+                     "an integer >= 2")
+        # A Python int, so that to_dict can be written as JSON.
+        object.__setattr__(self, "window", int(self.window))
         _check_bound(self, ("pos_tol_mm", "axis_tol_deg"), lambda v: v > 0,
                      "> 0")
 
@@ -131,8 +134,13 @@ class PipelineConfig:
     association_mm: float = 15.0
 
     def __post_init__(self):
-        _check_bound(self, ("camera_period_us", "association_mm"),
-                     lambda v: v > 0, "> 0")
+        _check_bound(self, ("camera_period_us",),
+                     lambda v: _is_int(v) and v > 0, "a positive integer")
+        _check_bound(self, ("association_mm",), lambda v: v > 0, "> 0")
+        # A Python int, so that event times and to_dict can be written as
+        # JSON.
+        object.__setattr__(self, "camera_period_us",
+                           int(self.camera_period_us))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -42,7 +42,6 @@ class TeatSpec:
     axis: np.ndarray
     length_mm: float = 50.0
     radius_mm: float = 14.0
-    tip_shape: str = "hemisphere"
 
     def __post_init__(self):
         b = _check_vector(self.base_mm, 3, "teat", "base_mm")
@@ -56,8 +55,6 @@ class TeatSpec:
         if self.length_mm <= self.radius_mm:
             raise InvalidSceneError(
                 "teat length must exceed the tip radius (cylinder part > 0)")
-        if self.tip_shape != "hemisphere":
-            raise InvalidSceneError(f"unsupported tip shape {self.tip_shape!r}")
         object.__setattr__(self, "base_mm", b)
         object.__setattr__(self, "axis", a)
         b.flags.writeable = False
@@ -84,8 +81,7 @@ class TeatSpec:
 
     def to_dict(self) -> dict:
         return {"base_mm": self.base_mm.tolist(), "axis": self.axis.tolist(),
-                "length_mm": self.length_mm, "radius_mm": self.radius_mm,
-                "tip_shape": self.tip_shape}
+                "length_mm": self.length_mm, "radius_mm": self.radius_mm}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TeatSpec":

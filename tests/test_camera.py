@@ -93,6 +93,12 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match="fx"):
             _cam(fx=float("nan"))
 
+    @pytest.mark.parametrize("field", ["fx", "fy"])
+    def test_rejects_infinite_focal(self, field):
+        # It would only fail later, as an OverflowError in render.
+        with pytest.raises(InvalidInputError, match=field):
+            _cam(**{field: float("inf")})
+
     @pytest.mark.parametrize("field, value", [
         ("width", 640.5), ("width", 640.0), ("height", np.float64(480.0)),
         ("width", True), ("height", 0),

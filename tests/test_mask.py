@@ -3,7 +3,9 @@
 The canonical membership semantics is the even-odd rule with the half-open
 crossing test. The oracle below re-implements it point by point with the
 same crossing arithmetic, so the vectorized implementation must agree on
-every single point, including points exactly on vertex rows.
+every single point, including points exactly on vertex rows. Masks take
+only lattice contours (unit steps along u or v, as `trace_boundary` draws
+them); `points_in_polygon` takes any polygon.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import teatpose.mask as tp_mask
+from _lattice import unit_steps
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_WORLD, PointCloud
 from teatpose.contour import clean_region, trace_boundary
@@ -23,10 +25,11 @@ from teatpose.mask import (TeatMask, extract_masked_points, points_in_polygon,
 def _point_in_polygon_scalar(u: float, v: float, poly: np.ndarray) -> bool:
     """Reference even-odd test, one point at a time, identical crossing rule."""
     inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = float(poly[i, 0]), float(poly[i, 1])
-        x2, y2 = float(poly[(i + 1) % n, 0]), float(poly[(i + 1) % n, 1])
+    # Python floats: the same arithmetic as numpy scalars, at a fraction of
+    # the cost on long lattice contours.
+    u, v = float(u), float(v)
+    verts = np.asarray(poly, dtype=float).tolist()
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
         if (y1 > v) != (y2 > v):
             xint = x1 + (v - y1) * (x2 - x1) / (y2 - y1)
             if u < xint:
@@ -34,9 +37,30 @@ def _point_in_polygon_scalar(u: float, v: float, poly: np.ndarray) -> bool:
     return inside
 
 
+def _traced_disc(radius: float, center) -> np.ndarray:
+    """Lattice contour of the pixels whose centre lies within radius of
+    center, in image coordinates."""
+    cu, cv = center
+    u0 = int(np.floor(cu - radius)) - 1
+    v0 = int(np.floor(cv - radius)) - 1
+    n = int(np.ceil(2 * radius)) + 3
+    vv, uu = np.mgrid[v0:v0 + n, u0:u0 + n] + 0.5
+    disc = (uu - cu) ** 2 + (vv - cv) ** 2 <= radius ** 2
+    return trace_boundary(disc) + (u0, v0)
+
+
+def _square_corners(lo=100, hi=200) -> np.ndarray:
+    return np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])
+
+
 def _square(teat_id="T1", stamp=0, lo=100, hi=200) -> TeatMask:
-    contour = np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])
-    return TeatMask(teat_id=teat_id, stamp_us=stamp, contour=contour)
+    return TeatMask(teat_id=teat_id, stamp_us=stamp,
+                    contour=unit_steps(_square_corners(lo, hi)))
+
+
+def _full_image() -> TeatMask:
+    return TeatMask("T1", 0, unit_steps([[0, 0], [640, 0], [640, 480],
+                                         [0, 480]]))
 
 
 def _circle_contour(n: int, radius: float, center=(320, 240)) -> np.ndarray:
@@ -61,21 +85,34 @@ class TestTeatMask:
             TeatMask("T1", 0, bowtie)
 
     def test_accepts_concave_simple_polygon(self):
-        lshape = np.array([[0, 0], [20, 0], [20, 10], [10, 10],
-                           [10, 20], [0, 20]])
+        lshape = unit_steps([[0, 0], [20, 0], [20, 10], [10, 10],
+                             [10, 20], [0, 20]])
         mask = TeatMask("T1", 0, lshape)
-        assert len(mask) == 6
+        assert len(mask) == 80
 
     def test_bounds_check_closed_rectangle(self):
-        mask = TeatMask("T1", 0, np.array([[0, 0], [640, 0], [640, 480],
-                                           [0, 480]]))
+        mask = _full_image()
         assert mask.bounds_ok(640, 480)
         assert not mask.bounds_ok(639, 480)
+
+    @pytest.mark.parametrize("contour, rule", [
+        ([[0, 0], [1, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1]],
+         "one pixel"),
+        ([[0, 0], [2, 0], [2, 1], [1, 1], [0, 1]], "one pixel"),
+        ([[0, 0], [0, 0], [1, 0], [1, 1], [0, 1]], "one pixel"),
+        # Two unit squares that touch at the vertex (1, 1).
+        ([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [1, 1], [0, 1]],
+         "revisits a vertex"),
+    ], ids=["diagonal_edge", "two_pixel_edge", "repeated_vertex",
+            "figure_eight"])
+    def test_rejects_non_lattice_contour(self, contour, rule):
+        with pytest.raises(InvalidInputError, match=rule):
+            TeatMask("T1", 0, np.array(contour))
 
 
 class TestPointsInPolygon:
     def test_square_interior_exterior(self):
-        poly = _square().contour
+        poly = _square_corners()
         uv = np.array([[150.0, 150.0], [99.0, 150.0], [201.0, 150.0],
                        [150.0, 99.0]])
         np.testing.assert_array_equal(points_in_polygon(uv, poly),
@@ -90,7 +127,7 @@ class TestPointsInPolygon:
     def test_matches_scalar_oracle_on_random_points(self):
         rng = np.random.default_rng(77)
         shapes = [
-            _square().contour,
+            _square_corners(),
             np.array([[0, 0], [20, 0], [20, 10], [10, 10], [10, 20], [0, 20]]),
             _circle_contour(60, 90.0),
             _circle_contour(9, 40.0, center=(80, 300)),
@@ -120,15 +157,14 @@ class TestExtractMaskedPoints:
         return PointCloud(pts)
 
     def test_full_image_square_keeps_everything(self):
-        mask = TeatMask("T1", 0, np.array([[0, 0], [640, 0], [640, 480],
-                                           [0, 480]]))
+        mask = _full_image()
         cloud = self._cloud_grid()
         out = extract_masked_points(cloud, mask, self._camera())
         assert len(out) == len(cloud)
         np.testing.assert_array_equal(out.points, cloud.points)
 
     def test_zero_overlap_gives_empty(self):
-        mask = TeatMask("T1", 0, np.array([[0, 0], [2, 0], [2, 2], [0, 2]]))
+        mask = TeatMask("T1", 0, unit_steps([[0, 0], [2, 0], [2, 2], [0, 2]]))
         cloud = self._cloud_grid()
         out = extract_masked_points(cloud, mask, self._camera())
         assert len(out) == 0
@@ -136,7 +172,7 @@ class TestExtractMaskedPoints:
     def test_matches_membership_oracle(self):
         rng = np.random.default_rng(123)
         cam = self._camera()
-        poly = _circle_contour(50, 120.0)
+        poly = _traced_disc(120.0, (320, 240))
         mask = TeatMask("T1", 0, poly)
         pts = np.column_stack([rng.uniform(-400, 400, 3000),
                                rng.uniform(-300, 300, 3000),
@@ -150,8 +186,7 @@ class TestExtractMaskedPoints:
 
     def test_behind_camera_points_never_kept(self):
         cam = self._camera()
-        mask = TeatMask("T1", 0, np.array([[0, 0], [640, 0], [640, 480],
-                                           [0, 480]]))
+        mask = _full_image()
         pts = np.array([[0.0, 0.0, 500.0], [0.0, 0.0, -500.0]])
         out = extract_masked_points(PointCloud(pts), mask, cam)
         np.testing.assert_array_equal(out.points, [[0.0, 0.0, 500.0]])
@@ -163,8 +198,8 @@ class TestExtractMaskedPoints:
 
     def test_mask_outside_image_rejected(self):
         cam = self._camera()
-        mask = TeatMask("T1", 0, np.array([[600, 400], [700, 400],
-                                           [700, 470], [600, 470]]))
+        mask = TeatMask("T1", 0, unit_steps([[600, 400], [700, 400],
+                                             [700, 470], [600, 470]]))
         with pytest.raises(InvalidInputError):
             extract_masked_points(self._cloud_grid(), mask, cam)
 
@@ -178,13 +213,12 @@ class TestRasterize:
         assert img[15, 15] and not img[15, 25]
 
     def test_rasterize_clips_a_huge_contour_to_the_image(self):
-        big = 10 ** 9
-        mask = TeatMask("T1", 0, np.array([[-big, -big], [big, -big],
-                                           [big, big], [-big, big]]))
+        mask = TeatMask("T1", 0, unit_steps([[-100, -100], [164, -100],
+                                             [164, 148], [-100, 148]]))
         assert rasterize_mask(mask, 64, 48).all()
 
     def test_rasterize_matches_membership(self):
-        poly = _circle_contour(24, 30.0, center=(60, 50))
+        poly = _traced_disc(30.0, (60, 50))
         mask = TeatMask("T1", 0, poly)
         img = rasterize_mask(mask, 120, 100)
         vv, uu = np.nonzero(img)
@@ -193,7 +227,7 @@ class TestRasterize:
 
 
 class TestParityLookup:
-    """Axis-aligned contours are decided by a per-cell parity lookup; it must
+    """Lattice contours are decided by a per-cell parity lookup; it must
     give exactly the answers of points_in_polygon, boundaries included."""
 
     # Identity projection: a point (u, v, 1) projects to exactly (u, v).
@@ -216,7 +250,7 @@ class TestParityLookup:
             # Rectangles with long edges, down to one pixel wide.
             (u0, u1), (v0, v1) = (np.sort(rng.choice(41, 2, replace=False))
                                   for _ in range(2))
-            polys.append(np.array([[u0, v0], [u1, v0], [u1, v1], [u0, v1]]))
+            polys.append(unit_steps([[u0, v0], [u1, v0], [u1, v1], [u0, v1]]))
         return polys
 
     @staticmethod
@@ -250,32 +284,3 @@ class TestParityLookup:
                 np.testing.assert_array_equal(
                     rasterize_mask(TeatMask("T1", 0, poly + shift), size, size),
                     points_in_polygon(centres, poly + shift).reshape(size, size))
-
-    def test_lattice_and_polygon_paths_keep_the_same_pixels(self, monkeypatch):
-        calls = []
-
-        def counting(uv, polygon):
-            calls.append(len(uv))
-            return points_in_polygon(uv, polygon)
-
-        monkeypatch.setattr(tp_mask, "points_in_polygon", counting)
-        block = np.zeros((40, 40), dtype=bool)
-        block[10:30, 5:25] = True
-        lattice = TeatMask("T1", 0, trace_boundary(block))
-        # The same pixels as a non-rectilinear polygon: cutting the two left
-        # corners by unit diagonals moves no pixel centre across the
-        # boundary (a centre on a diagonal has it on its left, so it stays
-        # inside).
-        cut = TeatMask("T1", 0, np.array([[5, 11], [6, 10], [25, 10], [25, 30],
-                                          [6, 30], [5, 29]]))
-        uu, vv = np.meshgrid(np.arange(40) + 0.5, np.arange(40) + 0.5)
-        uv = np.column_stack([uu.ravel(), vv.ravel()])
-        cloud = PointCloud(np.column_stack([uv, np.ones(len(uv))]))
-        by_lookup = extract_masked_points(cloud, lattice, self.CAMERA)
-        assert calls == []
-        by_polygon = extract_masked_points(cloud, cut, self.CAMERA)
-        assert len(calls) == 1
-        assert len(by_lookup) == 400
-        np.testing.assert_array_equal(by_lookup.points, by_polygon.points)
-        np.testing.assert_array_equal(rasterize_mask(lattice, 40, 40),
-                                      rasterize_mask(cut, 40, 40))

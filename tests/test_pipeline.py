@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _lattice import unit_steps
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_CAMERA, PointCloud
 from teatpose.contour import trace_boundary
@@ -73,7 +74,7 @@ class TestLatencyModel:
 class TestFrameMessage:
 
     def test_stamp_mismatch_rejected(self):
-        contour = np.array([[0, 0], [10, 0], [10, 10], [0, 10]])
+        contour = unit_steps([[0, 0], [10, 0], [10, 10], [0, 10]])
         mask = TeatMask(teat_id="T1", stamp_us=99, contour=contour)
         scene = default_scene()
         cloud, _, _ = render(scene)
@@ -91,6 +92,16 @@ class TestConsistencyGate:
             ConsistencyGate(pos_tol_mm=0.0)
         with pytest.raises(InvalidInputError, match="pos_tol_mm"):
             ConsistencyGate(pos_tol_mm=float("nan"))
+
+    @pytest.mark.parametrize("value", [2.5, 5.0, True])
+    def test_non_integer_window_rejected(self, value):
+        # A float window would only fail later, slicing in gate_update.
+        with pytest.raises(InvalidInputError, match="window"):
+            ConsistencyGate(window=value)
+
+    def test_numpy_integer_window_accepted(self):
+        window = ConsistencyGate(window=np.int64(5)).window
+        assert window == 5 and type(window) is int
 
     def test_poses_agree_boundaries(self):
         gate = ConsistencyGate(pos_tol_mm=3.0, axis_tol_deg=5.0)
@@ -177,6 +188,17 @@ class TestPipelineConfig:
         with pytest.raises(InvalidInputError, match="association_mm"):
             PipelineConfig(association_mm=float("nan"))
 
+    @pytest.mark.parametrize("value", [1.5, 33333.0, True])
+    def test_non_integer_period_rejected(self, value):
+        # Event times are integer microseconds.
+        with pytest.raises(InvalidInputError, match="camera_period_us"):
+            PipelineConfig(camera_period_us=value)
+
+    def test_numpy_integer_period_accepted(self):
+        config = PipelineConfig(camera_period_us=np.int64(5))
+        assert config.camera_period_us == 5
+        json.dumps(config.to_dict())
+
     # Keys that earlier config files carried, at their old defaults.
     @pytest.mark.parametrize("key, value", [
         ("cluster_tolerance_mm", 10.0), ("min_points", 30), ("normals_k", 12),
@@ -193,7 +215,7 @@ class TestPipelineConfig:
 def _frame_inputs(draw):
     """A finite camera-frame cloud and masks over it.
 
-    Masks are rectangles, triangles and traced discs, one pixel wide up to
+    Masks are unit-step rectangles and traced discs, one pixel wide up to
     the image size; a quarter are placed from 60 px outside the image on,
     and most of those reach off it. Clouds are
     empty, coincident, collinear, planar or scattered, in front of, on or
@@ -209,16 +231,15 @@ def _frame_inputs(draw):
         else:
             u0, v0 = draw(st.integers(-60, 700)), draw(st.integers(-60, 540))
             du, dv = draw(st.integers(1, 400)), draw(st.integers(1, 400))
-        shape = draw(st.sampled_from(["rectangle", "triangle", "disc"]))
-        if shape == "disc":
+        if draw(st.booleans()):
             r = min(du, dv) // 2
             y, x = np.ogrid[-r:r + 1, -r:r + 1]
             contour = trace_boundary(x * x + y * y <= r * r) + (u0, v0)
         else:
-            contour = [(u0, v0), (u0, v0 + dv), (u0 + du, v0 + dv),
-                       (u0 + du, v0)][:3 if shape == "triangle" else 4]
+            contour = unit_steps([(u0, v0), (u0, v0 + dv), (u0 + du, v0 + dv),
+                                  (u0 + du, v0)])
         masks.append(TeatMask(teat_id=f"T{k + 1}", stamp_us=0,
-                              contour=np.array(contour)))
+                              contour=contour))
     u, v = masks[0].contour.mean(axis=0)
     depth = draw(st.just(500.0)
                  | st.sampled_from([-500.0, 0.0, 1e-9, 1.0, 1e6, 1e12]))
@@ -251,8 +272,8 @@ class TestEstimateFrame:
         cloud, masks, _ = render(scene)
         # corner region holds no scene points
         corner = TeatMask(teat_id="TX", stamp_us=0,
-                          contour=np.array([[0, 0], [40, 0], [40, 40],
-                                            [0, 40]]))
+                          contour=unit_steps([[0, 0], [40, 0], [40, 40],
+                                              [0, 40]]))
         poses, failures = estimate_frame(cloud, (corner,) + tuple(masks),
                                          scene.camera, PipelineConfig().pose)
         assert failures == [("TX", "InsufficientPointsError")]
@@ -464,7 +485,7 @@ class TestPinnedSchedule:
 
     @pytest.fixture(autouse=True)
     def _stub_stages(self, monkeypatch):
-        contour = np.array([[0, 0], [10, 0], [10, 10], [0, 10]])
+        contour = unit_steps([[0, 0], [10, 0], [10, 10], [0, 10]])
         pose = _pose([0.0, 0.0, 600.0])
 
         def fake_render(scene, stamp_us=0):

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _lattice import unit_steps
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_CAMERA, PointCloud
 from teatpose.contour import clean_region
@@ -159,10 +160,12 @@ class TestTeatSpec:
             TeatSpec(base_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
                      length_mm=float("nan"))
 
-    def test_unsupported_tip_shape_rejected(self):
-        with pytest.raises(InvalidSceneError):
-            TeatSpec(base_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
-                     tip_shape="cone")
+    def test_removed_tip_shape_key_rejected(self):
+        # Scene files once carried the only legal tip shape.
+        d = TeatSpec(base_mm=np.zeros(3),
+                     axis=np.array([0.0, 0.0, 1.0])).to_dict()
+        with pytest.raises(InvalidInputError, match="tip_shape"):
+            TeatSpec.from_dict(dict(d, tip_shape="hemisphere"))
 
     def test_axis_normalized_and_tip_placement(self):
         teat = TeatSpec(base_mm=np.zeros(3), axis=np.array([0.0, 0.0, -2.0]),
@@ -460,7 +463,7 @@ class TestOcclude:
          [[(18, 6), (18, 16), (24, 16), (24, 11), (30, 11), (30, 6)]]),
     ], ids=["split_in_two", "clipped_at_border"])
     def test_literal_contours(self, contour, occluder, expected):
-        mask = TeatMask(teat_id="T2", stamp_us=5, contour=np.array(contour))
+        mask = TeatMask(teat_id="T2", stamp_us=5, contour=unit_steps(contour))
         out = occlude([mask], occluder, 30, 16)
         assert all(m.teat_id == "T2" and m.stamp_us == 5 for m in out)
         assert [_corners(m.contour) for m in out] == expected
