@@ -77,7 +77,7 @@ class SurfaceNormalField:
     def __post_init__(self):
         n = np.asarray(self.normals, dtype=float).reshape(-1, 3)
         norms = np.linalg.norm(n, axis=1)
-        if len(n) and not np.allclose(norms, 1.0, atol=1e-9):
+        if len(n) and not np.abs(norms - 1.0).max() <= 1e-9:  # NaN fails
             raise InvalidInputError("normals must be unit length")
         object.__setattr__(self, "normals", n)
         n.flags.writeable = False
@@ -103,12 +103,66 @@ class SurfaceNormalField:
         return len(self.normals)
 
 
-def _hood_eigvecs(points: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """(m, 3, 3) eigenvectors (ascending eigenvalues) of k-NN covariances."""
+# A normal is taken from the closed form only where the largest diagonal
+# entry of adj(A - lambda0 I), A the trace-normalized covariance, exceeds
+# this. That entry is (lambda1 - lambda0)(lambda2 - lambda0) max_i v0_i^2,
+# and the normal's error grows as the inverse square of it: ~2e-11 rad at
+# 1e-3 against LAPACK's `eigh`. Smaller entries (lambda0 ~ lambda1, or no
+# spread at all) go to `eigh`.
+_ADJ_MIN = 1e-3
+_I = np.arange(3)
+
+
+def _cofactor_index(di: int, dj: int) -> np.ndarray:
+    """Flat indices of M[i + di, j + dj] (mod 3) in a row-major 3x3 M."""
+    return (((_I[:, None] + di) % 3) * 3 + (_I + dj) % 3).ravel()
+
+
+_C11, _C22, _C12, _C21 = (_cofactor_index(1, 1), _cofactor_index(2, 2),
+                          _cofactor_index(1, 2), _cofactor_index(2, 1))
+
+
+def _hood_normals(points: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """(m, 3) unit smallest-eigenvalue eigenvectors of k-NN covariances.
+
+    Each covariance C is divided by its trace, so A = C / tr(C) has
+    eigenvalues in [0, 1] summing to 1, and no power of an entry can
+    overflow. The smallest eigenvalue lambda0 of A is the trigonometric
+    root of its characteristic cubic (Smith, CACM 4(4), 1961). The normal
+    is the largest-diagonal column of adj(A - lambda0 I), which is
+    proportional to its eigenvector (Kopp, arXiv:physics/0610206). Rows
+    whose column is too short to trust (`_ADJ_MIN`) take `np.linalg.eigh`
+    instead. Every step is row-local, so a row gives the same bits alone
+    as in any batch.
+    """
     hoods = points[nbr]                                # (m, k, 3)
-    centered = hoods - hoods.mean(axis=1, keepdims=True)
-    covs = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
-    return np.linalg.eigh(covs)[1]
+    # A zero trace, or no spread around it (A = I/3), gives NaN below,
+    # which fails `ok`; an overflowing covariance is rejected after.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        centered = hoods - hoods.mean(axis=1, keepdims=True)
+        cov = centered.transpose(0, 2, 1) @ centered
+        trace = np.trace(cov, axis1=1, axis2=2)[:, None, None]
+        d = cov / trace - np.eye(3) / 3.0              # A - tr(A)/3 I
+        p = np.sqrt((d * d).sum(axis=(1, 2)) / 6.0)
+        r = np.clip(np.linalg.det(d) / (2.0 * p * p * p), -1.0, 1.0)
+        # lambda0 - 1/3, the smallest root of det(d - x I) = 0.
+        shift = 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+        m = (d - shift[:, None, None] * np.eye(3)).reshape(-1, 9)
+        # Cofactors M[i+1, j+1] M[i+2, j+2] - M[i+1, j+2] M[i+2, j+1]: for a
+        # symmetric M they are adj(M) itself.
+        adj = m[:, _C11] * m[:, _C22] - m[:, _C12] * m[:, _C21]
+        adj = adj.reshape(-1, 3, 3)
+        rows = np.arange(len(adj))
+        j = adj[:, _I, _I].argmax(axis=1)
+        ok = adj[rows, j, j] > _ADJ_MIN
+        col = adj[rows, j]
+        normals = col / np.sqrt((col * col).sum(axis=1))[:, None]
+    if not np.all(np.isfinite(trace)):
+        raise InvalidInputError(
+            "estimate_normals: a neighbourhood covariance overflows")
+    if not ok.all():
+        normals[~ok] = np.linalg.eigh(cov[~ok])[1][:, :, 0]
+    return normals
 
 
 def _subset_neighbours(subset_of, n: int, k: int):
@@ -168,8 +222,8 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
 
     Returns:
         SurfaceNormalField, one normal per input point in input order, with
-        its neighbours. The normals are column 0 of an (n, 3, 3) eigenvector
-        buffer on either path; see `normals_axis` for why that layout is kept.
+        its neighbours. The normals are a contiguous (n, 3) array on either
+        path; see `normals_axis` for why the layout matters.
     """
     if not (k >= 3 and float(k).is_integer()):
         raise InvalidInputError(f"k must be an integer >= 3, got {k!r}")
@@ -194,19 +248,16 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
         tied = np.nonzero(~unique)[0]
         if len(tied):
             nbr[tied] = tree.query(p[tied], k=k)[1]
-        evecs = _hood_eigvecs(p, nbr)
+        normals = _hood_normals(p, nbr)
     else:
-        copied, nbr, unique = _subset_neighbours(subset_of, len(cloud), k)
-        evecs = np.empty((len(p), 3, 3))
-        evecs[:, :, 0] = copied
+        normals, nbr, unique = _subset_neighbours(subset_of, len(cloud), k)
         rest = np.nonzero(~unique | (nbr < 0).any(axis=1))[0]
         if len(rest):
             nbr[rest] = cKDTree(p).query(p[rest], k=k)[1]
-            evecs[rest] = _hood_eigvecs(p, nbr[rest])
+            normals[rest] = _hood_normals(p, nbr[rest])
         # A copied row stays unique in the subset; the searched rows were
         # asked for k neighbours only, so their uniqueness is unknown.
         unique[rest] = False
-    normals = evecs[:, :, 0]                           # smallest eigenvalue
     toward = origin - p
     flip = np.einsum("ni,ni->n", normals, toward) < 0
     normals[flip] *= -1
@@ -222,10 +273,10 @@ def normals_axis(field: SurfaceNormalField) -> np.ndarray:
     so the minimizer is the axis itself.
 
     The bits of that sum depend on the normals' memory layout once there are
-    more than a few hundred rows: numpy computes `normals.T @ normals` in its
-    own loop for the strided column view that `estimate_normals` returns,
-    and in BLAS for a contiguous array. `estimate_normals` therefore returns
-    that view on both of its paths, fresh and `subset_of`.
+    more than a few hundred rows: numpy computes `normals.T @ normals` in
+    BLAS for a contiguous array and in its own loop for a strided view.
+    `estimate_normals` returns a contiguous array on both of its paths,
+    fresh and `subset_of`, so both reach the same branch.
 
     Raises:
         InsufficientPointsError: Fewer than 2 normals.

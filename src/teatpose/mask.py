@@ -47,10 +47,16 @@ class TeatMask:
         c = np.asarray(self.contour)
         if c.ndim != 2 or c.shape[1] != 2 or len(c) < 3:
             raise InvalidInputError("contour must be (M, 2) with M >= 3")
-        if not np.all(np.isfinite(np.asarray(c, dtype=float))):
+        cf = np.asarray(c, dtype=float)
+        if not np.all(np.isfinite(cf)):
             raise InvalidInputError("contour contains non-finite values")
+        # Past 2**53 float64 skips integers, so it cannot tell neighbouring
+        # pixels apart; past 2**63 the int64 cast below overflows.
+        if np.abs(cf).max() >= 2.0 ** 53:
+            raise InvalidInputError(
+                "contour vertices must lie within (-2**53, 2**53) pixels")
         ci = np.asarray(np.rint(c), dtype=np.int64)
-        if not np.all(np.asarray(c, dtype=float) == ci):
+        if not np.all(cf == ci):
             raise InvalidInputError("contour vertices must be integer pixels")
         if np.any(np.abs(np.roll(ci, -1, axis=0) - ci).sum(axis=1) != 1):
             raise InvalidInputError(

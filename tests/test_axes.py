@@ -13,7 +13,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from teatpose.axes import (AXIS_RATIO_MIN, SurfaceNormalField,
-                           estimate_normals, normals_axis, pca_axis)
+                           _hood_normals, estimate_normals, normals_axis,
+                           pca_axis)
 from teatpose.cloud import PointCloud
 from teatpose.errors import (AmbiguousAxisError, InsufficientPointsError,
                              InvalidInputError)
@@ -226,6 +227,18 @@ class TestEstimateNormals:
             with pytest.raises(InvalidInputError, match="extent"):
                 estimate_normals(cloud)
 
+    @pytest.mark.parametrize("x", [1.2e154, 1e307])
+    def test_overflowing_neighbourhood_rejected(self, x):
+        # The extent check passes, but the covariance overflows: two groups
+        # 1.2e154 mm apart, or one group at 1e307 mm, where the rounding
+        # of its mean leaves ~1e291 mm offsets whose squares overflow.
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0.0, 1.0, (12, 3)) + [x, 0.0, 0.0]
+        if x < 1e300:
+            pts[:6, 0] -= x
+        with pytest.raises(InvalidInputError, match="covariance overflows"):
+            estimate_normals(PointCloud(pts), k=12)
+
     def test_neighbours_are_the_k_nearest_rows(self):
         rng = np.random.default_rng(35)
         pts = _cylinder_points(300, 10.0, 40.0, (0.0, 0.0, 1.0), rng)
@@ -262,6 +275,109 @@ class TestEstimateNormals:
                                neighbours_unique=unique)
 
 
+def _eigh(hoods: np.ndarray):
+    """Reference: LAPACK eigenvalues and eigenvectors of hood covariances."""
+    centered = hoods - hoods.mean(axis=1, keepdims=True)
+    return np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered))
+
+
+def _kernel(hoods: np.ndarray) -> np.ndarray:
+    """_hood_normals on (m, k, 3) hoods stored row after row."""
+    m, k, _ = hoods.shape
+    return _hood_normals(hoods.reshape(-1, 3), np.arange(m * k).reshape(m, k))
+
+
+def _random_hoods(rng, m: int, scale: float, k: int = 12) -> np.ndarray:
+    """Rotated, offset Gaussian hoods with spreads from 1e-4 to 1 per axis."""
+    spread = np.exp(rng.uniform(np.log(1e-4), 0.0, (m, 1, 3)))
+    rot = np.linalg.qr(rng.normal(size=(m, 3, 3)))[0]
+    hoods = (rng.normal(size=(m, k, 3)) * spread) @ rot
+    return scale * (hoods + rng.uniform(-50.0, 50.0, (m, 1, 3)))
+
+
+@pytest.fixture
+def eigh_rows(monkeypatch):
+    """Rows that go through np.linalg.eigh during the test, per call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+class TestHoodNormalsKernel:
+    """The closed-form smallest eigenvector against LAPACK's eigh."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e150])
+    def test_matches_eigh_on_well_conditioned_hoods(self, scale):
+        hoods = _random_hoods(np.random.default_rng(71), 4000, scale)
+        got = _kernel(hoods)
+        evals, evecs = _eigh(hoods)
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
+        well = (evals[:, 1] - evals[:, 0]) >= 1e-2 * evals.sum(axis=1)
+        assert well.mean() > 0.5
+        cross = np.linalg.norm(np.cross(got[well], evecs[well, :, 0]), axis=1)
+        assert cross.max() <= 1e-9
+
+    def test_planar_hood_is_exact(self, eigh_rows):
+        rng = np.random.default_rng(72)
+        hoods = np.concatenate([rng.uniform(-5.0, 5.0, (50, 12, 2)),
+                                np.full((50, 12, 1), 7.0)], axis=2)
+        got = _kernel(hoods)
+        np.testing.assert_array_equal(got[:, :2], 0.0)
+        np.testing.assert_array_equal(np.abs(got[:, 2]), 1.0)
+        assert eigh_rows == []
+
+    @pytest.mark.parametrize("shape", ["collinear", "coincident",
+                                       "isotropic", "round_rod"])
+    def test_degenerate_hoods_fall_back_to_eigh(self, shape, eigh_rows):
+        rng = np.random.default_rng(73)
+        t = rng.uniform(-5.0, 5.0, (20, 12, 1))
+        if shape == "collinear":
+            hoods = t * [0.6, 0.0, 0.8] + [1.0, 2.0, 3.0]
+        elif shape == "coincident":
+            hoods = np.tile([1.0, 2.0, 3.0], (20, 12, 1))
+        elif shape == "isotropic":       # exactly A = I / 3: no spread in A
+            hoods = np.tile(np.vstack([np.eye(3), -np.eye(3)]), (20, 2, 1))
+        else:                            # lambda0 ~ lambda1: a round rod
+            theta = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+            ring = np.stack([np.zeros(12), np.cos(theta), np.sin(theta)], 1)
+            hoods = (np.concatenate([t, np.zeros((20, 12, 2))], axis=2)
+                     + 1e-2 * ring + rng.normal(0.0, 1e-9, (20, 12, 3)))
+        got = _kernel(hoods)
+        assert eigh_rows == [20]
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
+        if shape == "collinear":
+            np.testing.assert_allclose(got @ [0.6, 0.0, 0.8], 0.0, atol=1e-9)
+        if shape == "round_rod":
+            # Any direction across the rod will do; not along it.
+            along = _eigh(hoods)[1][:, :, 2]
+            np.testing.assert_allclose(np.einsum("ni,ni->n", got, along),
+                                       0.0, atol=1e-12)
+
+    def test_row_bits_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(74)
+        hoods = _random_hoods(rng, 60, 1.0)
+        hoods[::7] = hoods[::7, :1]        # coincident rows: the eigh path
+        pts = hoods.reshape(-1, 3)
+        nbr = np.arange(len(pts)).reshape(60, 12)
+        whole = _hood_normals(pts, nbr)
+        for row in range(60):
+            alone = _hood_normals(pts, nbr[row:row + 1])
+            assert alone.tobytes() == whole[row].tobytes()
+        for _ in range(20):
+            rows = np.sort(rng.choice(60, rng.integers(1, 60), replace=False))
+            assert _hood_normals(pts, nbr[rows]).tobytes() == \
+                whole[rows].tobytes()
+
+
 def _teat_like(n: int, rng) -> np.ndarray:
     """Noisy cylinder wall along +z with its low end at z = 0."""
     pts = _cylinder_points(n, 12.0, 50.0, (0.0, 0.0, 1.0), rng, noise_mm=0.3)
@@ -284,8 +400,9 @@ class TestSubsetReuse:
     """estimate_normals(subset_of=...) against a fresh search of the subset.
 
     Past a few hundred rows numpy's `normals.T @ normals` goes to BLAS for a
-    contiguous array and to its own loop for a strided one, with other
-    result bits, so the subsets here span both sides of that switch.
+    contiguous array (what both paths return) and to its own loop for a
+    strided one, with other result bits, so the subsets here span both
+    sides of that switch.
     """
 
     @staticmethod
@@ -304,8 +421,8 @@ class TestSubsetReuse:
     def _assert_identical(self, fresh, reused):
         assert _bits(reused.normals) == _bits(fresh.normals)
         np.testing.assert_array_equal(reused.neighbours, fresh.neighbours)
-        # Same layout as the fresh field: column 0 of an (n, 3, 3) buffer.
-        assert reused.normals.strides == fresh.normals.strides == (72, 24)
+        # Same layout as the fresh field: a contiguous (n, 3) array.
+        assert reused.normals.strides == fresh.normals.strides == (24, 8)
         assert _axis_outcome(reused) == _axis_outcome(fresh)
 
     def test_mixed_wall_above_blas_switch(self):
@@ -421,6 +538,17 @@ class TestNormalsAxis:
     def test_non_unit_normals_rejected(self):
         with pytest.raises(InvalidInputError):
             SurfaceNormalField(normals=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("length", [1.0 + 1e-6, 1.0 - 1e-6, np.nan])
+    def test_unit_length_bound_is_absolute_1e_9(self, length):
+        # np.allclose's default rtol=1e-5 used to let 1 + 1e-6 through.
+        with pytest.raises(InvalidInputError, match="unit length"):
+            SurfaceNormalField(normals=[[length, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_unit_length_within_1e_9_accepted(self):
+        field = SurfaceNormalField(normals=[[1.0 + 5e-10, 0.0, 0.0],
+                                            [0.0, 1.0 - 5e-10, 0.0]])
+        assert len(field) == 2
 
 
 class TestCrossMethod:

@@ -90,6 +90,22 @@ class TestTeatMask:
         mask = TeatMask("T1", 0, lshape)
         assert len(mask) == 80
 
+    @pytest.mark.parametrize("contour", [
+        np.array([[2**63 - 1, 0], [-2**63, 0], [-2**63, 1], [2**63 - 1, 1]]),
+        np.array([[1e19, 0.0], [-1e19, 0.0], [-1e19, 1.0], [1e19, 1.0]]),
+        np.array([[2**53 - 1, 0], [2**53, 0], [2**53, 1], [2**53 - 1, 1]]),
+    ], ids=["int64_extremes", "float_1e19", "float64_integer_limit"])
+    def test_rejects_vertices_beyond_exact_float_integers(self, contour):
+        # Rejected before the int64 cast, which would warn past 2**63.
+        with pytest.raises(InvalidInputError, match="2\\*\\*53"):
+            TeatMask("T1", 0, contour)
+
+    def test_accepts_vertices_just_inside_the_limit(self):
+        lo = 2**53 - 2
+        mask = TeatMask("T1", 0, np.array([[lo, 0], [lo + 1, 0], [lo + 1, 1],
+                                           [lo, 1]]))
+        assert mask.contour.max() == 2**53 - 1
+
     def test_bounds_check_closed_rectangle(self):
         mask = _full_image()
         assert mask.bounds_ok(640, 480)
