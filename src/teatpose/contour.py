@@ -67,6 +67,11 @@ def clean_region(region: np.ndarray) -> np.ndarray:
 def trace_boundary(region: np.ndarray) -> np.ndarray:
     """Closed lattice polygon around a cleaned boolean region.
 
+    Every boundary unit edge is directed with the region on its left as the
+    image is seen (u right, v down): counter-clockwise on screen. On a simple
+    boundary each vertex then has exactly one outgoing edge, and the walk
+    follows those from the smallest (u, v).
+
     Args:
         region: (H, W) boolean image; must be a single 4-connected,
             hole-free, pinch-free component (see clean_region). A crop of a
@@ -75,44 +80,34 @@ def trace_boundary(region: np.ndarray) -> np.ndarray:
     Returns:
         (M, 2) int array of (u, v) lattice vertices in unit steps, closed
         implicitly (last connects to first), in region's own coordinates.
+        The walk starts down the left edge (+v) of the smallest (u, v).
         For a crop, adding the image (u, v) of its top-left pixel gives the
-        contour in image coordinates; the start vertex, the smallest
-        (u, v), does not change under that offset.
+        contour in image coordinates; the start vertex does not change
+        under that offset.
     """
     if not region.any():
         raise ValueError("cannot trace an empty region")
-    p = np.zeros((region.shape[0] + 2, region.shape[1] + 2), dtype=bool)
-    p[1:-1, 1:-1] = region
-
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def link(pt1, pt2):
-        adj.setdefault(pt1, []).append(pt2)
-        adj.setdefault(pt2, []).append(pt1)
-
-    # Vertical cell edges at x=u between pixels (v, u-1) and (v, u).
-    vd = p[1:-1, 1:] != p[1:-1, :-1]
-    for v, u in zip(*np.nonzero(vd)):
-        link((u, v), (u, v + 1))
-    # Horizontal cell edges at y=v between pixels (v-1, u) and (v, u).
-    hd = p[1:, 1:-1] != p[:-1, 1:-1]
-    for v, u in zip(*np.nonzero(hd)):
-        link((u, v), (u + 1, v))
-
-    start = min(adj)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
+    p = np.pad(region.astype(bool), 1)
+    left, right = p[1:-1, :-1], p[1:-1, 1:]
+    above, below = p[:-1, 1:-1], p[1:, 1:-1]
+    # key[v, u] = u * s + v names vertex (u, v); key order is (u, v) order.
+    s = region.shape[0] + 1
+    key = np.arange(s * (region.shape[1] + 1)).reshape(-1, s).T
+    # Tail keys, head keys and the cell edges that run that way.
+    edges = ((key[:-1], key[1:], right & ~left),            # +v
+             (key[1:], key[:-1], left & ~right),            # -v
+             (key[:, :-1], key[:, 1:], above & ~below),     # +u
+             (key[:, 1:], key[:, :-1], below & ~above))     # -u
+    tails = np.concatenate([t[e] for t, _, e in edges]).tolist()
+    heads = np.concatenate([h[e] for _, h, e in edges]).tolist()
+    succ = dict(zip(tails, heads))
+    # A diagonal pinch is a vertex with two outgoing edges.
+    if len(succ) != len(tails):
         raise ValueError("region boundary is not a simple closed curve")
-
-    verts = [start]
-    prev = None
-    cur = start
-    while True:
-        n1, n2 = adj[cur]
-        nxt = n2 if n1 == prev else n1
-        if nxt == start:
-            break
-        verts.append(nxt)
-        prev, cur = cur, nxt
-    if len(verts) != len(adj):
+    start = min(succ)
+    walk = [start]
+    while (nxt := succ[walk[-1]]) != start:
+        walk.append(nxt)
+    if len(walk) != len(succ):
         raise ValueError("region boundary has more than one loop")
-    return np.array(verts, dtype=np.int64)
+    return np.stack(np.divmod(np.array(walk, dtype=np.int64), s), axis=1)

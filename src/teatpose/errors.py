@@ -87,6 +87,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise InvalidInputError unless value is an integer >= 1."""
+    if not (_is_int(value) and value >= 1):
+        raise InvalidInputError(
+            f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_vector(value, n: int, what: str, key: str) -> np.ndarray:
     """value as a float array of n finite numbers, or raise naming key."""
     try:

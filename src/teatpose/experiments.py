@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .camera import CameraModel
-from .errors import InsufficientPointsError, InvalidInputError
+from .errors import InsufficientPointsError, InvalidInputError, _check_count
 from .mask import extract_masked_points
 from .pipeline import estimate_frame
 from .pose import PoseConfig
@@ -58,8 +58,7 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
     Returns:
         Summary dict: per-teat stats, overall success rate, elapsed seconds.
     """
-    if cycles < 1:
-        raise InvalidInputError("cycles must be >= 1")
+    _check_count("cycles", cycles)
     config = config or PoseConfig()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
@@ -166,8 +165,7 @@ def run_camera_curve(presets: dict[str, NoiseModel], out_dir,
     distances = [float(d) for d in distances_mm]
     if len(set(distances)) < 3:
         raise InvalidInputError("need >= 3 distinct distances")
-    if conditions < 1:
-        raise InvalidInputError("conditions must be >= 1")
+    _check_count("conditions", conditions)
     camera = camera or CameraModel(fx=570.0, fy=570.0, cx=320.0, cy=240.0)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -235,8 +233,7 @@ def run_rate_bench(scene: SceneSpec, out_dir, repeats: int = 20) -> dict:
     Returns:
         The summary row as a dict: repeats and the mean and p95 times.
     """
-    if repeats < 1:
-        raise InvalidInputError("repeats must be >= 1")
+    _check_count("repeats", repeats)
     os.makedirs(out_dir, exist_ok=True)
     cloud, masks, _ = render(scene)
     if not masks:

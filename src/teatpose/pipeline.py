@@ -21,7 +21,7 @@ import numpy as np
 from .camera import CameraModel
 from .cloud import PointCloud
 from .errors import (InvalidInputError, TeatPoseError, _check_bound,
-                     _dataclass_from_dict, _is_int)
+                     _check_count, _dataclass_from_dict, _is_int)
 from .mask import extract_masked_points
 from .pose import PoseConfig, TeatPose, estimate_teat_pose
 from .scene import SceneSpec, render
@@ -352,8 +352,7 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
 
 def static_scene_stream(scene: SceneSpec, frames: int):
     """Per-frame copies of one scene with decorrelated noise seeds."""
-    if frames < 1:
-        raise InvalidInputError("need at least one frame")
+    _check_count("frames", frames)
     for k in range(frames):
         child = int(np.random.SeedSequence((scene.seed, k)).generate_state(1)[0])
         yield replace(scene, seed=child)

@@ -109,8 +109,8 @@ class PoseConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        _check_bound(self, ("voxel_leaf_mm", "tip_slab_mm"), lambda v: v > 0,
-                     "> 0")
+        _check_bound(self, ("voxel_leaf_mm", "tip_slab_mm"),
+                     lambda v: 0 < v < np.inf, "finite and > 0")
 
 
 def _finite_axis(axis) -> np.ndarray:
@@ -190,8 +190,9 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
     Returns:
         (3,) tip position in the cloud's frame.
     """
-    if not slab_mm > 0:
-        raise InvalidInputError(f"slab_mm must be > 0, got {slab_mm!r}")
+    if not 0 < slab_mm < np.inf:
+        raise InvalidInputError(
+            f"slab_mm must be finite and > 0, got {slab_mm!r}")
     if len(points) == 0:
         raise InsufficientPointsError("locate_tip needs at least one point")
     a = _finite_axis(axis)

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from _oracles import (as_sets, axis_angle_deg, oracle_components,
+                      oracle_downsample, random_teat, teat_rings)
 from teatpose.axes import estimate_normals, normals_axis, pca_axis
 from teatpose.camera import CameraModel
 from teatpose.cloud import PointCloud
@@ -23,58 +25,14 @@ from teatpose.mask import extract_masked_points
 from teatpose.pipeline import (run_pipeline, static_scene_stream,
                                write_events_jsonl)
 from teatpose.reports import read_csv
-from teatpose.scene import (NoiseModel, TeatSpec, default_scene,
-                            orbbec_like_noise, render, sample_teat_surface)
+from teatpose.scene import (NoiseModel, default_scene, orbbec_like_noise,
+                            render, sample_teat_surface)
 from teatpose.voxel import voxel_downsample
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def _axis_err_deg(a, b) -> float:
-    return float(np.degrees(np.arccos(np.clip(abs(np.dot(a, b)), 0.0, 1.0))))
-
-
-def _orthobasis(axis):
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(axis)))] = 1.0
-    u = np.cross(ref, axis)
-    u /= np.linalg.norm(u)
-    return u, np.cross(axis, u)
-
-
-def _teat_rings(teat, step_mm=1.5, azimuths=64):
-    """Deterministic axisymmetric rings on the wall and tip cap of a teat.
-
-    By symmetry the sample covariance's major axis is exactly the teat axis,
-    so estimator error against it is pure method error.
-    """
-    a = teat.axis
-    u, v = _orthobasis(a)
-    r = teat.radius_mm
-    h = teat.length_mm - r
-    theta = np.linspace(0.0, 2.0 * np.pi, azimuths, endpoint=False)
-    ring = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
-    rows = []
-    for t in np.arange(0.0, h + 1e-9, step_mm):
-        rows.append(teat.base_mm + t * a + r * ring)
-    for ds in np.arange(step_mm, r, step_mm):
-        rho = np.sqrt(r * r - ds * ds)
-        rows.append(teat.cap_center_mm + ds * a + rho * ring)
-    rows.append(teat.tip_mm[None, :])
-    return np.concatenate(rows)
-
-
-def _random_teat(rng, max_tilt_deg=30.0):
-    tilt = np.radians(rng.uniform(0.0, max_tilt_deg))
-    az = rng.uniform(0.0, 2.0 * np.pi)
-    axis = np.array([np.sin(tilt) * np.cos(az),
-                     np.sin(tilt) * np.sin(az),
-                     -np.cos(tilt)])
-    base = rng.uniform(-50.0, 50.0, 3) + np.array([0.0, 0.0, 600.0])
-    return TeatSpec(base_mm=base, axis=axis)
 
 
 def _brute_force_inside(points, contour, camera):
@@ -99,52 +57,6 @@ def _brute_force_inside(points, contour, camera):
         xint = x1 + (v - y1) * (x2 - x1) / (y2 - y1)
         crossings += (spans & (u < xint)).astype(np.int64)
     return front & (crossings % 2 == 1)
-
-
-def _oracle_downsample(points, leaf, origin=(0.0, 0.0, 0.0)):
-    """Hash-map brute force: bucket by voxel index, average each bucket."""
-    buckets: dict[tuple, list] = {}
-    for p in points:
-        key = tuple(int(i) for i in np.floor((p - np.asarray(origin)) / leaf))
-        buckets.setdefault(key, []).append(p)
-    keys = sorted(buckets)
-    return np.array([np.mean(buckets[k], axis=0) for k in keys])
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
-def _oracle_components(points, tol):
-    """Brute force over the full pairwise distance matrix."""
-    n = len(points)
-    uf = _UnionFind(n)
-    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= tol:
-                uf.union(i, j)
-    groups: dict[int, set] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), set()).add(i)
-    return {frozenset(g) for g in groups.values()}
-
-
-def _cluster_sets(clusters, points):
-    index = {tuple(p): i for i, p in enumerate(points)}
-    return {frozenset(index[tuple(q)] for q in c.points) for c in clusters}
 
 
 def test_accuracy_on_default_noisy_scene(tmp_path):
@@ -176,19 +88,19 @@ def test_axis_estimators_on_randomized_poses():
     rng = np.random.default_rng(11)
     w_pca = w_nrm = w_agree = 0.0
     for _ in range(100):
-        teat = _random_teat(rng)
+        teat = random_teat(rng)
         origin = teat.tip_mm + np.array([0.0, -500.0, -80.0])
 
-        exact = PointCloud(_teat_rings(teat), frame="world")
-        w_pca = max(w_pca, _axis_err_deg(pca_axis(exact), teat.axis))
+        exact = PointCloud(teat_rings(teat, azimuths=64), frame="world")
+        w_pca = max(w_pca, axis_angle_deg(pca_axis(exact), teat.axis))
         field = estimate_normals(exact, k=12, camera_origin=origin)
-        w_nrm = max(w_nrm, _axis_err_deg(normals_axis(field), teat.axis))
+        w_nrm = max(w_nrm, axis_angle_deg(normals_axis(field), teat.axis))
 
         noisy = sample_teat_surface(teat, 20000, rng, noise_mm=2.0)
         down = voxel_downsample(PointCloud(noisy, frame="world"), 5.0)
         a_pca = pca_axis(down)
         a_nrm = normals_axis(estimate_normals(down, k=32, camera_origin=origin))
-        w_agree = max(w_agree, _axis_err_deg(a_pca, a_nrm))
+        w_agree = max(w_agree, axis_angle_deg(a_pca, a_nrm))
     ok = w_pca <= 0.5 and w_nrm <= 1.0 and w_agree <= 5.0
     _verdict("axis-accuracy", ok,
              f"noiseless worst over 100 poses: pca {w_pca:.3f} deg (<= 0.5), "
@@ -227,7 +139,7 @@ def test_kernels_match_brute_force_oracles():
     lattice = rng.integers(-40, 40, (3000, 3)).astype(float) * 2.5
     for pts, leaf in ((rendered.points, 5.0), (uniform, 50.0), (lattice, 5.0)):
         got = voxel_downsample(PointCloud(pts, frame="world"), leaf).points
-        voxel_ok &= np.array_equal(got, _oracle_downsample(pts, leaf))
+        voxel_ok &= np.array_equal(got, oracle_downsample(pts, leaf))
 
     # Clustering vs the all-pairs union-find oracle on small clouds.
     cluster_ok = True
@@ -242,7 +154,7 @@ def test_kernels_match_brute_force_oracles():
     for pts, tol in trials:
         clusters = euclidean_cluster(PointCloud(pts, frame="world"),
                                      tolerance_mm=tol)
-        cluster_ok &= _cluster_sets(clusters, pts) == _oracle_components(pts, tol)
+        cluster_ok &= as_sets(clusters, pts) == oracle_components(pts, tol)
 
     ok = extract_ok and voxel_ok and cluster_ok
     _verdict("oracle-equivalence", ok,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from _oracles import axis_angle_deg
 from teatpose.axes import (AXIS_RATIO_MIN, SurfaceNormalField,
                            _hood_normals, estimate_normals, normals_axis,
                            pca_axis)
@@ -78,11 +79,6 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
-    c = abs(float(np.dot(a, b)))
-    return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-
-
 class TestPcaAxis:
     def test_collinear_points(self):
         pts = np.column_stack([np.zeros(50), np.zeros(50),
@@ -93,14 +89,14 @@ class TestPcaAxis:
     def test_analytic_cylinder(self):
         pts = _cylinder_rings(radius=15.0, length=60.0, axis=(0.0, 1.0, 0.0))
         axis = pca_axis(PointCloud(pts))
-        assert _angle_deg(axis, np.array([0.0, 1.0, 0.0])) < 0.1
+        assert axis_angle_deg(axis, np.array([0.0, 1.0, 0.0])) < 0.1
 
     def test_random_cylinder_sampling(self):
         rng = np.random.default_rng(21)
         pts = _cylinder_points(4000, radius=15.0, length=60.0,
                                axis=(0.0, 1.0, 0.0), rng=rng)
         axis = pca_axis(PointCloud(pts))
-        assert _angle_deg(axis, np.array([0.0, 1.0, 0.0])) < 2.0
+        assert axis_angle_deg(axis, np.array([0.0, 1.0, 0.0])) < 2.0
 
     def test_matches_power_iteration_oracle(self):
         rng = np.random.default_rng(22)
@@ -146,7 +142,7 @@ class TestPcaAxis:
             rot[:, 0] *= -1
         a_plain = pca_axis(PointCloud(pts))
         a_rot = pca_axis(PointCloud(pts @ rot.T))
-        assert _angle_deg(rot @ a_plain, a_rot) < 0.2
+        assert axis_angle_deg(rot @ a_plain, a_rot) < 0.2
 
 
 class TestEstimateNormals:
@@ -511,7 +507,7 @@ class TestNormalsAxis:
         pts = _cylinder_points(1500, 13.0, 55.0, axis_true, rng)
         field = estimate_normals(PointCloud(pts), k=12)
         axis = normals_axis(field)
-        assert _angle_deg(axis, axis_true) < 1.0
+        assert axis_angle_deg(axis, axis_true) < 1.0
 
     def test_matches_fibonacci_grid_search(self):
         rng = np.random.default_rng(42)
@@ -523,7 +519,7 @@ class TestNormalsAxis:
         dirs = _fibonacci_directions(100_000)
         cost = np.einsum("di,ni->dn", dirs, normals) ** 2
         best = dirs[int(np.argmin(cost.sum(axis=1)))]
-        assert _angle_deg(axis, best) < 1.0
+        assert axis_angle_deg(axis, best) < 1.0
 
     def test_parallel_normals_rejected(self):
         field = SurfaceNormalField(normals=np.tile([0.0, 0.0, 1.0], (5, 1)))
@@ -565,8 +561,8 @@ class TestCrossMethod:
             cloud = PointCloud(pts)
             a_pca = pca_axis(cloud)
             a_nrm = normals_axis(estimate_normals(cloud, k=32))
-            assert _angle_deg(a_pca, a_nrm) < 5.0
-            assert _angle_deg(a_pca, axis) < 5.0
+            assert axis_angle_deg(a_pca, a_nrm) < 5.0
+            assert axis_angle_deg(a_pca, axis) < 5.0
 
     def test_ratio_threshold_matches_constant(self):
         assert AXIS_RATIO_MIN == 1.05

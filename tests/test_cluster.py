@@ -7,54 +7,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 import teatpose.cluster as tp_cluster
+from _oracles import as_sets, oracle_components
 from teatpose.axes import estimate_normals
 from teatpose.cloud import PointCloud
 from teatpose.cluster import euclidean_cluster
 from teatpose.errors import InvalidInputError
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
-def _oracle_components(points: np.ndarray, tol: float) -> list[frozenset]:
-    """Brute force over the full distance matrix."""
-    n = len(points)
-    uf = _UnionFind(n)
-    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= tol:
-                uf.union(i, j)
-    groups: dict[int, set] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), set()).add(i)
-    return [frozenset(g) for g in groups.values()]
-
-
-def _as_sets(clusters, points: np.ndarray) -> set[frozenset]:
-    """Map cluster point rows back to input indices.
-
-    Equal rows are at distance 0, so they always share a cluster: each row
-    stands for every input index that holds it.
-    """
-    index: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        index.setdefault(tuple(p), []).append(i)
-    return {frozenset(i for q in c.points for i in index[tuple(q)])
-            for c in clusters}
 
 
 class TestExamples:
@@ -101,9 +58,9 @@ def _random_scene_cases() -> list[tuple[np.ndarray, float]]:
 class TestOracle:
     def test_matches_union_find_on_random_scene(self):
         for pts, tol in _random_scene_cases():
-            got = _as_sets(euclidean_cluster(PointCloud(pts), tolerance_mm=tol),
+            got = as_sets(euclidean_cluster(PointCloud(pts), tolerance_mm=tol),
                            pts)
-            expected = set(_oracle_components(pts, tol))
+            expected = oracle_components(pts, tol)
             assert got == expected
 
     def test_matches_oracle_on_clustered_scene(self):
@@ -111,9 +68,9 @@ class TestOracle:
         centers = rng.uniform(0.0, 300.0, size=(8, 3))
         pts = np.vstack([c + rng.normal(0.0, 3.0, size=(40, 3))
                          for c in centers])
-        got = _as_sets(euclidean_cluster(PointCloud(pts), tolerance_mm=10.0),
+        got = as_sets(euclidean_cluster(PointCloud(pts), tolerance_mm=10.0),
                        pts)
-        expected = set(_oracle_components(pts, 10.0))
+        expected = oracle_components(pts, 10.0)
         assert got == expected
 
 

@@ -13,6 +13,7 @@ import pytest
 from scipy import ndimage
 
 from teatpose.contour import clean_region, trace_boundary
+from teatpose.mask import TeatMask, rasterize_mask
 
 
 def _region(rows: str) -> np.ndarray:
@@ -50,6 +51,37 @@ class TestTraceBoundary:
     def test_rejected(self, region, message):
         with pytest.raises(ValueError, match=message):
             trace_boundary(region)
+
+
+class TestRoundTrip:
+    """The traced contour of a cleaned region, rasterized by the mask
+    membership path, gives back the region."""
+
+    def test_random_regions(self):
+        rng = np.random.default_rng(15)
+        seen = dict.fromkeys(["hole", "pinch", "border"], 0)
+        for _ in range(300):
+            h, w = rng.integers(2, 25, 2)
+            raw = rng.random((h, w)) < rng.uniform(0.3, 0.95)
+            region = clean_region(raw)
+            if not region.any():
+                continue
+            seen["hole"] += bool((ndimage.binary_fill_holes(raw)
+                                  & ~raw).any())
+            seen["pinch"] += bool((raw[:-1, :-1] & raw[1:, 1:]
+                                   & ~raw[:-1, 1:] & ~raw[1:, :-1]).any())
+            seen["border"] += bool(region[0].any() or region[-1].any()
+                                   or region[:, 0].any()
+                                   or region[:, -1].any())
+
+            verts = trace_boundary(region)
+            keys = [tuple(v) for v in verts.tolist()]
+            assert keys[0] == min(keys)
+            assert keys[1] == (keys[0][0], keys[0][1] + 1)
+            assert len(set(keys)) == len(keys)
+            np.testing.assert_array_equal(
+                rasterize_mask(TeatMask("T", 0, verts), w, h), region)
+        assert min(seen.values()) >= 100, seen
 
 
 class TestCropEquivalence:

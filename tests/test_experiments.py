@@ -17,6 +17,7 @@ from teatpose.camera import CameraModel
 from teatpose.errors import InvalidInputError
 from teatpose.experiments import (run_camera_curve, run_rate_bench,
                                   run_repeatability)
+from teatpose.pipeline import static_scene_stream
 from teatpose.reports import read_csv
 from teatpose.scene import (NoiseModel, SceneSpec, TeatSpec, default_scene,
                             orbbec_like_noise)
@@ -159,3 +160,17 @@ class TestRunRateBench:
     def test_validation(self, tmp_path):
         with pytest.raises(InvalidInputError):
             run_rate_bench(default_scene(seed=0), tmp_path, repeats=0)
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
+@pytest.mark.parametrize("name, run", [
+    ("frames", lambda n, out: list(static_scene_stream(default_scene(), n))),
+    ("cycles", lambda n, out: run_repeatability(default_scene(), n, out)),
+    ("repeats", lambda n, out: run_rate_bench(default_scene(), out,
+                                              repeats=n)),
+    ("conditions", lambda n, out: run_camera_curve(
+        {"none": NoiseModel()}, out, conditions=n)),
+])
+def test_non_integer_count_rejected(name, run, count, tmp_path):
+    with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+        run(count, tmp_path)

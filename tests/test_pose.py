@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import teatpose.axes as tp_axes
 import teatpose.cluster as tp_cluster
 import teatpose.pose as tp_pose
+from _oracles import axis_angle_deg, random_teat, teat_rings
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from teatpose.errors import (FrameMismatchError, InsufficientPointsError,
@@ -24,50 +25,6 @@ from teatpose.errors import (FrameMismatchError, InsufficientPointsError,
 from teatpose.pose import (PoseConfig, TeatPose, disambiguate_direction,
                            estimate_teat_pose, locate_tip)
 from teatpose.scene import TeatSpec, sample_teat_surface
-
-
-def _orthobasis(axis):
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(axis)))] = 1.0
-    u = np.cross(ref, axis)
-    u /= np.linalg.norm(u)
-    return u, np.cross(axis, u)
-
-
-def _teat_rings(teat, step_mm=1.5, azimuths=48):
-    """Deterministic rings on the wall and tip cap of a TeatSpec.
-
-    Axisymmetric by construction, so the point covariance's major axis is
-    exactly the teat axis and the cap points lie exactly on the tip sphere.
-    """
-    a = teat.axis
-    u, v = _orthobasis(a)
-    r = teat.radius_mm
-    h = teat.length_mm - r
-    theta = np.linspace(0.0, 2.0 * np.pi, azimuths, endpoint=False)
-    ring = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
-    rows = []
-    for t in np.arange(0.0, h + 1e-9, step_mm):
-        rows.append(teat.base_mm + t * a + r * ring)
-    for ds in np.arange(step_mm, r, step_mm):
-        rho = np.sqrt(r * r - ds * ds)
-        rows.append(teat.cap_center_mm + ds * a + rho * ring)
-    rows.append(teat.tip_mm[None, :])
-    return np.concatenate(rows)
-
-
-def _angle_deg(a, b):
-    return np.degrees(np.arccos(np.clip(np.abs(np.dot(a, b)), -1.0, 1.0)))
-
-
-def _random_teat(rng, max_tilt_deg=30.0):
-    tilt = np.radians(rng.uniform(0.0, max_tilt_deg))
-    az = rng.uniform(0.0, 2.0 * np.pi)
-    axis = np.array([np.sin(tilt) * np.cos(az),
-                     np.sin(tilt) * np.sin(az),
-                     -np.cos(tilt)])
-    base = rng.uniform(-50.0, 50.0, 3) + np.array([0.0, 0.0, 600.0])
-    return TeatSpec(base_mm=base, axis=axis)
 
 
 @st.composite
@@ -155,6 +112,9 @@ class TestPoseConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("voxel_leaf_mm", 0.0), ("tip_slab_mm", float("nan")),
+        # An infinite leaf fails every teat in voxel_downsample; an infinite
+        # slab silently takes the whole cloud as the tip cap.
+        ("voxel_leaf_mm", np.inf), ("tip_slab_mm", np.inf),
     ])
     def test_geometry_bounds_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
@@ -207,7 +167,7 @@ class TestDisambiguateDirection:
     def test_randomized_tilts_point_tip_to_base(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
-            teat = _random_teat(rng)
+            teat = random_teat(rng)
             pts = sample_teat_surface(teat, 400, rng)
             cloud = PointCloud(pts, frame=FRAME_WORLD)
             camera = CameraModel.look_at(teat.tip_mm + [0.0, -500.0, -80.0],
@@ -242,6 +202,11 @@ class TestLocateTip:
         with pytest.raises(InvalidInputError, match="slab_mm"):
             locate_tip(cloud, np.array([0.0, 0.0, 1.0]), slab_mm=np.nan)
 
+    def test_infinite_slab_rejected(self):
+        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
+        with pytest.raises(InvalidInputError, match="slab_mm"):
+            locate_tip(cloud, np.array([0.0, 0.0, 1.0]), slab_mm=np.inf)
+
     @pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0],
                                       [0.0, -np.inf, 1.0]])
     def test_non_finite_axis_rejected(self, axis):
@@ -260,8 +225,8 @@ class TestLocateTip:
     def test_noiseless_cap_recovered_exactly(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            teat = _random_teat(rng)
-            cloud = PointCloud(_teat_rings(teat), frame=FRAME_WORLD)
+            teat = random_teat(rng)
+            cloud = PointCloud(teat_rings(teat, azimuths=48), frame=FRAME_WORLD)
             tip = locate_tip(cloud, -teat.axis)
             # exact sphere fit on exact cap samples
             assert np.linalg.norm(tip - teat.tip_mm) < 1e-6
@@ -279,7 +244,7 @@ class TestLocateTip:
         rng = np.random.default_rng(7)
         errors = []
         for _ in range(100):
-            teat = _random_teat(rng)
+            teat = random_teat(rng)
             pts = sample_teat_surface(teat, 3000, rng, noise_mm=1.0)
             cloud = PointCloud(pts, frame=FRAME_WORLD)
             tip = locate_tip(cloud, -teat.axis)
@@ -302,30 +267,30 @@ class TestEstimateTeatPose:
     def test_noiseless_rings_sub_half_degree(self, method):
         teat = TeatSpec(base_mm=np.array([10.0, -5.0, 640.0]),
                         axis=np.array([0.1, 0.05, -1.0]))
-        camera, cloud = self._camera_cloud(teat, _teat_rings(teat))
+        camera, cloud = self._camera_cloud(teat, teat_rings(teat, azimuths=48))
         pose = estimate_teat_pose(cloud, camera,
                                   config=PoseConfig(method=method),
                                   teat_id="T1")
         assert pose.method == method
         assert pose.teat_id == "T1"
         assert np.linalg.norm(pose.tip_mm - teat.tip_mm) < 0.5
-        assert _angle_deg(pose.axis, teat.axis) < 0.5
+        assert axis_angle_deg(pose.axis, teat.axis) < 0.5
         # sign convention: tip -> base, i.e. opposite the spec axis
         assert float(pose.axis @ -teat.axis) > 0
 
     def test_methods_agree_on_noisy_clouds(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            teat = _random_teat(rng)
+            teat = random_teat(rng)
             pts = sample_teat_surface(teat, 4000, rng, noise_mm=1.0)
             camera, cloud = self._camera_cloud(teat, pts)
             pca = estimate_teat_pose(cloud, camera,
                                      config=PoseConfig(method="pca"))
             nrm = estimate_teat_pose(cloud, camera,
                                      config=PoseConfig(method="normals"))
-            assert _angle_deg(pca.axis, nrm.axis) < 5.0
-            assert _angle_deg(pca.axis, teat.axis) < 5.0
-            assert _angle_deg(nrm.axis, teat.axis) < 5.0
+            assert axis_angle_deg(pca.axis, nrm.axis) < 5.0
+            assert axis_angle_deg(pca.axis, teat.axis) < 5.0
+            assert axis_angle_deg(nrm.axis, teat.axis) < 5.0
             assert np.linalg.norm(pca.tip_mm - teat.tip_mm) < 2.0
             assert np.linalg.norm(nrm.tip_mm - teat.tip_mm) < 2.0
 
@@ -335,7 +300,7 @@ class TestEstimateTeatPose:
         rng = np.random.default_rng(12)
         clouds = []
         for _ in range(6):
-            teat = _random_teat(rng)
+            teat = random_teat(rng)
             pts = sample_teat_surface(teat, 3000, rng, noise_mm=1.0)
             clouds.append(self._camera_cloud(teat, pts))
         reused = [estimate_teat_pose(cloud, camera)
@@ -367,7 +332,7 @@ class TestEstimateTeatPose:
         """(teat, rings, camera, cloud): the rings plus a 20-point blob."""
         teat = TeatSpec(base_mm=np.array([0.0, 0.0, 640.0]),
                         axis=np.array([0.0, 0.0, -1.0]))
-        rings = _teat_rings(teat)
+        rings = teat_rings(teat, azimuths=48)
         # stray blob well beyond the cluster tolerance
         blob = np.tile(teat.tip_mm + [200.0, 0.0, 0.0], (20, 1)) \
             + np.linspace(0.0, 2.0, 20)[:, None]
@@ -387,7 +352,7 @@ class TestEstimateTeatPose:
         rng = np.random.default_rng(13)
         cases = []
         for _ in range(6):
-            teat = _random_teat(rng)
+            teat = random_teat(rng)
             pts = sample_teat_surface(teat, 3000, rng, noise_mm=1.0)
             cases.append((*self._camera_cloud(teat, pts), "normals"))
         # The stray blob is not reached by any k-NN row: the fallback runs.
@@ -427,7 +392,7 @@ class TestEstimateTeatPose:
             _, rings, camera, cloud = self._rings_and_stray_blob()
         else:
             rng = np.random.default_rng(14)
-            teat = _random_teat(rng)
+            teat = random_teat(rng)
             camera, cloud = self._camera_cloud(
                 teat, sample_teat_surface(teat, 3000, rng, noise_mm=1.0))
         estimate_teat_pose(cloud, camera)
@@ -475,7 +440,7 @@ class TestEstimateTeatPose:
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
-        teat = _random_teat(rng)
+        teat = random_teat(rng)
         pts = sample_teat_surface(teat, 2000, rng, noise_mm=1.0)
         camera, cloud = self._camera_cloud(teat, pts)
         first = estimate_teat_pose(cloud, camera, stamp_us=42)

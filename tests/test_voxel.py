@@ -10,19 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _oracles import oracle_downsample
 from teatpose.cloud import FRAME_WORLD, PointCloud
 from teatpose.errors import InvalidInputError
 from teatpose.voxel import voxel_downsample
-
-
-def _oracle_downsample(points: np.ndarray, leaf: float) -> np.ndarray:
-    """Hash-map brute force: bucket by voxel index, average each bucket."""
-    buckets: dict[tuple, list] = {}
-    for p in points:
-        key = tuple(int(i) for i in np.floor(p / leaf))
-        buckets.setdefault(key, []).append(p)
-    keys = sorted(buckets)
-    return np.array([np.mean(buckets[k], axis=0) for k in keys])
 
 
 class TestVoxelDownsample:
@@ -75,7 +66,7 @@ class TestVoxelDownsample:
         rng = np.random.default_rng(2024)
         pts = rng.uniform(0.0, 1000.0, size=(100_000, 3))
         out = voxel_downsample(PointCloud(pts, frame=FRAME_WORLD), 50.0)
-        expected = _oracle_downsample(pts, 50.0)
+        expected = oracle_downsample(pts, 50.0)
         assert len(out) == len(expected)
         np.testing.assert_array_equal(out.points, expected)
 
@@ -99,7 +90,7 @@ class TestVoxelDownsample:
             corners = rng.choice([-1e9, 1e9], (2000, 3))
             pts = corners + np.round(rng.normal(0.0, 1.0, (2000, 3)), 1)
         out = voxel_downsample(PointCloud(pts), leaf)
-        np.testing.assert_array_equal(out.points, _oracle_downsample(pts, leaf))
+        np.testing.assert_array_equal(out.points, oracle_downsample(pts, leaf))
 
     def test_member_order_preserving_permutation_is_bitwise_equal(self):
         # Shuffle the voxels but keep each voxel's points in input order:
