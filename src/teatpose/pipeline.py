@@ -351,11 +351,14 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
 
 
 def static_scene_stream(scene: SceneSpec, frames: int):
-    """Per-frame copies of one scene with decorrelated noise seeds."""
+    """Per-frame copies of one scene with decorrelated noise seeds.
+
+    `frames` is checked on the call; the copies are made as they are drawn.
+    """
     _check_count("frames", frames)
-    for k in range(frames):
-        child = int(np.random.SeedSequence((scene.seed, k)).generate_state(1)[0])
-        yield replace(scene, seed=child)
+    seeds = (int(np.random.SeedSequence((scene.seed, k)).generate_state(1)[0])
+             for k in range(frames))
+    return (replace(scene, seed=seed) for seed in seeds)
 
 
 def write_events_jsonl(events, path) -> None:

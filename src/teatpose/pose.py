@@ -239,21 +239,20 @@ def _refine_axis(cluster: PointCloud, field: SurfaceNormalField,
     typical teat proportions, so a PCA re-fit would be ill-conditioned
     there. Orthogonal flips and estimator failures keep the current axis.
 
-    `field` is the cluster's normal field. Each pass's wall normals copy it
-    wherever a wall point's k neighbours all lie in the wall, and search
-    the wall only for the rest (see `estimate_normals`).
+    `field` is the cluster's normal field. Each pass reads the wall's
+    normals from it, so no neighbour search runs on the wall; a wall point
+    next to the trim keeps the cap points among its k neighbours.
     """
     p = cluster.points
     c = p.mean(axis=0)
     for _ in range(2):
         s = (p - c) @ axis
         rows = np.nonzero(s >= s.min() + _TIP_TRIM_MM)[0]
-        # _REFINE_MIN_POINTS >= _NORMALS_K, so estimate_normals accepts it.
+        # Too few wall normals to trust; normals_axis alone would take 2.
         if len(rows) < _REFINE_MIN_POINTS:
             return axis
         try:
-            cand = normals_axis(estimate_normals(
-                cluster.select(rows), k=_NORMALS_K, subset_of=(field, rows)))
+            cand = normals_axis(SurfaceNormalField(normals=field.normals[rows]))
         except TeatPoseError:
             return axis
         cand = disambiguate_direction(cand, cluster, camera)

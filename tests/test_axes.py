@@ -244,31 +244,32 @@ class TestEstimateNormals:
         dist = np.linalg.norm(pts[field.neighbours] - pts[:, None], axis=2)
         all_dist = np.sort(np.linalg.norm(pts[:, None] - pts[None], axis=2))
         np.testing.assert_allclose(dist, all_dist[:, :12])
-        assert field.neighbours_unique.all()
 
     def test_distance_ties_mark_neighbours_not_unique(self):
         # Integer points: squared distances are exact, so ties are exact.
         rng = np.random.default_rng(36)
         pts = np.unique(rng.integers(0, 50, (400, 3)), axis=0).astype(float)
-        field = estimate_normals(PointCloud(pts), k=12)
         sq = np.sort(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
-        expected = (np.diff(sq[:, :13], axis=1) > 0).all(axis=1)
-        np.testing.assert_array_equal(field.neighbours_unique, expected)
-        assert 0 < expected.sum() < len(pts)
-        # Tied rows keep what a k query picks, as before the tie check.
+        unique = (np.diff(sq[:, :13], axis=1) > 0).all(axis=1)
+        assert 0 < unique.sum() < len(pts)
+        # Where a tie leaves the k nearest not unique, the field keeps the
+        # rows a k query picks.
+        field = estimate_normals(PointCloud(pts), k=12)
         np.testing.assert_array_equal(field.neighbours,
                                       cKDTree(pts).query(pts, k=12)[1])
 
-    @pytest.mark.parametrize("neighbours, unique", [
-        ([[0, 1], [1, 2]], [True, True]), ([[0], [1.0]], [True, True]),
-        ([[0], [-1]], [True, True]), ([0, 1], [True, True]),
-        ([[0], [1]], [1, 1]), ([[0], [1]], [True]), ([[0], [1]], None),
+    # The ids are the ones these cases had when each also carried a
+    # neighbours_unique flag, so a case keeps its name across versions.
+    @pytest.mark.parametrize("neighbours", [
+        pytest.param([[0, 1], [1, 2]], id="neighbours0-unique0"),
+        pytest.param([[0], [1.0]], id="neighbours1-unique1"),
+        pytest.param([[0], [-1]], id="neighbours2-unique2"),
+        pytest.param([0, 1], id="neighbours3-unique3"),
     ])
-    def test_bad_neighbours_rejected(self, neighbours, unique):
+    def test_bad_neighbours_rejected(self, neighbours):
         with pytest.raises(InvalidInputError, match="neighbours"):
             SurfaceNormalField(normals=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                               neighbours=neighbours,
-                               neighbours_unique=unique)
+                               neighbours=neighbours)
 
 
 def _eigh(hoods: np.ndarray):
@@ -380,78 +381,78 @@ def _teat_like(n: int, rng) -> np.ndarray:
     return pts - [0.0, 0.0, pts[:, 2].min()]
 
 
-def _bits(a) -> bytes:
-    return np.ascontiguousarray(a).tobytes()
-
-
-def _axis_outcome(field):
-    """normals_axis bits, or its error (a tiny wall may give parallel ones)."""
-    try:
-        return _bits(normals_axis(field))
-    except AmbiguousAxisError as exc:
-        return str(exc)
-
-
 class TestSubsetReuse:
-    """estimate_normals(subset_of=...) against a fresh search of the subset.
+    """A wall's normals read from the cloud's field, as `pose._refine_axis`
+    reads them, against the wall searched again by estimate_normals.
 
-    Past a few hundred rows numpy's `normals.T @ normals` goes to BLAS for a
-    contiguous array (what both paths return) and to its own loop for a
-    strided one, with other result bits, so the subsets here span both
-    sides of that switch.
+    A wall point whose k nearest neighbours in the cloud all lie in the wall,
+    with no distance tie, has the same neighbours in the same order in the
+    wall, so its read normal is copied bit for bit from what a search of the
+    wall gives. The other wall points keep cloud points outside the wall in
+    their neighbourhoods; their normals differ a little, and so does the
+    axis. The read normals are a contiguous (n, 3) array like a fresh
+    field's, so past a few hundred rows `normals_axis` takes the same BLAS
+    branch for both.
     """
 
     @staticmethod
     def _both(pts, rows, k=12):
         cloud = PointCloud(pts)
         field = estimate_normals(cloud, k=k, camera_origin=(0.0, -500.0, 0.0))
-        wall = cloud.select(rows)
-        fresh = estimate_normals(wall, k=k, camera_origin=(0.0, -500.0, 0.0))
-        reused = estimate_normals(wall, k=k, camera_origin=(0.0, -500.0, 0.0),
-                                  subset_of=(field, rows))
+        fresh = estimate_normals(cloud.select(rows), k=k,
+                                 camera_origin=(0.0, -500.0, 0.0))
+        read = SurfaceNormalField(normals=field.normals[rows])
+        assert read.normals.strides == fresh.normals.strides == (24, 8)
+        np.testing.assert_array_equal(read.normals, field.normals[rows])
         inside = np.zeros(len(pts), bool)
         inside[rows] = True
-        copied = int(inside[field.neighbours[rows]].all(axis=1).sum())
-        return fresh, reused, copied
+        copied = inside[field.neighbours[rows]].all(axis=1)
+        return fresh, read, copied
 
-    def _assert_identical(self, fresh, reused):
-        assert _bits(reused.normals) == _bits(fresh.normals)
-        np.testing.assert_array_equal(reused.neighbours, fresh.neighbours)
-        # Same layout as the fresh field: a contiguous (n, 3) array.
-        assert reused.normals.strides == fresh.normals.strides == (24, 8)
-        assert _axis_outcome(reused) == _axis_outcome(fresh)
+    @staticmethod
+    def _assert_copied(fresh, read, copied):
+        assert read.normals[copied].tobytes() == \
+            fresh.normals[copied].tobytes()
 
     def test_mixed_wall_above_blas_switch(self):
         rng = np.random.default_rng(61)
         pts = _teat_like(3000, rng)
         rows = np.nonzero(pts[:, 2] >= 15.0)[0]
-        fresh, reused, copied = self._both(pts, rows)
-        assert len(rows) >= 400 and 0 < copied < len(rows)
-        self._assert_identical(fresh, reused)
+        fresh, read, copied = self._both(pts, rows)
+        assert len(rows) >= 400 and 0 < copied.sum() < len(rows)
+        self._assert_copied(fresh, read, copied)
+        assert axis_angle_deg(normals_axis(read), normals_axis(fresh)) < 0.5
 
     def test_whole_cloud_copies_every_normal(self):
         rng = np.random.default_rng(62)
         pts = _teat_like(800, rng)
         rows = np.arange(len(pts))
-        fresh, reused, copied = self._both(pts, rows)
-        assert copied == len(rows) >= 400
-        self._assert_identical(fresh, reused)
+        fresh, read, copied = self._both(pts, rows)
+        assert copied.all() and len(rows) >= 400
+        assert read.normals.tobytes() == fresh.normals.tobytes()
+        assert normals_axis(read).tobytes() == normals_axis(fresh).tobytes()
 
     def test_tied_neighbours_are_searched_again(self):
-        # Exact rings tie k-d tree distances; no tied row may be copied.
+        # Exact rings tie k-d tree distances, so the wall searched again may
+        # pick other tied neighbours than the cloud's search; the read
+        # normals still give the same axis.
         pts = _cylinder_rings(14.0, 60.0, (0.0, 0.0, 1.0), step_mm=1.0)
         rows = np.nonzero(pts[:, 2] >= -20.0)[0]
-        fresh, reused, copied = self._both(pts, rows)
-        assert copied > 400
-        self._assert_identical(fresh, reused)
+        fresh, read, copied = self._both(pts, rows)
+        assert copied.sum() > 400
+        assert axis_angle_deg(normals_axis(read), [0.0, 0.0, 1.0]) < 0.05
+        assert axis_angle_deg(normals_axis(read), normals_axis(fresh)) < 0.1
 
     def test_interleaved_subset_copies_nothing(self):
+        # Every other point: no wall point keeps its whole neighbourhood, so
+        # no read normal is a fresh one, yet the axes agree.
         rng = np.random.default_rng(63)
         pts = _teat_like(2000, rng)
         rows = np.arange(0, len(pts), 2)
-        fresh, reused, copied = self._both(pts, rows)
-        assert copied == 0 and len(rows) >= 400
-        self._assert_identical(fresh, reused)
+        fresh, read, copied = self._both(pts, rows)
+        assert not copied.any() and len(rows) >= 400
+        assert not (read.normals == fresh.normals).all(axis=1).any()
+        assert axis_angle_deg(normals_axis(read), normals_axis(fresh)) < 1.5
 
     @pytest.mark.parametrize("n_rows", [12, 13, 16])
     def test_wall_near_refine_minimum(self, n_rows):
@@ -460,38 +461,12 @@ class TestSubsetReuse:
         pts = _cylinder_points(60, 2.0, 120.0, (0.0, 0.0, 1.0), rng,
                                noise_mm=0.3)
         rows = np.sort(np.argsort(-pts[:, 2])[:n_rows])
-        fresh, reused, copied = self._both(pts, rows)
-        assert 0 < copied < n_rows
-        self._assert_identical(fresh, reused)
-
-    @pytest.mark.parametrize("rows", [
-        np.arange(5, 20),              # wrong length
-        np.arange(5, 25)[::-1],        # not increasing
-        np.r_[5, 5, np.arange(7, 25)],  # repeated
-        np.arange(90, 110),            # beyond the earlier cloud
-        np.arange(-1, 19),             # negative
-        np.arange(5, 25) * 1.0,        # not integers
-        np.arange(5, 25)[None, :],     # not 1-D
-        np.r_[6, 5, np.arange(7, 25)].astype(np.uint64),  # unsigned, unsorted
-    ])
-    def test_bad_rows_rejected(self, rows):
-        pts = _teat_like(100, np.random.default_rng(65))
-        field = estimate_normals(PointCloud(pts), k=12)
-        with pytest.raises(InvalidInputError, match="rows"):
-            estimate_normals(PointCloud(pts[5:25]), k=12,
-                             subset_of=(field, rows))
-
-    @pytest.mark.parametrize("field", [
-        SurfaceNormalField(np.tile([0.0, 0.0, 1.0], (100, 1))),
-        "k=10",
-    ])
-    def test_field_without_matching_neighbours_rejected(self, field):
-        pts = _teat_like(100, np.random.default_rng(66))
-        if field == "k=10":
-            field = estimate_normals(PointCloud(pts), k=10)
-        with pytest.raises(InvalidInputError, match="k=12"):
-            estimate_normals(PointCloud(pts[5:25]), k=12,
-                             subset_of=(field, np.arange(5, 25)))
+        fresh, read, copied = self._both(pts, rows)
+        assert 0 < copied.sum() < n_rows
+        self._assert_copied(fresh, read, copied)
+        axis = normals_axis(read)
+        np.testing.assert_allclose(np.linalg.norm(axis), 1.0, rtol=0,
+                                   atol=1e-12)
 
 
 class TestNormalsAxis:

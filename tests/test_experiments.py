@@ -164,7 +164,7 @@ class TestRunRateBench:
 
 @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
 @pytest.mark.parametrize("name, run", [
-    ("frames", lambda n, out: list(static_scene_stream(default_scene(), n))),
+    ("frames", lambda n, out: static_scene_stream(default_scene(), n)),
     ("cycles", lambda n, out: run_repeatability(default_scene(), n, out)),
     ("repeats", lambda n, out: run_rate_bench(default_scene(), out,
                                               repeats=n)),

@@ -534,8 +534,9 @@ class TestPinnedSchedule:
 class TestStaticSceneStream:
 
     def test_needs_at_least_one_frame(self):
-        with pytest.raises(InvalidInputError):
-            list(static_scene_stream(default_scene(), 0))
+        # Checked on the call, before any scene is drawn.
+        with pytest.raises(InvalidInputError, match="frames"):
+            static_scene_stream(default_scene(), 0)
 
     def test_per_frame_seeds_deterministic_and_distinct(self):
         scene = default_scene(seed=4)

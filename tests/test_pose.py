@@ -9,12 +9,13 @@ area sampler and assert statistical bounds frozen from calibration runs.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import teatpose.axes as tp_axes
 import teatpose.cluster as tp_cluster
 import teatpose.pose as tp_pose
 from _oracles import axis_angle_deg, random_teat, teat_rings
@@ -295,8 +296,9 @@ class TestEstimateTeatPose:
             assert np.linalg.norm(nrm.tip_mm - teat.tip_mm) < 2.0
 
     def test_refinement_reuse_matches_fresh_wall_search(self, monkeypatch):
-        # Each wall pass copies the cluster's normals where it can; a fresh
-        # search of every wall point must give the same axis, bit for bit.
+        # Each wall pass reads the cluster's normals; a fresh search of every
+        # wall point moves the pose only a little (the wall points next to
+        # the trim lose their cap neighbours).
         rng = np.random.default_rng(12)
         clouds = []
         for _ in range(6):
@@ -307,16 +309,28 @@ class TestEstimateTeatPose:
                   for camera, cloud in clouds]
         walls = []
 
-        def fresh(cloud, k, camera_origin=(0.0, 0.0, 0.0), *, subset_of=None):
-            if subset_of is not None:
-                walls.append(len(cloud))
-            return tp_axes.estimate_normals(cloud, k, camera_origin)
+        class FreshWallNormals:
+            """normals[rows]: the wall's own normals, searched afresh."""
 
-        monkeypatch.setattr(tp_pose, "estimate_normals", fresh)
+            def __init__(self, cluster):
+                self.cluster = cluster
+
+            def __getitem__(self, rows):
+                walls.append(len(rows))
+                return tp_pose.estimate_normals(
+                    self.cluster.select(rows), k=tp_pose._NORMALS_K).normals
+
+        refine = tp_pose._refine_axis
+
+        def fresh(cluster, field, axis, camera):
+            wall = SimpleNamespace(normals=FreshWallNormals(cluster))
+            return refine(cluster, wall, axis, camera)
+
+        monkeypatch.setattr(tp_pose, "_refine_axis", fresh)
         for pose, (camera, cloud) in zip(reused, clouds):
             again = estimate_teat_pose(cloud, camera)
-            assert again.axis.tobytes() == pose.axis.tobytes()
-            assert again.tip_mm.tobytes() == pose.tip_mm.tobytes()
+            assert axis_angle_deg(again.axis, pose.axis) < 1.5
+            assert np.linalg.norm(again.tip_mm - pose.tip_mm) < 0.5
         assert min(walls) >= 400
 
     def test_too_few_points_rejected(self):
@@ -377,15 +391,17 @@ class TestEstimateTeatPose:
     @pytest.mark.parametrize("stray", [False, True])
     def test_one_neighbour_search_before_refinement(self, monkeypatch,
                                                     stray):
+        # The wall passes read the cluster's normals: no normals call, so
+        # no neighbour search, runs on a wall.
         calls = []
 
         def spy(name, fn):
-            def traced(cloud, *args, **kwargs):
-                calls.append((name, len(cloud), "subset_of" in kwargs))
-                return fn(cloud, *args, **kwargs)
+            def traced(data, *args, **kwargs):
+                calls.append((name, len(data)))
+                return fn(data, *args, **kwargs)
             return traced
 
-        for name in ("euclidean_cluster", "estimate_normals"):
+        for name in ("euclidean_cluster", "estimate_normals", "normals_axis"):
             monkeypatch.setattr(tp_pose, name,
                                 spy(name, getattr(tp_pose, name)))
         if stray:
@@ -395,17 +411,18 @@ class TestEstimateTeatPose:
             teat = random_teat(rng)
             camera, cloud = self._camera_cloud(
                 teat, sample_teat_surface(teat, 3000, rng, noise_mm=1.0))
-        estimate_teat_pose(cloud, camera)
-        head = [("estimate_normals", len(cloud), False),
-                ("euclidean_cluster", len(cloud), False)]
+        pose = estimate_teat_pose(cloud, camera)
+        head = [("estimate_normals", len(cloud)),
+                ("euclidean_cluster", len(cloud))]
         if stray:
             # Fallback: the largest cluster's normals are estimated afresh.
-            head.append(("estimate_normals", len(rings), False))
+            head.append(("estimate_normals", len(rings)))
+        head.append(("normals_axis", pose.n_points))
         assert calls[:len(head)] == head
         walls = calls[len(head):]
         assert 1 <= len(walls) <= 2
-        assert all(name == "estimate_normals" and subset
-                   for name, _, subset in walls)
+        assert all(name == "normals_axis" and n < pose.n_points
+                   for name, n in walls)
 
     @pytest.mark.parametrize("method", ["pca", "normals"])
     def test_overflowing_extent_rejected(self, method):
