@@ -1,7 +1,7 @@
 """Teat axis estimators: point-distribution PCA and surface-normal analysis.
 
-Both estimators return a unit axis with an arbitrary (but deterministic) sign;
-orientation is resolved separately by `teatpose.pose.disambiguate_direction`.
+Both estimators return a unit axis of arbitrary sign, and surface normals
+are unsigned; `teatpose.pose.disambiguate_direction` alone resolves a sign.
 """
 
 from __future__ import annotations
@@ -12,17 +12,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .errors import AmbiguousAxisError, InsufficientPointsError, InvalidInputError
+from .errors import (AmbiguousAxisError, InsufficientPointsError,
+                     InvalidInputError, _check_neighbours)
 
 # Minimum spread ratio between the two largest covariance eigenvalues before
 # the elongation direction is considered meaningful.
 AXIS_RATIO_MIN = 1.05
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip so the largest-magnitude component is positive (deterministic)."""
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
 
 
 def pca_axis(cloud: PointCloud) -> np.ndarray:
@@ -32,7 +27,7 @@ def pca_axis(cloud: PointCloud) -> np.ndarray:
         cloud: At least 3 points with non-degenerate spread.
 
     Returns:
-        Unit (3,) axis, sign canonicalized.
+        Unit (3,) axis; sign arbitrary, `disambiguate_direction` resolves it.
 
     Raises:
         InsufficientPointsError: Fewer than 3 points.
@@ -51,15 +46,16 @@ def pca_axis(cloud: PointCloud) -> np.ndarray:
     if lam2 > 0 and lam1 / lam2 < AXIS_RATIO_MIN:
         raise AmbiguousAxisError(f"isotropic covariance (ratio "
                                  f"{lam1 / lam2:.3f} < {AXIS_RATIO_MIN})")
-    return _canonical_sign(evecs[:, 2])
+    return evecs[:, 2]
 
 
 @dataclass(frozen=True)
 class SurfaceNormalField:
-    """Per-point unit normals oriented toward the sensor.
+    """Per-point unit surface normals.
 
     Attributes:
-        normals: (n, 3) unit normals.
+        normals: (n, 3) unit normals, sign arbitrary (`normals_axis` reads
+            only n n^T; `disambiguate_direction` resolves the axis sign).
         neighbours: (n, k) rows of each point's k nearest neighbours in the
             cloud the normals were estimated on, nearest first, as
             `cKDTree.query` orders them; None for a field built by hand.
@@ -77,11 +73,7 @@ class SurfaceNormalField:
         object.__setattr__(self, "normals", n)
         n.flags.writeable = False
         if self.neighbours is not None:
-            nbr = np.asarray(self.neighbours)
-            if (nbr.ndim != 2 or len(nbr) != len(n) or nbr.dtype.kind != "i"
-                    or (nbr.size and (nbr.min() < 0 or nbr.max() >= len(n)))):
-                raise InvalidInputError(
-                    f"neighbours must be ({len(n)}, k) rows in [0, {len(n)})")
+            nbr = _check_neighbours(self.neighbours, len(n))
             object.__setattr__(self, "neighbours", nbr)
             nbr.flags.writeable = False
 
@@ -151,23 +143,22 @@ def _hood_normals(points: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return normals
 
 
-def estimate_normals(cloud: PointCloud, k: int = 12,
-                     camera_origin=(0.0, 0.0, 0.0)) -> SurfaceNormalField:
-    """k-NN covariance surface normals, flipped to face the sensor.
+def estimate_normals(cloud: PointCloud, k: int = 12) -> SurfaceNormalField:
+    """k-NN covariance unit surface normals.
 
     Each point's normal is the smallest-eigenvalue eigenvector of the
-    covariance of its k nearest neighbours (the point itself included), then
-    sign-flipped so dot(normal, camera_origin - point) >= 0.
+    covariance of its k nearest neighbours (the point itself included). Its
+    sign is arbitrary; `disambiguate_direction` resolves the sign of the
+    axis estimated from the field.
 
     Args:
-        cloud: Camera-frame cloud with len(cloud) >= k and a finite
-            squared bbox diagonal.
+        cloud: Cloud with len(cloud) >= k and a finite squared bbox
+            diagonal.
         k: Neighbourhood size, an integer >= 3.
-        camera_origin: Sensor position in the cloud's frame, finite.
 
     Returns:
-        SurfaceNormalField, one normal per input point in input order, with
-        its neighbours.
+        SurfaceNormalField, one unit normal per input point in input order,
+        with its neighbours.
     """
     if not (k >= 3 and float(k).is_integer()):
         raise InvalidInputError(f"k must be an integer >= 3, got {k!r}")
@@ -175,27 +166,21 @@ def estimate_normals(cloud: PointCloud, k: int = 12,
     if len(cloud) < k:
         raise InvalidInputError(
             f"k ({k}) exceeds point count ({len(cloud)})")
-    origin = np.asarray(camera_origin, dtype=float).reshape(3)
-    if not np.all(np.isfinite(origin)):
-        raise InvalidInputError(
-            f"camera_origin must be finite, got {camera_origin!r}")
     cloud.require_finite_extent("estimate_normals")
 
     p = cloud.points
     nbr = cKDTree(p).query(p, k=k)[1]
-    normals = _hood_normals(p, nbr)
-    toward = origin - p
-    flip = np.einsum("ni,ni->n", normals, toward) < 0
-    normals[flip] *= -1
-    return SurfaceNormalField(normals=normals, neighbours=nbr)
+    return SurfaceNormalField(normals=_hood_normals(p, nbr), neighbours=nbr)
 
 
 def normals_axis(field: SurfaceNormalField) -> np.ndarray:
-    """Axis most orthogonal to a normal field.
+    """Axis most orthogonal to a field of unit normals.
 
     Minimizes sum_i (n_i . a)^2, i.e. the smallest-eigenvalue eigenvector of
     sum n_i n_i^T. For a cylindrical surface the normals fan around the axis,
-    so the minimizer is the axis itself.
+    so the minimizer is the axis itself. Only n_i n_i^T is read, so no
+    normal's sign matters. The axis's sign is arbitrary;
+    `disambiguate_direction` resolves it.
 
     Raises:
         InsufficientPointsError: Fewer than 2 normals.
@@ -210,4 +195,4 @@ def normals_axis(field: SurfaceNormalField) -> np.ndarray:
     # Parallel normals leave two near-zero eigenvalues: no unique minimizer.
     if evals[1] - evals[0] <= 1e-9 * max(evals[2], 1.0):
         raise AmbiguousAxisError("normals are parallel; axis undefined")
-    return _canonical_sign(evecs[:, 0])
+    return evecs[:, 0]

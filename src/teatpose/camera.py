@@ -63,8 +63,6 @@ class CameraModel:
             raise InvalidInputError("principal point must lie inside the image")
         object.__setattr__(self, "rotation", _as_matrix(self.rotation))
         t = _check_vector(self.translation_mm, 3, "camera", "translation_mm")
-        if not np.all(np.isfinite(t)):
-            raise InvalidInputError("translation contains non-finite values")
         object.__setattr__(self, "translation_mm", t)
         self.rotation.flags.writeable = False
         self.translation_mm.flags.writeable = False

@@ -1,7 +1,8 @@
 """Point cloud container.
 
-Clouds carry an explicit coordinate-frame tag so that camera-frame and
-world-frame data can never be mixed silently. Coordinates are float64 mm.
+A cloud is geometry only: float64 coordinates in mm plus an explicit
+coordinate-frame tag, so that camera-frame and world-frame data can never
+be mixed silently.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ _FRAMES = (FRAME_CAMERA, FRAME_WORLD)
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable set of 3D points in mm with a frame tag and optional colors."""
+    """Immutable (n, 3) float64 set of 3D points in mm with a frame tag."""
 
     points: np.ndarray
     frame: str = FRAME_CAMERA
-    colors: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -33,12 +33,6 @@ class PointCloud:
             raise InvalidInputError(f"unknown frame {self.frame!r}")
         object.__setattr__(self, "points", p)
         p.flags.writeable = False
-        if self.colors is not None:
-            c = np.asarray(self.colors, dtype=np.uint8).reshape(-1, 3)
-            if len(c) != len(p):
-                raise InvalidInputError("colors and points length mismatch")
-            object.__setattr__(self, "colors", c)
-            c.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.points)
@@ -66,5 +60,4 @@ class PointCloud:
 
     def select(self, index) -> "PointCloud":
         """Subset cloud by boolean mask or index array, preserving order."""
-        colors = self.colors[index] if self.colors is not None else None
-        return PointCloud(self.points[index], frame=self.frame, colors=colors)
+        return PointCloud(self.points[index], frame=self.frame)

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_neighbours
 
 # Relative margin below tolerance^2 that a given neighbour edge must keep.
 # numpy and the k-d tree may round a squared distance differently by a few
@@ -71,13 +71,7 @@ def euclidean_cluster(cloud: PointCloud, tolerance_mm: float = 10.0, *,
         raise InvalidInputError(f"tolerance must be positive, got {tolerance_mm}")
     n = len(cloud)
     if neighbours is not None:
-        neighbours = np.asarray(neighbours)
-        if (neighbours.ndim != 2 or len(neighbours) != n
-                or neighbours.dtype.kind not in "iu"
-                or (neighbours.size and (neighbours.min() < 0
-                                         or neighbours.max() >= n))):
-            raise InvalidInputError(
-                f"neighbours must be ({n}, k) integer rows in [0, {n})")
+        neighbours = _check_neighbours(neighbours, n)
     if n == 0:
         return []
     cloud.require_finite_extent("euclidean_cluster")

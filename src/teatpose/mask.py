@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import CameraModel
 from .cloud import PointCloud
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_bound, _is_int
 
 _CHUNK = 4096
 
@@ -31,7 +31,8 @@ class TeatMask:
 
     Attributes:
         teat_id: Opaque identifier from the segmentation stage.
-        stamp_us: Timestamp of the source image in microseconds.
+        stamp_us: Timestamp of the source image in microseconds, an
+            integer >= 0.
         contour: (M, 2) integer pixel vertices of the lattice boundary of a
             pixel set, as `trace_boundary` returns it: closing edge
             implicit, every edge one pixel long along u or v, and no vertex
@@ -44,6 +45,8 @@ class TeatMask:
     contour: np.ndarray
 
     def __post_init__(self):
+        _check_bound(self, ("stamp_us",), lambda v: _is_int(v) and v >= 0,
+                     "an integer >= 0")
         c = np.asarray(self.contour)
         if c.ndim != 2 or c.shape[1] != 2 or len(c) < 3:
             raise InvalidInputError("contour must be (M, 2) with M >= 3")

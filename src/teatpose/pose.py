@@ -16,7 +16,7 @@ from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .cluster import euclidean_cluster
 from .errors import (InsufficientPointsError, InvalidInputError,
-                     TeatPoseError, _check_bound)
+                     TeatPoseError, _check_bound, _is_int)
 
 METHODS = ("pca", "normals")
 
@@ -48,8 +48,8 @@ class TeatPose:
         tip_mm: Tip position, world frame.
         axis: Unit vector from tip toward the udder (cup approaches along -axis).
         method: Axis estimator used, "pca" or "normals".
-        n_points: Supporting point count after clustering.
-        stamp_us: Source frame timestamp.
+        n_points: Supporting point count after clustering, an integer >= 0.
+        stamp_us: Source frame timestamp in microseconds, an integer >= 0.
     """
 
     teat_id: str
@@ -66,9 +66,8 @@ class TeatPose:
         object.__setattr__(self, "axis", ax)
         _check_bound(self, ("tip_mm", "axis"),
                      lambda v: bool(np.all(np.isfinite(v))), "finite")
-        _check_bound(self, ("n_points",),
-                     lambda v: v >= 0 and float(v).is_integer(),
-                     "an integer >= 0")
+        _check_bound(self, ("n_points", "stamp_us"),
+                     lambda v: _is_int(v) and v >= 0, "an integer >= 0")
         norm = np.linalg.norm(ax)
         if abs(norm - 1.0) > 1e-9:
             raise InvalidInputError(f"axis must be unit length, |axis| = {norm}")

@@ -26,9 +26,6 @@ from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
 
-# Point colours, indexed by min(label, 1): udder, then teat.
-_PALETTE = np.array([(208, 178, 158), (232, 156, 168)], dtype=np.uint8)
-
 
 @dataclass(frozen=True)
 class TeatSpec:
@@ -447,7 +444,6 @@ def render(scene: SceneSpec, stamp_us: int = 0,
 
     hit_idx = np.flatnonzero(np.isfinite(z_buf))
     z_true = z_buf[hit_idx]
-    lab_hit = label[hit_idx]
 
     # Noise draws happen in a fixed order: jitter, depth eps, dropout.
     noise = scene.noise
@@ -470,12 +466,10 @@ def render(scene: SceneSpec, stamp_us: int = 0,
         kept = rng.random(len(hit_idx)) >= noise.dropout_rate
         keep = kept if keep is None else kept & keep
     if keep is not None:
-        dirs_sample, z_noisy, lab_hit = (dirs_sample[keep], z_noisy[keep],
-                                         lab_hit[keep])
+        dirs_sample, z_noisy = dirs_sample[keep], z_noisy[keep]
 
     pts_cam = dirs_sample * z_noisy[:, None]
-    colors = _PALETTE[np.minimum(lab_hit, 1)]
-    cloud = PointCloud(pts_cam, frame=FRAME_CAMERA, colors=colors)
+    cloud = PointCloud(pts_cam, frame=FRAME_CAMERA)
 
     n = len(scene.teats)
     visible = np.bincount(label + 1, minlength=n + 2)[2:]

@@ -15,8 +15,7 @@ def voxel_downsample(cloud: PointCloud, leaf_mm: float = 5.0) -> PointCloud:
     floor(p / leaf_mm) per axis, so a point exactly on a cell boundary lands
     in the higher-index voxel. Output is ordered by voxel index (ix, iy, iz
     lexicographic), so the result is deterministic regardless of input order.
-    Idempotent on clouds that are already one-point-per-voxel. Colors are
-    dropped (centroids have no single source pixel).
+    Idempotent on clouds that are already one-point-per-voxel.
 
     Args:
         cloud: Input cloud, any frame.

@@ -17,6 +17,7 @@ from teatpose.axes import (AXIS_RATIO_MIN, SurfaceNormalField,
                            _hood_normals, estimate_normals, normals_axis,
                            pca_axis)
 from teatpose.cloud import PointCloud
+from teatpose.cluster import euclidean_cluster
 from teatpose.errors import (AmbiguousAxisError, InsufficientPointsError,
                              InvalidInputError)
 
@@ -150,18 +151,17 @@ class TestEstimateNormals:
         rng = np.random.default_rng(31)
         xy = rng.uniform(-50.0, 50.0, size=(300, 2))
         pts = np.column_stack([xy, np.zeros(300)])
-        field = estimate_normals(PointCloud(pts), k=12,
-                                 camera_origin=(0.0, 0.0, -500.0))
-        np.testing.assert_allclose(field.normals,
-                                   np.tile([0.0, 0.0, -1.0], (300, 1)),
+        field = estimate_normals(PointCloud(pts), k=12)
+        # Unsigned normals: only |n| is fixed by the plane.
+        np.testing.assert_allclose(np.abs(field.normals),
+                                   np.tile([0.0, 0.0, 1.0], (300, 1)),
                                    atol=1e-9)
 
     def test_cylinder_normals_orthogonal_to_axis(self):
         # 64 azimuths: k-NN distance ties at the patch rim stay mild.
         axis = np.array([0.0, 0.0, 1.0])
         pts = _cylinder_rings(14.0, 50.0, axis, azimuths=64)
-        field = estimate_normals(PointCloud(pts), k=12,
-                                 camera_origin=(0.0, -500.0, 0.0))
+        field = estimate_normals(PointCloud(pts), k=12)
         dots = np.abs(field.normals @ axis)
         # Orthogonal to the true axis within 3 degrees -> |dot| < sin(3 deg).
         assert np.degrees(np.arcsin(dots.max())) < 3.0
@@ -172,20 +172,9 @@ class TestEstimateNormals:
         rng = np.random.default_rng(32)
         axis = np.array([0.0, 0.0, 1.0])
         pts = _cylinder_points(2000, 14.0, 50.0, axis, rng)
-        field = estimate_normals(PointCloud(pts), k=12,
-                                 camera_origin=(0.0, -500.0, 0.0))
+        field = estimate_normals(PointCloud(pts), k=12)
         tilt = np.degrees(np.arcsin(np.abs(field.normals @ axis)))
         assert np.percentile(tilt, 95) < 3.0
-
-    def test_flipping_camera_flips_normals(self):
-        rng = np.random.default_rng(33)
-        xy = rng.uniform(-30.0, 30.0, size=(100, 2))
-        pts = np.column_stack([xy, np.zeros(100)])
-        near = estimate_normals(PointCloud(pts), k=8,
-                                camera_origin=(0.0, 0.0, -100.0))
-        far = estimate_normals(PointCloud(pts), k=8,
-                               camera_origin=(0.0, 0.0, 100.0))
-        np.testing.assert_allclose(near.normals, -far.normals, atol=1e-12)
 
     def test_k_larger_than_cloud_rejected(self):
         pts = np.eye(3) * 10.0
@@ -204,11 +193,6 @@ class TestEstimateNormals:
         pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
         with pytest.raises(InvalidInputError, match="k must be"):
             estimate_normals(PointCloud(pts), k=12.5)
-
-    def test_non_finite_camera_origin_rejected(self):
-        pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
-        with pytest.raises(InvalidInputError, match="camera_origin"):
-            estimate_normals(PointCloud(pts), camera_origin=(np.nan, 0.0, 0.0))
 
     @pytest.mark.parametrize("x", [1e150, 1e155])
     def test_overflowing_extent_rejected(self, x):
@@ -270,6 +254,16 @@ class TestEstimateNormals:
         with pytest.raises(InvalidInputError, match="neighbours"):
             SurfaceNormalField(normals=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                                neighbours=neighbours)
+
+    def test_unsigned_neighbour_rows_accepted(self):
+        # The field and euclidean_cluster(neighbours=) share one row check.
+        pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
+        field = estimate_normals(PointCloud(pts), k=12)
+        rows = field.neighbours.astype(np.uint32)
+        unsigned = SurfaceNormalField(normals=field.normals, neighbours=rows)
+        np.testing.assert_array_equal(unsigned.neighbours, field.neighbours)
+        clusters = euclidean_cluster(PointCloud(pts), 10.0, neighbours=rows)
+        assert [len(c) for c in clusters] == [len(pts)]
 
 
 def _eigh(hoods: np.ndarray):
@@ -398,9 +392,8 @@ class TestSubsetReuse:
     @staticmethod
     def _both(pts, rows, k=12):
         cloud = PointCloud(pts)
-        field = estimate_normals(cloud, k=k, camera_origin=(0.0, -500.0, 0.0))
-        fresh = estimate_normals(cloud.select(rows), k=k,
-                                 camera_origin=(0.0, -500.0, 0.0))
+        field = estimate_normals(cloud, k=k)
+        fresh = estimate_normals(cloud.select(rows), k=k)
         read = SurfaceNormalField(normals=field.normals[rows])
         assert read.normals.strides == fresh.normals.strides == (24, 8)
         np.testing.assert_array_equal(read.normals, field.normals[rows])
@@ -495,6 +488,18 @@ class TestNormalsAxis:
         cost = np.einsum("di,ni->dn", dirs, normals) ** 2
         best = dirs[int(np.argmin(cost.sum(axis=1)))]
         assert axis_angle_deg(axis, best) < 1.0
+
+    def test_negated_rows_give_the_same_axis_bits(self):
+        # normals_axis reads only n n^T, so a normal's sign is never used.
+        rng = np.random.default_rng(43)
+        pts = _cylinder_points(800, 12.0, 50.0, (0.3, -0.2, 0.93), rng,
+                               noise_mm=0.3)
+        normals = estimate_normals(PointCloud(pts), k=12).normals
+        axis = normals_axis(SurfaceNormalField(normals=normals))
+        for _ in range(5):
+            flip = np.where(rng.random(len(normals)) < 0.5, -1.0, 1.0)
+            negated = SurfaceNormalField(normals=normals * flip[:, None])
+            assert normals_axis(negated).tobytes() == axis.tobytes()
 
     def test_parallel_normals_rejected(self):
         field = SurfaceNormalField(normals=np.tile([0.0, 0.0, 1.0], (5, 1)))

@@ -24,10 +24,6 @@ class TestPointCloud:
         with pytest.raises(InvalidInputError):
             PointCloud([[0.0, 0.0, 1.0]], frame="robot")
 
-    def test_rejects_color_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            PointCloud([[0.0, 0.0, 1.0]], colors=[[1, 2, 3], [4, 5, 6]])
-
     def test_points_are_immutable(self):
         c = PointCloud([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
@@ -41,11 +37,8 @@ class TestPointCloud:
 
     def test_select_preserves_order_and_colors(self):
         pts = np.arange(12.0).reshape(4, 3)
-        cols = np.arange(12, dtype=np.uint8).reshape(4, 3)
-        c = PointCloud(pts, colors=cols)
-        sub = c.select([2, 0])
+        sub = PointCloud(pts).select([2, 0])
         np.testing.assert_allclose(sub.points, pts[[2, 0]])
-        np.testing.assert_array_equal(sub.colors, cols[[2, 0]])
 
     def test_empty_cloud(self):
         c = PointCloud(np.empty((0, 3)), frame=FRAME_WORLD)

@@ -25,7 +25,13 @@ from teatpose.errors import (FrameMismatchError, InsufficientPointsError,
                              InvalidInputError, TeatPoseError)
 from teatpose.pose import (PoseConfig, TeatPose, disambiguate_direction,
                            estimate_teat_pose, locate_tip)
-from teatpose.scene import TeatSpec, sample_teat_surface
+from teatpose.mask import TeatMask
+from teatpose.scene import (TeatSpec, default_scene, render,
+                            sample_teat_surface)
+
+_POSE = dict(teat_id="T1", tip_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
+             method="pca", n_points=50)
+_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
 @st.composite
@@ -84,8 +90,32 @@ class TestTeatPose:
                       axis=np.array([0.0, 0.0, 1.0]), method="pca")
         with pytest.raises(InvalidInputError, match="n_points"):
             TeatPose(n_points=2.5, **kwargs)
-        for n in (np.int64(7), np.int32(7), 7.0):
+        for n in (np.int64(7), np.int32(7)):
             assert TeatPose(n_points=n, **kwargs).to_dict()["n_points"] == 7
+
+    # A stamp or count is an integer >= 0 from construction on: to_dict
+    # would truncate 2.5 and raise a bare ValueError, outside
+    # TeatPoseError, on "x".
+    @pytest.mark.parametrize("make", [
+        lambda: TeatPose(stamp_us=2.5, **_POSE),
+        lambda: TeatPose(stamp_us=True, **_POSE),
+        lambda: TeatPose(stamp_us=-1, **_POSE),
+        lambda: TeatPose(stamp_us="x", **_POSE),
+        lambda: TeatPose(**{**_POSE, "n_points": True}),
+        lambda: TeatPose(**{**_POSE, "n_points": 7.0}),
+        lambda: TeatMask("T", "x", _SQUARE),
+        lambda: TeatMask("T", 2.5, _SQUARE),
+        lambda: TeatMask("T", np.float64(3.0), _SQUARE),
+        lambda: TeatMask("T", False, _SQUARE),
+        lambda: TeatMask("T", -1, _SQUARE),
+        lambda: render(default_scene(seed=0), stamp_us=2.5),
+    ], ids=["pose_float_stamp", "pose_bool_stamp", "pose_negative_stamp",
+            "pose_str_stamp", "pose_bool_count", "pose_float_count",
+            "mask_str_stamp", "mask_float_stamp", "mask_numpy_float_stamp",
+            "mask_bool_stamp", "mask_negative_stamp", "render_float_stamp"])
+    def test_stamp_and_count_must_be_integers(self, make):
+        with pytest.raises(InvalidInputError, match="must be an integer >= 0"):
+            make()
 
     def test_arrays_immutable(self):
         pose = TeatPose(teat_id="T1", tip_mm=np.array([1.0, 2.0, 3.0]),
@@ -454,6 +484,25 @@ class TestEstimateTeatPose:
         cloud = PointCloud(np.zeros((40, 3)), frame=FRAME_WORLD)
         with pytest.raises(FrameMismatchError):
             estimate_teat_pose(cloud, camera)
+
+    @pytest.mark.parametrize("method", ["pca", "normals"])
+    def test_estimator_sign_is_never_read(self, method, monkeypatch):
+        # disambiguate_direction alone decides the sign: estimators that
+        # return the negated axis give the same pose, bit for bit.
+        rng = np.random.default_rng(5)
+        teat = random_teat(rng)
+        camera, cloud = self._camera_cloud(
+            teat, sample_teat_surface(teat, 3000, rng, noise_mm=1.0))
+        config = PoseConfig(method=method)
+        ref = estimate_teat_pose(cloud, camera, config=config)
+        for name in ("pca_axis", "normals_axis"):
+            fn = getattr(tp_pose, name)
+            monkeypatch.setattr(tp_pose, name,
+                                lambda data, fn=fn: -fn(data))
+        neg = estimate_teat_pose(cloud, camera, config=config)
+        assert neg.tip_mm.tobytes() == ref.tip_mm.tobytes()
+        assert neg.axis.tobytes() == ref.axis.tobytes()
+        assert neg.to_dict() == ref.to_dict()
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
