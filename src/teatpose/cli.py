@@ -24,7 +24,6 @@ from .experiments import (DEFAULT_DISTANCES_MM, run_camera_curve,
                           run_rate_bench, run_repeatability)
 from .pipeline import PipelineConfig, run_pipeline, static_scene_stream, \
     write_events_jsonl
-from .pose import METHODS, PoseConfig
 from .reports import write_csv
 from .scene import NoiseModel, SceneSpec, default_scene, orbbec_like_noise
 
@@ -76,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repeatability", parents=[scene_args],
                        help="repeated estimation cycles vs ground truth")
     p.add_argument("--cycles", type=int, default=200)
-    p.add_argument("--method", choices=METHODS, default="normals")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("camera-curve",
@@ -108,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_repeatability(args) -> int:
     scene = _load_scene(args)
-    report = run_repeatability(scene, args.cycles, args.out,
-                               config=PoseConfig(method=args.method))
+    report = run_repeatability(scene, args.cycles, args.out)
     print(f"cycles={report['cycles']} samples={report['samples']} "
           f"mean={report['mean_mm']:.3f}mm std={report['std_mm']:.3f}mm "
           f"success={report['success_rate']:.3f} "

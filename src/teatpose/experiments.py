@@ -16,7 +16,8 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .camera import CameraModel
-from .errors import InsufficientPointsError, InvalidInputError, _check_count
+from .errors import (InsufficientPointsError, InvalidInputError, _check_count,
+                     _is_int)
 from .mask import extract_masked_points
 from .pipeline import estimate_frame
 from .pose import PoseConfig
@@ -46,7 +47,6 @@ def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
-                      config: PoseConfig | None = None,
                       tilt_deg: float = 2.0, shift_mm: float = 15.0) -> dict:
     """Repeated estimation cycles with fresh noise and viewpoint jitter.
 
@@ -59,7 +59,7 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
         Summary dict: per-teat stats, overall success rate, elapsed seconds.
     """
     _check_count("cycles", cycles)
-    config = config or PoseConfig()
+    config = PoseConfig()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
 
@@ -166,6 +166,9 @@ def run_camera_curve(presets: dict[str, NoiseModel], out_dir,
     if len(set(distances)) < 3:
         raise InvalidInputError("need >= 3 distinct distances")
     _check_count("conditions", conditions)
+    if not (_is_int(master_seed) and master_seed >= 0):
+        raise InvalidInputError(
+            f"master_seed must be an integer >= 0, got {master_seed!r}")
     camera = camera or CameraModel(fx=570.0, fy=570.0, cx=320.0, cy=240.0)
     os.makedirs(out_dir, exist_ok=True)
 

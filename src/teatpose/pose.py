@@ -10,15 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import (SurfaceNormalField, estimate_normals, normals_axis,
-                   pca_axis)
+from .axes import SurfaceNormalField, estimate_normals, normals_axis
+# Not called here: perfbench's span hooks wrap teatpose.pose.pca_axis by name.
+from .axes import pca_axis  # noqa: F401
 from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .cluster import euclidean_cluster
 from .errors import (InsufficientPointsError, InvalidInputError,
                      TeatPoseError, _check_bound, _is_int)
-
-METHODS = ("pca", "normals")
 
 # Near-horizontal axes make the world-up sign rule unreliable below this dot.
 _UP_DOT_MIN = 0.1
@@ -47,7 +46,6 @@ class TeatPose:
         teat_id: Identifier carried over from the mask.
         tip_mm: Tip position, world frame.
         axis: Unit vector from tip toward the udder (cup approaches along -axis).
-        method: Axis estimator used, "pca" or "normals".
         n_points: Supporting point count after clustering, an integer >= 0.
         stamp_us: Source frame timestamp in microseconds, an integer >= 0.
     """
@@ -55,7 +53,6 @@ class TeatPose:
     teat_id: str
     tip_mm: np.ndarray
     axis: np.ndarray
-    method: str
     n_points: int
     stamp_us: int = 0
 
@@ -68,11 +65,7 @@ class TeatPose:
                      lambda v: bool(np.all(np.isfinite(v))), "finite")
         _check_bound(self, ("n_points", "stamp_us"),
                      lambda v: _is_int(v) and v >= 0, "an integer >= 0")
-        norm = np.linalg.norm(ax)
-        if abs(norm - 1.0) > 1e-9:
-            raise InvalidInputError(f"axis must be unit length, |axis| = {norm}")
-        if self.method not in METHODS:
-            raise InvalidInputError(f"unknown method {self.method!r}")
+        _check_unit(ax)
         tip.flags.writeable = False
         ax.flags.writeable = False
 
@@ -82,7 +75,6 @@ class TeatPose:
             "stamp_us": int(self.stamp_us),
             "tip_mm": [float(x) for x in self.tip_mm],
             "axis": [float(x) for x in self.axis],
-            "method": self.method,
             "n_points": int(self.n_points),
         }
 
@@ -95,7 +87,6 @@ class PoseConfig:
         voxel_leaf_mm: Downsampling leaf; perfbench `frame-close` uses 2 mm.
         tip_slab_mm: Tip slab half-width of locate_tip; perfbench's test of
             a changed answer varies it.
-        method: Axis estimator; `teatpose repeatability --method` sets it.
 
     Every other setting of the path is a constant of this module or of
     `teatpose.axes`.
@@ -103,11 +94,8 @@ class PoseConfig:
 
     voxel_leaf_mm: float = 5.0
     tip_slab_mm: float = 5.0
-    method: str = "normals"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidInputError(f"unknown method {self.method!r}")
         _check_bound(self, ("voxel_leaf_mm", "tip_slab_mm"),
                      lambda v: 0 < v < np.inf, "finite and > 0")
 
@@ -118,6 +106,13 @@ def _finite_axis(axis) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"axis must be finite, got {a.tolist()}")
     return a
+
+
+def _check_unit(axis: np.ndarray) -> None:
+    """Raise InvalidInputError unless |axis| is 1 within 1e-9."""
+    norm = np.linalg.norm(axis)
+    if abs(norm - 1.0) > 1e-9:
+        raise InvalidInputError(f"axis must be unit length, |axis| = {norm}")
 
 
 def disambiguate_direction(axis: np.ndarray, points: PointCloud,
@@ -183,7 +178,8 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
 
     Args:
         points: Non-empty cloud of one teat.
-        axis: Disambiguated unit axis (tip has the lowest axial coordinate).
+        axis: Disambiguated unit axis (tip has the lowest axial coordinate);
+            InvalidInputError if |axis| differs from 1 by more than 1e-9.
         slab_mm: Half-width of the axial slab around the robust minimum.
 
     Returns:
@@ -195,6 +191,7 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
     if len(points) == 0:
         raise InsufficientPointsError("locate_tip needs at least one point")
     a = _finite_axis(axis)
+    _check_unit(a)
     c = points.points.mean(axis=0)
     s = (points.points - c) @ a
     s_floor = float(np.percentile(s, _TIP_PERCENTILE))
@@ -229,14 +226,14 @@ def _refine_axis(cluster: PointCloud, field: SurfaceNormalField,
     """Re-estimate the normals axis after excluding the tip cap.
 
     A depth camera sees one side of the teat, and the visible part of the
-    rounded cap pulls the axis estimators off axis. The wall's normal bundle
+    rounded cap pulls the estimated axis off. The wall's normal bundle
     alone is bias-free (wall normals are orthogonal to the axis no matter
     which side is visible), so the cap band (_TIP_TRIM_MM from the tip-side
     extreme) is dropped and the normals axis re-estimated, iterating once
-    with the improved axis. This is a normals-only step: the trimmed wall's
-    point covariance is nearly isotropic in cross-section versus length for
-    typical teat proportions, so a PCA re-fit would be ill-conditioned
-    there. Orthogonal flips and estimator failures keep the current axis.
+    with the improved axis. The trimmed wall's point covariance would not
+    do: it is nearly isotropic in cross-section versus length for typical
+    teat proportions, so a PCA re-fit would be ill-conditioned there.
+    Orthogonal flips and estimator failures keep the current axis.
 
     `field` is the cluster's normal field. Each pass reads the wall's
     normals from it, so no neighbour search runs on the wall; a wall point
@@ -269,13 +266,13 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
                        teat_id: str = "", stamp_us: int = 0) -> TeatPose:
     """Full single-teat pose from its extracted points.
 
-    Pipeline: keep the largest Euclidean cluster (stray frustum hits fall
-    away), estimate the axis with config.method, resolve its sign,
-    for the normals method re-estimate on the cap-trimmed wall, locate the
-    tip, and report everything in the world frame.
+    Pipeline: estimate surface normals, keep the largest Euclidean cluster
+    (stray frustum hits fall away), take the normals axis and resolve its
+    sign, re-estimate it on the cap-trimmed wall, locate the tip, and report
+    everything in the world frame.
 
-    The normals method searches neighbours once, before clustering: it
-    estimates the normals of the whole cloud and hands their k-NN rows to
+    Neighbours are searched once, before clustering: the normals of the
+    whole cloud are estimated and their k-NN rows handed to
     `euclidean_cluster`. The row edges provably shorter than the tolerance
     (below it by a strict relative margin that absorbs rounding) form a
     subgraph of the radius graph; the graph stores only those edges,
@@ -283,14 +280,13 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
     cloud, so does the radius graph: the one cluster is the whole cloud in
     input order, and the field already computed is the cluster's field,
     bit for bit. Otherwise the radius clustering runs and the largest
-    cluster's normals are estimated afresh. The PCA method computes no
-    normals and clusters by radius search.
+    cluster's normals are estimated afresh.
 
     Args:
         points: Camera-frame points of one teat (already voxel-downsampled
             by the caller in the standard pipeline).
         camera: Camera the points were observed with.
-        config: Tunables, including the axis method; defaults from PoseConfig.
+        config: Tunables; defaults from PoseConfig.
         teat_id: Identifier to stamp into the pose.
         stamp_us: Source frame timestamp.
 
@@ -307,30 +303,23 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         raise InsufficientPointsError(
             f"teat {teat_id!r}: {len(points)} points < minimum {_MIN_POINTS}")
 
-    field = None
-    if cfg.method == "normals":
-        field = estimate_normals(points, k=_NORMALS_K)
-    clusters = euclidean_cluster(
-        points, tolerance_mm=_CLUSTER_TOLERANCE_MM,
-        neighbours=None if field is None else field.neighbours)
+    field = estimate_normals(points, k=_NORMALS_K)
+    clusters = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM,
+                                 neighbours=field.neighbours)
     cluster = clusters[0]
     if len(cluster) < _MIN_POINTS:
         raise InsufficientPointsError(
             f"teat {teat_id!r}: largest cluster has {len(cluster)} points "
             f"< minimum {_MIN_POINTS}")
 
-    if cfg.method == "pca":
-        axis = disambiguate_direction(pca_axis(cluster), cluster, camera)
-    else:
-        if len(clusters) > 1:
-            field = estimate_normals(cluster, k=_NORMALS_K)
-        axis = disambiguate_direction(normals_axis(field), cluster, camera)
-        axis = _refine_axis(cluster, field, axis, camera)
+    if len(clusters) > 1:
+        field = estimate_normals(cluster, k=_NORMALS_K)
+    axis = disambiguate_direction(normals_axis(field), cluster, camera)
+    axis = _refine_axis(cluster, field, axis, camera)
     tip_cam = locate_tip(cluster, axis, slab_mm=cfg.tip_slab_mm)
 
     tip_world = camera.camera_to_world(tip_cam)
     axis_world = camera.rotate_to_world(axis)
     axis_world = axis_world / np.linalg.norm(axis_world)
     return TeatPose(teat_id=teat_id, tip_mm=tip_world, axis=axis_world,
-                    method=cfg.method, n_points=len(cluster),
-                    stamp_us=stamp_us)
+                    n_points=len(cluster), stamp_us=stamp_us)

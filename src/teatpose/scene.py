@@ -21,7 +21,8 @@ from .cloud import FRAME_CAMERA, PointCloud
 from .contour import clean_region, largest_component, trace_boundary
 from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
                      InvalidSceneError, _check_bound, _check_keys,
-                     _check_types, _check_vector, _dataclass_from_dict)
+                     _check_types, _check_vector, _dataclass_from_dict,
+                     _is_int)
 from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
@@ -139,6 +140,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_bound(self, ("seed",), lambda v: _is_int(v) and v >= 0,
+                     "an integer >= 0", InvalidSceneError)
         teats = tuple(self.teats)
         if not 1 <= len(teats) <= 6:
             raise InvalidSceneError(f"teat count must be 1..6, got {len(teats)}")
@@ -633,11 +636,14 @@ def fit_error_curve(samples) -> ErrorCurve:
         value at exactly 1 m).
 
     Raises:
-        CurveFitError: Fewer than 3 distinct distances or a degenerate design.
+        CurveFitError: Non-finite samples, fewer than 3 distinct distances
+            or a degenerate design.
     """
     data = np.asarray(list(samples), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or len(data) == 0:
         raise CurveFitError("samples must be (distance_mm, error_mm) pairs")
+    if not np.all(np.isfinite(data)):
+        raise CurveFitError("samples must be finite")
     d_m = data[:, 0] / 1000.0
     err = np.abs(data[:, 1])
     if len(np.unique(d_m)) < 3:

@@ -36,7 +36,6 @@ class TestParser:
             ["repeatability", "--out", "somewhere"])
         assert args.cycles == 200
         assert args.noise is None
-        assert args.method == "normals"
         assert args.seed is None
 
     def test_missing_required_out_exits(self):
@@ -112,6 +111,11 @@ class TestRepeatabilityCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_method_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["repeatability", "--method", "pca", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
 
 class TestCameraCurveCommand:
 
@@ -178,6 +182,12 @@ class TestRunCommand:
         assert len(rows) == 1
         stdout = capsys.readouterr().out
         assert "sim_fps=" in stdout
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        code = main(["run", "--frames", "2", "--seed", "-1",
+                     "--events", str(tmp_path / "e.jsonl")])
+        assert code == 1
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     def test_event_log_reruns_byte_identical(self, tmp_path):
         path_a = tmp_path / "a.jsonl"

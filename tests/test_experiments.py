@@ -98,6 +98,12 @@ class TestRunCameraCurve:
         assert len(raw) == 3 * 7
         assert all(r[4] == "0.000000" for r in raw)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_master_seed_must_be_non_negative_integer(self, seed, tmp_path):
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            run_camera_curve({"none": NoiseModel()}, tmp_path,
+                             master_seed=seed)
+
     def test_known_curve_recovered_within_15_percent(self, tmp_path):
         out = run_camera_curve(
             {"known": NoiseModel(a_mm=1.0, b_mm_per_m2=3.0)}, tmp_path,

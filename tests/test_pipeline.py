@@ -33,8 +33,7 @@ from teatpose.scene import TeatSpec, default_scene, orbbec_like_noise, render
 def _pose(tip, axis=(0.0, 0.0, 1.0), teat_id="T1"):
     axis = np.asarray(axis, dtype=float)
     return TeatPose(teat_id=teat_id, tip_mm=np.asarray(tip, dtype=float),
-                    axis=axis / np.linalg.norm(axis), method="pca",
-                    n_points=100)
+                    axis=axis / np.linalg.norm(axis), n_points=100)
 
 
 def _gate_oracle(stream, gate):
@@ -203,7 +202,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("key, value", [
         ("cluster_tolerance_mm", 10.0), ("min_points", 30), ("normals_k", 12),
         ("axis_ratio_min", 1.05), ("tip_percentile", 2.0),
-        ("tip_trim_mm", 15.0), ("stride", 1)])
+        ("tip_trim_mm", 15.0), ("stride", 1), ("method", "normals")])
     def test_removed_pose_key_rejected(self, key, value):
         d = PipelineConfig().to_dict()
         d["pose"][key] = value
@@ -281,15 +280,13 @@ class TestEstimateFrame:
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
-    @given(inputs=_frame_inputs(),
-           method=st.sampled_from(["pca", "normals"]))
-    def test_only_teatpose_errors_skip_a_teat(self, inputs, method):
+    @given(inputs=_frame_inputs())
+    def test_only_teatpose_errors_skip_a_teat(self, inputs):
         # estimate_frame catches only TeatPoseError, so any other exception
         # from a finite input would abort the frame and the run with it.
         cloud, masks = inputs
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
-        poses, failures = estimate_frame(cloud, masks, camera,
-                                         PoseConfig(method=method))
+        poses, failures = estimate_frame(cloud, masks, camera, PoseConfig())
         assert len(poses) + len(failures) == len(masks)
 
 

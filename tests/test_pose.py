@@ -1,10 +1,10 @@
 """Tests for single-teat pose estimation.
 
 Covers the TeatPose container, axis sign disambiguation, tip location, and
-the full estimate_teat_pose path for both axis methods. Exactness checks run
-on deterministic axisymmetric ring samplings of the teat surface (their
-principal axis is the true axis by symmetry); noisy checks use the uniform
-area sampler and assert statistical bounds frozen from calibration runs.
+the full estimate_teat_pose path. Exactness checks run on deterministic
+axisymmetric ring samplings of the teat surface (their principal axis is the
+true axis by symmetry); noisy checks use the uniform area sampler and assert
+statistical bounds frozen from calibration runs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from teatpose.scene import (TeatSpec, default_scene, render,
                             sample_teat_surface)
 
 _POSE = dict(teat_id="T1", tip_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
-             method="pca", n_points=50)
+             n_points=50)
 _SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
@@ -65,13 +65,7 @@ class TestTeatPose:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(InvalidInputError):
             TeatPose(teat_id="T1", tip_mm=np.zeros(3),
-                     axis=np.array([0.0, 0.0, 2.0]), method="pca", n_points=50)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidInputError):
-            TeatPose(teat_id="T1", tip_mm=np.zeros(3),
-                     axis=np.array([0.0, 0.0, 1.0]), method="ransac",
-                     n_points=50)
+                     axis=np.array([0.0, 0.0, 2.0]), n_points=50)
 
     @pytest.mark.parametrize("field, value", [
         ("tip_mm", [np.nan, 0.0, 0.0]), ("axis", [np.nan, 0.0, 0.0]),
@@ -79,15 +73,14 @@ class TestTeatPose:
     ])
     def test_non_finite_or_negative_fields_rejected(self, field, value):
         kwargs = dict(teat_id="T1", tip_mm=np.zeros(3),
-                      axis=np.array([0.0, 0.0, 1.0]), method="pca",
-                      n_points=50)
+                      axis=np.array([0.0, 0.0, 1.0]), n_points=50)
         kwargs[field] = value
         with pytest.raises(InvalidInputError, match=field):
             TeatPose(**kwargs)
 
     def test_n_points_must_be_integral(self):
         kwargs = dict(teat_id="T1", tip_mm=np.zeros(3),
-                      axis=np.array([0.0, 0.0, 1.0]), method="pca")
+                      axis=np.array([0.0, 0.0, 1.0]))
         with pytest.raises(InvalidInputError, match="n_points"):
             TeatPose(n_points=2.5, **kwargs)
         for n in (np.int64(7), np.int32(7)):
@@ -119,8 +112,7 @@ class TestTeatPose:
 
     def test_arrays_immutable(self):
         pose = TeatPose(teat_id="T1", tip_mm=np.array([1.0, 2.0, 3.0]),
-                        axis=np.array([0.0, 0.0, 1.0]), method="pca",
-                        n_points=50)
+                        axis=np.array([0.0, 0.0, 1.0]), n_points=50)
         with pytest.raises(ValueError):
             pose.tip_mm[0] = 9.0
         with pytest.raises(ValueError):
@@ -131,11 +123,7 @@ class TestPoseConfig:
 
     def test_defaults_valid(self):
         cfg = PoseConfig()
-        assert cfg.method == "normals"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidInputError):
-            PoseConfig(method="hough")
+        assert (cfg.voxel_leaf_mm, cfg.tip_slab_mm) == (5.0, 5.0)
 
     def test_nonpositive_slab_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -247,6 +235,16 @@ class TestLocateTip:
         with pytest.raises(InvalidInputError, match="axis"):
             locate_tip(cloud, np.array(axis))
 
+    # The axial coordinates scale with |axis|: unchecked, a (0, 0, 2) axis
+    # moved this cloud's tip from z = -46.0 to -154.2 mm.
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 1e-6])
+    def test_non_unit_axis_rejected(self, scale):
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(rng.normal(size=(200, 3)) * [5.0, 5.0, 20.0],
+                           frame=FRAME_CAMERA)
+        with pytest.raises(InvalidInputError, match="unit length"):
+            locate_tip(cloud, np.array([0.0, 0.0, scale]))
+
     def test_single_point_returns_it(self):
         p = np.array([3.0, -2.0, 500.0])
         cloud = PointCloud(p[None, :], frame=FRAME_CAMERA)
@@ -294,36 +292,26 @@ class TestEstimateTeatPose:
         return camera, PointCloud(camera.world_to_camera(points_world),
                                   frame=FRAME_CAMERA)
 
-    @pytest.mark.parametrize("method", ["pca", "normals"])
-    def test_noiseless_rings_sub_half_degree(self, method):
+    def test_noiseless_rings_sub_half_degree(self):
         teat = TeatSpec(base_mm=np.array([10.0, -5.0, 640.0]),
                         axis=np.array([0.1, 0.05, -1.0]))
         camera, cloud = self._camera_cloud(teat, teat_rings(teat, azimuths=48))
-        pose = estimate_teat_pose(cloud, camera,
-                                  config=PoseConfig(method=method),
-                                  teat_id="T1")
-        assert pose.method == method
+        pose = estimate_teat_pose(cloud, camera, teat_id="T1")
         assert pose.teat_id == "T1"
         assert np.linalg.norm(pose.tip_mm - teat.tip_mm) < 0.5
         assert axis_angle_deg(pose.axis, teat.axis) < 0.5
         # sign convention: tip -> base, i.e. opposite the spec axis
         assert float(pose.axis @ -teat.axis) > 0
 
-    def test_methods_agree_on_noisy_clouds(self):
+    def test_noisy_clouds_within_bounds(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             teat = random_teat(rng)
             pts = sample_teat_surface(teat, 4000, rng, noise_mm=1.0)
             camera, cloud = self._camera_cloud(teat, pts)
-            pca = estimate_teat_pose(cloud, camera,
-                                     config=PoseConfig(method="pca"))
-            nrm = estimate_teat_pose(cloud, camera,
-                                     config=PoseConfig(method="normals"))
-            assert axis_angle_deg(pca.axis, nrm.axis) < 5.0
-            assert axis_angle_deg(pca.axis, teat.axis) < 5.0
-            assert axis_angle_deg(nrm.axis, teat.axis) < 5.0
-            assert np.linalg.norm(pca.tip_mm - teat.tip_mm) < 2.0
-            assert np.linalg.norm(nrm.tip_mm - teat.tip_mm) < 2.0
+            pose = estimate_teat_pose(cloud, camera)
+            assert axis_angle_deg(pose.axis, teat.axis) < 5.0
+            assert np.linalg.norm(pose.tip_mm - teat.tip_mm) < 2.0
 
     def test_refinement_reuse_matches_fresh_wall_search(self, monkeypatch):
         # Each wall pass reads the cluster's normals; a fresh search of every
@@ -390,7 +378,7 @@ class TestEstimateTeatPose:
         assert np.linalg.norm(pose.tip_mm - teat.tip_mm) < 0.5
 
     def test_knn_clustering_matches_radius_clustering(self, monkeypatch):
-        # The normals method reads the cluster off its k-NN rows. The poses
+        # The pose reads the cluster off the normals' k-NN rows. The poses
         # must be those of radius clustering followed by a fresh normal
         # estimate on the largest cluster, bit for bit.
         rng = np.random.default_rng(13)
@@ -398,22 +386,20 @@ class TestEstimateTeatPose:
         for _ in range(6):
             teat = random_teat(rng)
             pts = sample_teat_surface(teat, 3000, rng, noise_mm=1.0)
-            cases.append((*self._camera_cloud(teat, pts), "normals"))
+            cases.append(self._camera_cloud(teat, pts))
         # The stray blob is not reached by any k-NN row: the fallback runs.
-        _, _, camera, cloud = self._rings_and_stray_blob()
-        cases += [(camera, cloud, "normals"), (camera, cloud, "pca")]
-        got = [estimate_teat_pose(cloud, camera, PoseConfig(method=method))
-               for camera, cloud, method in cases]
+        cases.append(self._rings_and_stray_blob()[2:])
+        got = [estimate_teat_pose(cloud, camera) for camera, cloud in cases]
 
         def radius_only(cloud, tolerance_mm, neighbours=None):
-            # A trailing empty cluster makes the normals method estimate the
+            # A trailing empty cluster makes estimate_teat_pose estimate the
             # largest cluster's normals afresh.
             return (tp_cluster.euclidean_cluster(cloud, tolerance_mm)
                     + [PointCloud(np.empty((0, 3)))])
 
         monkeypatch.setattr(tp_pose, "euclidean_cluster", radius_only)
-        for pose, (camera, cloud, method) in zip(got, cases):
-            ref = estimate_teat_pose(cloud, camera, PoseConfig(method=method))
+        for pose, (camera, cloud) in zip(got, cases):
+            ref = estimate_teat_pose(cloud, camera)
             assert pose.tip_mm.tobytes() == ref.tip_mm.tobytes()
             assert pose.axis.tobytes() == ref.axis.tobytes()
             assert pose.n_points == ref.n_points
@@ -454,28 +440,23 @@ class TestEstimateTeatPose:
         assert all(name == "normals_axis" and n < pose.n_points
                    for name, n in walls)
 
-    @pytest.mark.parametrize("method", ["pca", "normals"])
-    def test_overflowing_extent_rejected(self, method):
+    def test_overflowing_extent_rejected(self):
         rng = np.random.default_rng(3)
         pts = np.vstack([rng.uniform(-1.0, 1.0, (40, 3)) + [0.0, 0.0, 500.0],
                          [1e155, 0.0, 500.0]])
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         with pytest.raises(InvalidInputError, match="extent"):
-            estimate_teat_pose(PointCloud(pts, frame=FRAME_CAMERA), camera,
-                               PoseConfig(method=method))
+            estimate_teat_pose(PointCloud(pts, frame=FRAME_CAMERA), camera)
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
-    @given(points=_degenerate_points(),
-           method=st.sampled_from(["pca", "normals"]))
-    def test_degenerate_clouds_raise_only_teatpose_errors(self, points,
-                                                          method):
+    @given(points=_degenerate_points())
+    def test_degenerate_clouds_raise_only_teatpose_errors(self, points):
         # estimate_frame skips a teat only on TeatPoseError; anything else
         # would abort the whole frame and the pipeline run with it.
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         try:
-            estimate_teat_pose(PointCloud(points, frame=FRAME_CAMERA), camera,
-                               config=PoseConfig(method=method))
+            estimate_teat_pose(PointCloud(points, frame=FRAME_CAMERA), camera)
         except TeatPoseError:
             pass
 
@@ -485,21 +466,17 @@ class TestEstimateTeatPose:
         with pytest.raises(FrameMismatchError):
             estimate_teat_pose(cloud, camera)
 
-    @pytest.mark.parametrize("method", ["pca", "normals"])
-    def test_estimator_sign_is_never_read(self, method, monkeypatch):
-        # disambiguate_direction alone decides the sign: estimators that
-        # return the negated axis give the same pose, bit for bit.
+    def test_estimator_sign_is_never_read(self, monkeypatch):
+        # disambiguate_direction alone decides the sign: an estimator that
+        # returns the negated axis gives the same pose, bit for bit.
         rng = np.random.default_rng(5)
         teat = random_teat(rng)
         camera, cloud = self._camera_cloud(
             teat, sample_teat_surface(teat, 3000, rng, noise_mm=1.0))
-        config = PoseConfig(method=method)
-        ref = estimate_teat_pose(cloud, camera, config=config)
-        for name in ("pca_axis", "normals_axis"):
-            fn = getattr(tp_pose, name)
-            monkeypatch.setattr(tp_pose, name,
-                                lambda data, fn=fn: -fn(data))
-        neg = estimate_teat_pose(cloud, camera, config=config)
+        ref = estimate_teat_pose(cloud, camera)
+        fn = tp_pose.normals_axis
+        monkeypatch.setattr(tp_pose, "normals_axis", lambda data: -fn(data))
+        neg = estimate_teat_pose(cloud, camera)
         assert neg.tip_mm.tobytes() == ref.tip_mm.tobytes()
         assert neg.axis.tobytes() == ref.axis.tobytes()
         assert neg.to_dict() == ref.to_dict()

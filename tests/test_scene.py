@@ -276,6 +276,27 @@ class TestSceneSpec:
         assert back.to_dict() == scene.to_dict()
         assert back.seed == 7
 
+    # render would fail later with numpy's bare "expected non-negative
+    # integer", and True would render as seed 1.
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(InvalidSceneError, match="seed must be an integer"):
+            replace(default_scene(), seed=seed)
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, "seed must be an integer >= 0"),
+        (2.5, "key 'seed' must be an integer"),
+        (True, "key 'seed' must be an integer")],
+        ids=["negative", "float", "bool"])
+    def test_json_seed_must_be_non_negative_integer(self, seed, error):
+        d = default_scene().to_dict()
+        d["seed"] = seed
+        with pytest.raises(InvalidInputError, match=error):
+            SceneSpec.from_dict(d)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert replace(default_scene(), seed=np.int64(5)).to_dict()["seed"] == 5
+
 
 class TestRender:
 
@@ -527,6 +548,18 @@ class TestErrorCurve:
     def test_too_few_distances_rejected(self):
         with pytest.raises(CurveFitError):
             fit_error_curve([(400.0, 1.0), (400.0, 1.1), (600.0, 2.0)])
+
+    # A NaN used to raise numpy's LinAlgError after LAPACK printed to
+    # stderr; an infinite error returned an all-NaN curve.
+    @pytest.mark.parametrize("sample", [(600.0, np.nan), (600.0, np.inf),
+                                        (np.nan, 2.0), (-np.inf, 2.0)],
+                             ids=["nan_error", "inf_error", "nan_distance",
+                                  "inf_distance"])
+    def test_non_finite_samples_rejected(self, sample, capfd):
+        with pytest.raises(CurveFitError, match="finite"):
+            fit_error_curve([(400.0, 1.0), sample, (800.0, 3.0),
+                             (1000.0, 4.0)])
+        assert capfd.readouterr().err == ""
 
 
 class TestSampleTeatSurface:
