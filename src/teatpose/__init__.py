@@ -16,8 +16,8 @@ from .errors import (AmbiguousAxisError, CurveFitError, FrameMismatchError,
                      InsufficientPointsError, InvalidInputError,
                      InvalidSceneError, TeatPoseError)
 from .experiments import run_camera_curve, run_rate_bench, run_repeatability
-from .mask import (TeatMask, extract_masked_points, points_in_polygon,
-                   rasterize_mask)
+from .mask import (PixelCells, TeatMask, extract_masked_points,
+                   points_in_polygon, project_cells, rasterize_mask)
 from .pipeline import (ConsistencyGate, FrameMessage, GateState, LatencyModel,
                        PipelineConfig, PipelineResult, estimate_frame,
                        gate_update, run_pipeline, static_scene_stream)
@@ -37,13 +37,14 @@ __all__ = [
     "FrameMismatchError", "GateState", "GroundTruth",
     "InsufficientPointsError", "InvalidInputError", "InvalidSceneError",
     "LatencyModel", "NoiseModel", "PipelineConfig", "PipelineResult",
-    "PointCloud", "PoseConfig", "SceneSpec", "SurfaceNormalField", "TeatMask",
-    "TeatPose", "TeatPoseError", "TeatSpec", "WORLD_UP", "default_scene",
-    "disambiguate_direction", "estimate_frame", "estimate_normals",
-    "estimate_teat_pose", "euclidean_cluster", "extract_masked_points",
-    "fit_error_curve", "gate_update", "locate_tip", "normals_axis", "occlude",
-    "orbbec_like_noise", "pca_axis", "plane_target_measure",
-    "points_in_polygon", "rasterize_mask", "render", "render_plane_target",
-    "run_camera_curve", "run_pipeline", "run_rate_bench", "run_repeatability",
+    "PixelCells", "PointCloud", "PoseConfig", "SceneSpec",
+    "SurfaceNormalField", "TeatMask", "TeatPose", "TeatPoseError", "TeatSpec",
+    "WORLD_UP", "default_scene", "disambiguate_direction", "estimate_frame",
+    "estimate_normals", "estimate_teat_pose", "euclidean_cluster",
+    "extract_masked_points", "fit_error_curve", "gate_update", "locate_tip",
+    "normals_axis", "occlude", "orbbec_like_noise", "pca_axis",
+    "plane_target_measure", "points_in_polygon", "project_cells",
+    "rasterize_mask", "render", "render_plane_target", "run_camera_curve",
+    "run_pipeline", "run_rate_bench", "run_repeatability",
     "sample_teat_surface", "static_scene_stream", "voxel_downsample",
 ]

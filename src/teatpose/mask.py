@@ -10,11 +10,16 @@ convention of `points_in_polygon`, evaluated on the pinhole projection of
 each 3D point against the mask's own contour. On a lattice contour that
 rule depends only on the unit cell a point falls in, so membership is one
 lookup in a parity raster of the bounding box (`_parity_raster`).
+
+A frame's cloud is projected once: `project_cells` gives the integer pixel
+cell of every point inside the union bounding box of the frame's masks,
+and each mask reads its own box from those cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,10 +79,16 @@ class TeatMask:
     def __len__(self) -> int:
         return len(self.contour)
 
+    @cached_property
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the (u, v) corners of the contour's bounding box."""
+        lo, hi = self.contour.min(axis=0), self.contour.max(axis=0)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
     def bounds_ok(self, width: int, height: int) -> bool:
-        c = self.contour
-        return bool(np.all((c[:, 0] >= 0) & (c[:, 0] <= width)
-                           & (c[:, 1] >= 0) & (c[:, 1] <= height)))
+        lo, hi = self.bbox
+        return bool(lo.min() >= 0 and hi[0] <= width and hi[1] <= height)
 
 
 # -- membership ----------------------------------------------------------------
@@ -145,8 +156,74 @@ def _parity_raster(poly: np.ndarray, lo: np.ndarray,
     return (right & 1).astype(bool)
 
 
+@dataclass(frozen=True)
+class PixelCells:
+    """Integer pixel cells of the cloud points that project into a window.
+
+    Attributes:
+        cloud, camera: The cloud that was projected and its intrinsics.
+        lo, hi: (u, v) integer corners of the window; a point is in it when
+            lo <= (u, v) <= hi.
+        index: Ascending cloud rows of the points in the window (z > 0).
+        col, row: floor(u) and floor(v) of those points.
+    """
+
+    cloud: PointCloud
+    camera: CameraModel
+    lo: np.ndarray
+    hi: np.ndarray
+    index: np.ndarray
+    col: np.ndarray
+    row: np.ndarray
+
+
+def project_cells(cloud: PointCloud, camera: CameraModel,
+                  masks) -> PixelCells:
+    """Project a camera-frame cloud once for all masks of a frame.
+
+    The window is the union bounding box of the masks whose vertices lie
+    inside the image; a mask that reaches off the image does not widen it,
+    and a world-frame cloud or a frame with no such mask projects nothing.
+    Points are projected as u = fx x / z + cx, v = fy y / z + cy.
+    """
+    boxes = [m.bbox for m in masks
+             if m.bounds_ok(camera.width, camera.height)]
+    if cloud.frame != "camera" or not boxes:
+        none = np.zeros(0, dtype=np.int64)
+        return PixelCells(cloud, camera, np.zeros(2, dtype=np.int64),
+                          np.full(2, -1, dtype=np.int64), none, none, none)
+    lo = np.min([b[0] for b in boxes], axis=0)
+    hi = np.max([b[1] for b in boxes], axis=0)
+    # The teats of an udder hang side by side, so the window is wider than
+    # tall: v is projected for the whole cloud and u only for the points in
+    # the window's row span. A NaN or infinite coordinate lies outside the
+    # window, so floor and the integer cast see only finite values.
+    pts = cloud.points
+    z = pts[:, 2].copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = pts[:, 1] * camera.fy
+        v /= z
+        v += camera.cy
+        keep = z > 0
+        keep &= v >= lo[1]
+        keep &= v <= hi[1]
+        idx = np.flatnonzero(keep)
+        u = pts[:, 0].take(idx) * camera.fx
+        u /= z.take(idx)
+        u += camera.cx
+    in_cols = (u >= lo[0]) & (u <= hi[0])
+    idx = idx[in_cols]
+    # The smallest unsigned type that holds the window keeps the per-mask
+    # scans of `extract_masked_points` short.
+    cell = np.min_scalar_type(int(hi.max()))
+    return PixelCells(cloud, camera, lo, hi, idx,
+                      np.floor(u[in_cols]).astype(cell),
+                      np.floor(v.take(idx)).astype(cell))
+
+
 def extract_masked_points(cloud: PointCloud, mask: TeatMask,
-                          camera: CameraModel) -> PointCloud:
+                          camera: CameraModel,
+                          cells: PixelCells | None = None) -> PointCloud:
     """Keep the cloud points whose projection falls inside the mask contour.
 
     Points with z <= 0 cannot project and are never kept. Input order is
@@ -154,12 +231,16 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask,
 
     Membership is the even-odd rule of `points_in_polygon`, read from the
     lattice contour's parity raster at (floor(u), floor(v)), which gives
-    the same answer for every point of a cell (see `_parity_raster`).
+    the same answer for every point of a cell (see `_parity_raster`). The
+    bounding-box prefilter is exact: nothing outside the hull can be inside.
 
     Args:
         cloud: Camera-frame cloud.
         mask: Contour to test against; vertices must lie inside the image.
         camera: Intrinsics used for the projection.
+        cells: `project_cells` of this cloud and camera over a window that
+            holds the mask's bounding box, shared by the masks of a frame;
+            by default the cloud is projected over the mask's own box.
 
     Returns:
         The in-mask subset as a new PointCloud.
@@ -168,29 +249,23 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask,
     if not mask.bounds_ok(camera.width, camera.height):
         raise InvalidInputError(
             f"mask {mask.teat_id!r} has vertices outside the image")
+    if cells is None:
+        cells = project_cells(cloud, camera, (mask,))
     poly = mask.contour
-    lo = poly.min(axis=0)
-    hi = poly.max(axis=0)
-
-    # Bounding-box prefilter is exact: nothing outside the hull can be inside.
-    # u is projected for the whole cloud and v only for the points in the
-    # box's column span, so most of the cloud is never copied.
-    pts = cloud.points
-    z = pts[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = camera.fx * pts[:, 0] / z + camera.cx
-    idx = np.flatnonzero((z > 0) & (u >= lo[0]) & (u <= hi[0]))
-    v = camera.fy * pts[idx, 1] / z[idx] + camera.cy
-    in_rows = (v >= lo[1]) & (v <= hi[1])
-    idx = idx[in_rows]
-    u = u[idx]
-    v = v[in_rows]
+    lo, hi = mask.bbox
+    if (cells.cloud is not cloud or cells.camera is not camera
+            or np.any(lo < cells.lo) or np.any(hi > cells.hi)):
+        raise InvalidInputError(
+            f"cells do not cover mask {mask.teat_id!r} of this cloud and "
+            "camera")
+    # Cells with floor(u) == hi_u or floor(v) == hi_v have no covering
+    # edge and are outside (see `_parity_raster`).
+    col, row = cells.col, cells.row
+    (u0, v0), (u1, v1) = lo.tolist(), hi.tolist()
+    hit = np.flatnonzero((col >= u0) & (col < u1) & (row >= v0) & (row < v1))
     region = _parity_raster(poly, lo, hi)
-    col = np.floor(u).astype(np.int64) - lo[0]
-    row = np.floor(v).astype(np.int64) - lo[1]
-    inside = (col < region.shape[1]) & (row < region.shape[0])
-    inside[inside] = region[row[inside], col[inside]]
-    return cloud.select(idx[inside])
+    inside = region[row[hit] - v0, col[hit] - u0]
+    return cloud.select(cells.index[hit[inside]])
 
 
 def rasterize_mask(mask: TeatMask, width: int, height: int) -> np.ndarray:

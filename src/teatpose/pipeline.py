@@ -22,7 +22,7 @@ from .camera import CameraModel
 from .cloud import PointCloud
 from .errors import (InvalidInputError, TeatPoseError, _check_bound,
                      _check_count, _dataclass_from_dict, _is_int)
-from .mask import extract_masked_points
+from .mask import extract_masked_points, project_cells
 from .pose import PoseConfig, TeatPose, estimate_teat_pose
 from .scene import SceneSpec, render
 from .voxel import voxel_downsample
@@ -154,17 +154,20 @@ def estimate_frame(cloud: PointCloud, masks, camera, config: PoseConfig,
                    ) -> tuple[list[TeatPose], list[tuple[str, str]]]:
     """Geometry path for one synchronized frame.
 
-    Per mask: carve the cloud through the contour, voxel-downsample, estimate
-    the pose. A failed teat is recorded and skipped; the frame never aborts.
+    The cloud is projected once per frame into pixel cells over the union
+    bounding box of the masks (`project_cells`). Per mask: carve the cloud
+    through the contour from those cells, voxel-downsample, estimate the
+    pose. A failed teat is recorded and skipped; the frame never aborts.
 
     Returns:
         (poses, failures) where failures are (teat_id, error class name).
     """
     poses = []
     failures = []
+    cells = project_cells(cloud, camera, masks)
     for mask in masks:
         try:
-            pts = extract_masked_points(cloud, mask, camera)
+            pts = extract_masked_points(cloud, mask, camera, cells=cells)
             pts = voxel_downsample(pts, config.voxel_leaf_mm)
             poses.append(estimate_teat_pose(
                 pts, camera, config=config, teat_id=mask.teat_id,

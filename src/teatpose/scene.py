@@ -11,6 +11,7 @@ every pixel outside it is background by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -577,8 +578,11 @@ def render_plane_target(distance_mm: float, camera: CameraModel,
     given depth. Depth noise follows the noise model; a systematic offset
     shifts every return identically (one measurement condition).
     """
-    if distance_mm <= 0:
-        raise InvalidInputError("target distance must be positive")
+    if not 0 < distance_mm < math.inf:
+        raise InvalidInputError(
+            f"distance_mm must be finite and > 0, got {distance_mm!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     _, dirs = _rect_rays(camera, 0, camera.height, 0, camera.width)
     dirs = dirs[_on_plane_target(dirs[:, 0] * distance_mm,
                                  dirs[:, 1] * distance_mm)]

@@ -21,7 +21,7 @@ from teatpose.cloud import PointCloud
 from teatpose.cluster import euclidean_cluster
 from teatpose.experiments import (run_camera_curve, run_rate_bench,
                                   run_repeatability)
-from teatpose.mask import extract_masked_points
+from teatpose.mask import extract_masked_points, project_cells
 from teatpose.pipeline import (run_pipeline, static_scene_stream,
                                write_events_jsonl)
 from teatpose.reports import read_csv
@@ -124,10 +124,15 @@ def test_kernels_match_brute_force_oracles():
                                   cx=160.0, cy=120.0, width=320, height=240)
         scene = replace(scene, camera=cam)
         cloud, masks, _ = render(scene)
+        # Each mask alone, and every mask from the frame's shared cells as
+        # estimate_frame extracts them.
+        cells = project_cells(cloud, cam, masks)
         for mask in masks:
-            got = extract_masked_points(cloud, mask, cam)
-            keep = _brute_force_inside(cloud.points, mask.contour, cam)
-            extract_ok &= np.array_equal(got.points, cloud.select(keep).points)
+            want = cloud.select(
+                _brute_force_inside(cloud.points, mask.contour, cam)).points
+            for shared in (None, cells):
+                got = extract_masked_points(cloud, mask, cam, cells=shared)
+                extract_ok &= np.array_equal(got.points, want)
             n_masks += 1
             n_decisions += len(cloud)
 
@@ -158,7 +163,8 @@ def test_kernels_match_brute_force_oracles():
     ok = extract_ok and voxel_ok and cluster_ok
     _verdict("oracle-equivalence", ok,
              f"extraction exact on {n_decisions:,} point decisions "
-             f"({n_masks} masks, {n_scenes} scenes): {extract_ok}; "
+             f"({n_masks} masks, {n_scenes} scenes), per mask and from "
+             f"shared frame cells: {extract_ok}; "
              f"voxel bitwise on 3 clouds: {voxel_ok}; "
              f"clustering on {len(trials)} clouds: {cluster_ok}")
 

@@ -19,7 +19,7 @@ from teatpose.cloud import FRAME_WORLD, PointCloud
 from teatpose.contour import clean_region, trace_boundary
 from teatpose.errors import InvalidInputError
 from teatpose.mask import (TeatMask, extract_masked_points, points_in_polygon,
-                           rasterize_mask)
+                           project_cells, rasterize_mask)
 
 
 def _point_in_polygon_scalar(u: float, v: float, poly: np.ndarray) -> bool:
@@ -207,6 +207,15 @@ class TestExtractMaskedPoints:
         out = extract_masked_points(PointCloud(pts), mask, cam)
         np.testing.assert_array_equal(out.points, [[0.0, 0.0, 500.0]])
 
+    def test_overflowing_projection_is_not_kept(self):
+        # fx * x and fy * y overflow to inf, which lies outside every
+        # window; pytest turns any RuntimeWarning into an error.
+        cam = self._camera()
+        pts = np.array([[1e306, 0.0, 1.0], [0.0, -1e306, 1.0],
+                        [0.0, 0.0, 500.0]])
+        out = extract_masked_points(PointCloud(pts), _full_image(), cam)
+        np.testing.assert_array_equal(out.points, [[0.0, 0.0, 500.0]])
+
     def test_requires_camera_frame(self):
         cloud = PointCloud([[0.0, 0.0, 500.0]], frame=FRAME_WORLD)
         with pytest.raises(Exception):
@@ -218,6 +227,51 @@ class TestExtractMaskedPoints:
                                              [700, 470], [600, 470]]))
         with pytest.raises(InvalidInputError):
             extract_masked_points(self._cloud_grid(), mask, cam)
+
+    def test_shared_cells_match_per_mask_extraction(self):
+        rng = np.random.default_rng(5)
+        cam = self._camera()
+        pts = np.column_stack([rng.uniform(-400, 400, 3000),
+                               rng.uniform(-300, 300, 3000),
+                               rng.uniform(-200, 1500, 3000)])
+        cloud = PointCloud(pts)
+        inside = [TeatMask("T1", 0, _traced_disc(60.0, (250, 200))),
+                  TeatMask("T2", 0, _traced_disc(45.0, (290, 230))),
+                  _square("T3", lo=400, hi=450)]
+        off = TeatMask("T4", 0, unit_steps([[600, 10], [700, 10],
+                                            [700, 470], [600, 470]]))
+        cells = project_cells(cloud, cam, inside + [off])
+        # The off-image mask does not widen the window.
+        corners = np.concatenate([m.contour for m in inside])
+        np.testing.assert_array_equal(cells.lo, corners.min(axis=0))
+        np.testing.assert_array_equal(cells.hi, corners.max(axis=0))
+        for mask in inside:
+            np.testing.assert_array_equal(
+                extract_masked_points(cloud, mask, cam, cells=cells).points,
+                extract_masked_points(cloud, mask, cam).points)
+        with pytest.raises(InvalidInputError, match="outside the image"):
+            extract_masked_points(cloud, off, cam, cells=cells)
+
+    def test_cells_must_cover_the_mask_of_this_cloud(self):
+        cam = self._camera()
+        cloud = self._cloud_grid()
+        cells = project_cells(cloud, cam, [_square(lo=100, hi=200)])
+        with pytest.raises(InvalidInputError, match="cells do not cover"):
+            extract_masked_points(cloud, _square(lo=150, hi=250), cam,
+                                  cells=cells)
+        with pytest.raises(InvalidInputError, match="cells do not cover"):
+            extract_masked_points(self._cloud_grid(), _square(), cam,
+                                  cells=cells)
+        with pytest.raises(InvalidInputError, match="cells do not cover"):
+            extract_masked_points(cloud, _square(), self._camera(),
+                                  cells=cells)
+
+    @pytest.mark.parametrize("frame, masks", [
+        (FRAME_WORLD, [_square()]), ("camera", [])])
+    def test_nothing_to_project_gives_no_cells(self, frame, masks):
+        cloud = PointCloud([[0.0, 0.0, 500.0]], frame=frame)
+        cells = project_cells(cloud, self._camera(), masks)
+        assert len(cells.index) == len(cells.col) == len(cells.row) == 0
 
 
 class TestRasterize:
@@ -282,6 +336,18 @@ class TestParityLookup:
                                         np.nextafter(g, np.inf), g + 0.5]))
         uu, vv = np.meshgrid(*axes)
         return np.column_stack([uu.ravel(), vv.ravel()])
+
+    def test_shared_cells_match_polygon_test(self):
+        # Every polygon read from one projection of all their queries.
+        polys = self._lattice_polygons()
+        masks = [TeatMask(f"T{i}", 0, p) for i, p in enumerate(polys)]
+        uv = np.concatenate([self._queries(p) for p in polys])
+        cloud = PointCloud(np.column_stack([uv, np.ones(len(uv))]))
+        cells = project_cells(cloud, self.CAMERA, masks)
+        for mask in masks:
+            got = extract_masked_points(cloud, mask, self.CAMERA, cells=cells)
+            np.testing.assert_array_equal(
+                got.points, cloud.points[points_in_polygon(uv, mask.contour)])
 
     def test_matches_polygon_test_on_lattice_polygons(self):
         for poly in self._lattice_polygons():

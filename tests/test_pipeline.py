@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,6 +278,35 @@ class TestEstimateFrame:
                                          scene.camera, PipelineConfig().pose)
         assert failures == [("TX", "InsufficientPointsError")]
         assert len(poses) == len(masks)
+
+    def test_world_frame_cloud_fails_each_mask(self):
+        scene = default_scene(seed=0)
+        cloud, masks, _ = render(scene)
+        world = PointCloud(cloud.points, frame="world")
+        poses, failures = estimate_frame(world, masks, scene.camera,
+                                         PipelineConfig().pose)
+        assert poses == []
+        assert failures == [(m.teat_id, "FrameMismatchError") for m in masks]
+
+    def test_off_image_mask_fails_alone(self):
+        scene = default_scene(seed=0)
+        cloud, masks, _ = render(scene)
+        off = TeatMask(teat_id="TX", stamp_us=0,
+                       contour=unit_steps([[600, 0], [700, 0], [700, 480],
+                                           [600, 480]]))
+        config = PipelineConfig().pose
+        alone, _ = estimate_frame(cloud, masks, scene.camera, config)
+        poses, failures = estimate_frame(cloud, [off] + list(masks),
+                                         scene.camera, config)
+        assert failures == [("TX", "InvalidInputError")]
+        assert ([json.dumps(p.to_dict()) for p in poses]
+                == [json.dumps(p.to_dict()) for p in alone])
+
+    def test_no_masks_projects_nothing(self):
+        # A cloud without points: any projection would raise.
+        cloud = SimpleNamespace(frame=FRAME_CAMERA)
+        assert estimate_frame(cloud, [], default_scene(seed=0).camera,
+                              PoseConfig()) == ([], [])
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)

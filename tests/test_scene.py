@@ -516,6 +516,19 @@ class TestPlaneTarget:
         with pytest.raises(InvalidInputError):
             render_plane_target(0.0, camera, NoiseModel())
 
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
+    def test_nonfinite_distance_rejected(self, distance):
+        # Before the check, NaN gave an empty cloud and inf a RuntimeWarning.
+        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
+        with pytest.raises(InvalidInputError, match="distance_mm"):
+            render_plane_target(distance, camera, NoiseModel())
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
+        with pytest.raises(InvalidInputError, match="seed"):
+            render_plane_target(800.0, camera, NoiseModel(), seed=seed)
+
     def test_off_target_region_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         cloud = render_plane_target(800.0, camera, NoiseModel())
