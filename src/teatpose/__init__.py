@@ -8,7 +8,7 @@ with oracle masks plus a latency-injecting pipeline analogue make the whole
 stack testable without a robot.
 """
 
-from .axes import SurfaceNormalField, estimate_normals, normals_axis, pca_axis
+from .axes import estimate_normals, normals_axis, pca_axis
 from .camera import WORLD_UP, CameraModel
 from .cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from .cluster import euclidean_cluster
@@ -18,7 +18,7 @@ from .errors import (AmbiguousAxisError, CurveFitError, FrameMismatchError,
 from .experiments import run_camera_curve, run_rate_bench, run_repeatability
 from .mask import (PixelCells, TeatMask, extract_masked_points,
                    points_in_polygon, project_cells, rasterize_mask)
-from .pipeline import (ConsistencyGate, FrameMessage, GateState, LatencyModel,
+from .pipeline import (ConsistencyGate, FrameMessage, LatencyModel,
                        PipelineConfig, PipelineResult, estimate_frame,
                        gate_update, run_pipeline, static_scene_stream)
 from .pose import (PoseConfig, TeatPose, disambiguate_direction,
@@ -34,11 +34,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousAxisError", "CameraModel", "ConsistencyGate", "CurveFitError",
     "ErrorCurve", "FRAME_CAMERA", "FRAME_WORLD", "FrameMessage",
-    "FrameMismatchError", "GateState", "GroundTruth",
+    "FrameMismatchError", "GroundTruth",
     "InsufficientPointsError", "InvalidInputError", "InvalidSceneError",
     "LatencyModel", "NoiseModel", "PipelineConfig", "PipelineResult",
     "PixelCells", "PointCloud", "PoseConfig", "SceneSpec",
-    "SurfaceNormalField", "TeatMask", "TeatPose", "TeatPoseError", "TeatSpec",
+    "TeatMask", "TeatPose", "TeatPoseError", "TeatSpec",
     "WORLD_UP", "default_scene", "disambiguate_direction", "estimate_frame",
     "estimate_normals", "estimate_teat_pose", "euclidean_cluster",
     "extract_masked_points", "fit_error_curve", "gate_update", "locate_tip",

@@ -2,18 +2,18 @@
 
 Both estimators return a unit axis of arbitrary sign, and surface normals
 are unsigned; `teatpose.pose.disambiguate_direction` alone resolves a sign.
+Normals and their k-NN rows travel as plain arrays: `normals_axis` checks
+the normals it reads, and `euclidean_cluster` the rows it reads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import (AmbiguousAxisError, InsufficientPointsError,
-                     InvalidInputError, _check_neighbours)
+                     InvalidInputError, _is_int)
 
 # Minimum spread ratio between the two largest covariance eigenvalues before
 # the elongation direction is considered meaningful.
@@ -47,38 +47,6 @@ def pca_axis(cloud: PointCloud) -> np.ndarray:
         raise AmbiguousAxisError(f"isotropic covariance (ratio "
                                  f"{lam1 / lam2:.3f} < {AXIS_RATIO_MIN})")
     return evecs[:, 2]
-
-
-@dataclass(frozen=True)
-class SurfaceNormalField:
-    """Per-point unit surface normals.
-
-    Attributes:
-        normals: (n, 3) unit normals, sign arbitrary (`normals_axis` reads
-            only n n^T; `disambiguate_direction` resolves the axis sign).
-        neighbours: (n, k) rows of each point's k nearest neighbours in the
-            cloud the normals were estimated on, nearest first, as
-            `cKDTree.query` orders them; None for a field built by hand.
-            `euclidean_cluster(neighbours=...)` reads them.
-    """
-
-    normals: np.ndarray
-    neighbours: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-        norms = np.linalg.norm(n, axis=1)
-        if len(n) and not np.abs(norms - 1.0).max() <= 1e-9:  # NaN fails
-            raise InvalidInputError("normals must be unit length")
-        object.__setattr__(self, "normals", n)
-        n.flags.writeable = False
-        if self.neighbours is not None:
-            nbr = _check_neighbours(self.neighbours, len(n))
-            object.__setattr__(self, "neighbours", nbr)
-            nbr.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.normals)
 
 
 # A normal is taken from the closed form only where the largest diagonal
@@ -143,13 +111,14 @@ def _hood_normals(points: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return normals
 
 
-def estimate_normals(cloud: PointCloud, k: int = 12) -> SurfaceNormalField:
+def estimate_normals(cloud: PointCloud,
+                     k: int = 12) -> tuple[np.ndarray, np.ndarray]:
     """k-NN covariance unit surface normals.
 
     Each point's normal is the smallest-eigenvalue eigenvector of the
     covariance of its k nearest neighbours (the point itself included). Its
     sign is arbitrary; `disambiguate_direction` resolves the sign of the
-    axis estimated from the field.
+    axis estimated from the normals.
 
     Args:
         cloud: Cloud with len(cloud) >= k and a finite squared bbox
@@ -157,12 +126,13 @@ def estimate_normals(cloud: PointCloud, k: int = 12) -> SurfaceNormalField:
         k: Neighbourhood size, an integer >= 3.
 
     Returns:
-        SurfaceNormalField, one unit normal per input point in input order,
-        with its neighbours.
+        (normals, neighbours): (n, 3) unit normals, one per input point in
+        input order, and the (n, k) rows of each point's k nearest
+        neighbours, nearest first, as `cKDTree.query` orders them.
+        `euclidean_cluster(neighbours=...)` reads the rows.
     """
-    if not (k >= 3 and float(k).is_integer()):
+    if not (_is_int(k) and k >= 3):
         raise InvalidInputError(f"k must be an integer >= 3, got {k!r}")
-    k = int(k)
     if len(cloud) < k:
         raise InvalidInputError(
             f"k ({k}) exceeds point count ({len(cloud)})")
@@ -170,11 +140,11 @@ def estimate_normals(cloud: PointCloud, k: int = 12) -> SurfaceNormalField:
 
     p = cloud.points
     nbr = cKDTree(p).query(p, k=k)[1]
-    return SurfaceNormalField(normals=_hood_normals(p, nbr), neighbours=nbr)
+    return _hood_normals(p, nbr), nbr
 
 
-def normals_axis(field: SurfaceNormalField) -> np.ndarray:
-    """Axis most orthogonal to a field of unit normals.
+def normals_axis(normals: np.ndarray) -> np.ndarray:
+    """Axis most orthogonal to a set of unit normals.
 
     Minimizes sum_i (n_i . a)^2, i.e. the smallest-eigenvalue eigenvector of
     sum n_i n_i^T. For a cylindrical surface the normals fan around the axis,
@@ -182,16 +152,24 @@ def normals_axis(field: SurfaceNormalField) -> np.ndarray:
     normal's sign matters. The axis's sign is arbitrary;
     `disambiguate_direction` resolves it.
 
+    Args:
+        normals: (n, 3) unit normals, sign arbitrary.
+
     Raises:
+        InvalidInputError: A normal's length differs from 1 by more than
+            1e-9, or is NaN.
         InsufficientPointsError: Fewer than 2 normals.
         AmbiguousAxisError: Normals are all (anti)parallel, so a whole plane
             of directions minimizes the objective.
     """
-    if len(field) < 2:
+    n = np.asarray(normals, dtype=float).reshape(-1, 3)
+    norms = np.linalg.norm(n, axis=1)
+    if len(n) and not np.abs(norms - 1.0).max() <= 1e-9:  # NaN fails
+        raise InvalidInputError("normals must be unit length")
+    if len(n) < 2:
         raise InsufficientPointsError(
-            f"normals_axis needs >= 2 normals, got {len(field)}")
-    m = field.normals.T @ field.normals
-    evals, evecs = np.linalg.eigh(m)
+            f"normals_axis needs >= 2 normals, got {len(n)}")
+    evals, evecs = np.linalg.eigh(n.T @ n)
     # Parallel normals leave two near-zero eigenvalues: no unique minimizer.
     if evals[1] - evals[0] <= 1e-9 * max(evals[2], 1.0):
         raise AmbiguousAxisError("normals are parallel; axis undefined")

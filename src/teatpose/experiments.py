@@ -59,6 +59,10 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
         Summary dict: per-teat stats, overall success rate, elapsed seconds.
     """
     _check_count("cycles", cycles)
+    for name, value in (("tilt_deg", tilt_deg), ("shift_mm", shift_mm)):
+        if not 0 <= value < np.inf:
+            raise InvalidInputError(
+                f"{name} must be finite and >= 0, got {value!r}")
     config = PoseConfig()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .camera import CameraModel
 from .cloud import PointCloud
-from .errors import InvalidInputError, _check_bound, _is_int
+from .errors import InvalidInputError, _check_bound, _check_count, _is_int
 
 _CHUNK = 4096
 
@@ -276,6 +276,8 @@ def rasterize_mask(mask: TeatMask, width: int, height: int) -> np.ndarray:
     point of the cell, the pixel center included. Any part of the contour
     outside the image is clipped away.
     """
+    _check_count("width", width)
+    _check_count("height", height)
     c = mask.contour
     u0 = max(int(c[:, 0].min()), 0)
     u1 = min(int(c[:, 0].max()), width)

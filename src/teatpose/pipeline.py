@@ -90,13 +90,6 @@ class ConsistencyGate:
                      "> 0")
 
 
-@dataclass
-class GateState:
-    """Per-track window of recent poses (pairwise-consistent by construction)."""
-
-    poses: list = field(default_factory=list)
-
-
 def poses_agree(a: TeatPose, b: TeatPose, gate: ConsistencyGate) -> bool:
     """Tip within pos_tol and directed axis angle within axis_tol."""
     if np.linalg.norm(a.tip_mm - b.tip_mm) > gate.pos_tol_mm:
@@ -105,21 +98,22 @@ def poses_agree(a: TeatPose, b: TeatPose, gate: ConsistencyGate) -> bool:
     return np.degrees(np.arccos(cosang)) <= gate.axis_tol_deg
 
 
-def gate_update(state: GateState, pose: TeatPose, gate: ConsistencyGate) -> str:
+def gate_update(window: list, pose: TeatPose, gate: ConsistencyGate) -> str:
     """Feed one pose into a track's gate.
 
-    The candidate window is the last window-1 retained poses plus the new
-    one. Any pairwise violation clears the window down to the new pose
-    ("reset"); otherwise the pose joins the window and the decision is
-    "consistent" once the window is full, "pending" before that. Because the
-    retained window is always pairwise-consistent, checking the new pose
-    against the retained ones is equivalent to the full O(M^2) check.
+    `window` is the track's list of recent poses, updated in place. The
+    candidate window is its last window-1 poses plus the new one. Any
+    pairwise violation clears the window down to the new pose ("reset");
+    otherwise the pose joins the window and the decision is "consistent"
+    once the window is full, "pending" before that. Because the window is
+    always pairwise-consistent, checking the new pose against it is
+    equivalent to the full O(M^2) check.
     """
-    retained = state.poses[-(gate.window - 1):]
+    retained = window[-(gate.window - 1):]
     if all(poses_agree(p, pose, gate) for p in retained):
-        state.poses = retained + [pose]
-        return "consistent" if len(state.poses) == gate.window else "pending"
-    state.poses = [pose]
+        window[:] = retained + [pose]
+        return "consistent" if len(window) == gate.window else "pending"
+    window[:] = [pose]
     return "reset"
 
 
@@ -291,7 +285,7 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
     events: list[dict] = []
     emitted: list[TeatPose] = []
     tracks = _TrackBook(config.association_mm)
-    gates: dict[str, GateState] = {}
+    windows: dict[str, list] = {}
 
     def drop(reason: str, item, t_us: int) -> None:
         frame_idx, stamp_us, _ = item
@@ -318,8 +312,8 @@ def run_pipeline(scenes, config: PipelineConfig | None = None,
                 "tip_mm": [round(float(x), 3) for x in tracked.tip_mm],
                 "axis": [round(float(x), 6) for x in tracked.axis],
                 "n_points": tracked.n_points})
-            state = gates.setdefault(track_id, GateState())
-            decision = gate_update(state, tracked, config.gate)
+            decision = gate_update(windows.setdefault(track_id, []),
+                                   tracked, config.gate)
             events.append({"event": "gate", "t_us": done, "frame": frame_idx,
                            "track_id": track_id, "decision": decision})
         events.append({"event": "frame_done", "t_us": done,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import SurfaceNormalField, estimate_normals, normals_axis
+from .axes import estimate_normals, normals_axis
 # Not called here: perfbench's span hooks wrap teatpose.pose.pca_axis by name.
 from .axes import pca_axis  # noqa: F401
 from .camera import CameraModel
@@ -221,7 +221,7 @@ _REFINE_MIN_POINTS = 12
 _REFINE_MAX_TURN_COS = np.cos(np.radians(45.0))
 
 
-def _refine_axis(cluster: PointCloud, field: SurfaceNormalField,
+def _refine_axis(cluster: PointCloud, normals: np.ndarray,
                  axis: np.ndarray, camera: CameraModel) -> np.ndarray:
     """Re-estimate the normals axis after excluding the tip cap.
 
@@ -235,9 +235,9 @@ def _refine_axis(cluster: PointCloud, field: SurfaceNormalField,
     teat proportions, so a PCA re-fit would be ill-conditioned there.
     Orthogonal flips and estimator failures keep the current axis.
 
-    `field` is the cluster's normal field. Each pass reads the wall's
-    normals from it, so no neighbour search runs on the wall; a wall point
-    next to the trim keeps the cap points among its k neighbours.
+    `normals` are the cluster's (n, 3) unit normals. Each pass reads the
+    wall's rows of them, so no neighbour search runs on the wall; a wall
+    point next to the trim keeps the cap points among its k neighbours.
     """
     p = cluster.points
     c = p.mean(axis=0)
@@ -248,7 +248,7 @@ def _refine_axis(cluster: PointCloud, field: SurfaceNormalField,
         if len(rows) < _REFINE_MIN_POINTS:
             return axis
         try:
-            cand = normals_axis(SurfaceNormalField(normals=field.normals[rows]))
+            cand = normals_axis(normals[rows])
         except TeatPoseError:
             return axis
         cand = disambiguate_direction(cand, cluster, camera)
@@ -271,16 +271,13 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
     sign, re-estimate it on the cap-trimmed wall, locate the tip, and report
     everything in the world frame.
 
-    Neighbours are searched once, before clustering: the normals of the
-    whole cloud are estimated and their k-NN rows handed to
-    `euclidean_cluster`. The row edges provably shorter than the tolerance
-    (below it by a strict relative margin that absorbs rounding) form a
-    subgraph of the radius graph; the graph stores only those edges,
-    because csgraph counts a stored zero as an edge. If they connect the
-    cloud, so does the radius graph: the one cluster is the whole cloud in
-    input order, and the field already computed is the cluster's field,
-    bit for bit. Otherwise the radius clustering runs and the largest
-    cluster's normals are estimated afresh.
+    Neighbours are searched once, before clustering: `estimate_normals`
+    returns the whole cloud's normals and k-NN rows, and the rows go to
+    `euclidean_cluster`. When their edges within the tolerance connect the
+    cloud, the one cluster is the whole cloud in input order, and the
+    normals already computed are the cluster's normals, bit for bit.
+    Otherwise the radius clustering runs and the largest cluster's normals
+    are estimated afresh.
 
     Args:
         points: Camera-frame points of one teat (already voxel-downsampled
@@ -303,9 +300,9 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         raise InsufficientPointsError(
             f"teat {teat_id!r}: {len(points)} points < minimum {_MIN_POINTS}")
 
-    field = estimate_normals(points, k=_NORMALS_K)
+    normals, neighbours = estimate_normals(points, k=_NORMALS_K)
     clusters = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM,
-                                 neighbours=field.neighbours)
+                                 neighbours=neighbours)
     cluster = clusters[0]
     if len(cluster) < _MIN_POINTS:
         raise InsufficientPointsError(
@@ -313,9 +310,9 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
             f"< minimum {_MIN_POINTS}")
 
     if len(clusters) > 1:
-        field = estimate_normals(cluster, k=_NORMALS_K)
-    axis = disambiguate_direction(normals_axis(field), cluster, camera)
-    axis = _refine_axis(cluster, field, axis, camera)
+        normals = estimate_normals(cluster, k=_NORMALS_K)[0]
+    axis = disambiguate_direction(normals_axis(normals), cluster, camera)
+    axis = _refine_axis(cluster, normals, axis, camera)
     tip_cam = locate_tip(cluster, axis, slab_mm=cfg.tip_slab_mm)
 
     tip_world = camera.camera_to_world(tip_cam)

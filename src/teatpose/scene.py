@@ -49,7 +49,8 @@ class TeatSpec:
         if n < 1e-12:
             raise InvalidSceneError("teat axis must be non-zero")
         a = a / n
-        _check_bound(self, ("length_mm", "radius_mm"), lambda v: v > 0, "> 0",
+        _check_bound(self, ("length_mm", "radius_mm"),
+                     lambda v: 0 < v < math.inf, "finite and > 0",
                      InvalidSceneError)
         if self.length_mm <= self.radius_mm:
             raise InvalidSceneError(
@@ -103,7 +104,7 @@ class NoiseModel:
 
     def __post_init__(self):
         _check_bound(self, ("a_mm", "b_mm_per_m2", "lateral_jitter_px"),
-                     lambda v: v >= 0, ">= 0")
+                     lambda v: 0 <= v < math.inf, "finite and >= 0")
         _check_bound(self, ("dropout_rate",), lambda v: 0.0 <= v < 1.0,
                      "in [0, 1)")
 
@@ -587,7 +588,11 @@ def render_plane_target(distance_mm: float, camera: CameraModel,
     dirs = dirs[_on_plane_target(dirs[:, 0] * distance_mm,
                                  dirs[:, 1] * distance_mm)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sigma = float(noise.sigma_mm(distance_mm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = float(noise.sigma_mm(distance_mm))
+    if not math.isfinite(sigma):
+        raise InvalidInputError(
+            f"depth noise sigma at {distance_mm!r} mm is not finite")
     z = distance_mm + systematic_offset_mm \
         + rng.standard_normal(len(dirs)) * sigma
     if noise.dropout_rate > 0:
@@ -640,8 +645,8 @@ def fit_error_curve(samples) -> ErrorCurve:
         value at exactly 1 m).
 
     Raises:
-        CurveFitError: Non-finite samples, fewer than 3 distinct distances
-            or a degenerate design.
+        CurveFitError: Non-finite samples, fewer than 3 distinct distances,
+            squared distances that overflow or a degenerate design.
     """
     data = np.asarray(list(samples), dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or len(data) == 0:
@@ -652,7 +657,10 @@ def fit_error_curve(samples) -> ErrorCurve:
     err = np.abs(data[:, 1])
     if len(np.unique(d_m)) < 3:
         raise CurveFitError("need >= 3 distinct distances to fit the curve")
-    design = np.column_stack([np.ones(len(d_m)), d_m ** 2])
+    with np.errstate(over="ignore"):
+        design = np.column_stack([np.ones(len(d_m)), d_m ** 2])
+    if not np.all(np.isfinite(design)):
+        raise CurveFitError("squared distances overflow")
     sol, _, rank, _ = np.linalg.lstsq(design, err, rcond=None)
     if rank < 2:
         raise CurveFitError("degenerate design matrix")
@@ -708,8 +716,9 @@ def default_scene(seed: int = 0, noise: NoiseModel | None = None,
                   n_teats: int = 4) -> SceneSpec:
     """Standard test rig: up to 6 teats under an ellipsoid udder, camera at
     roughly 600 mm looking slightly upward at the teat field."""
-    if not 1 <= n_teats <= 6:
-        raise InvalidSceneError(f"teat count must be 1..6, got {n_teats}")
+    if not (_is_int(n_teats) and 1 <= n_teats <= 6):
+        raise InvalidSceneError(
+            f"teat count must be an integer in 1..6, got {n_teats!r}")
     center = np.array([0.0, 0.0, 650.0])
     semi = np.array([170.0, 130.0, 100.0])
     # Offsets chosen so no teat hides another from the default viewpoint.

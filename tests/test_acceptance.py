@@ -92,13 +92,13 @@ def test_axis_estimators_on_randomized_poses():
 
         exact = PointCloud(teat_rings(teat, azimuths=64), frame="world")
         w_pca = max(w_pca, axis_angle_deg(pca_axis(exact), teat.axis))
-        field = estimate_normals(exact, k=12)
-        w_nrm = max(w_nrm, axis_angle_deg(normals_axis(field), teat.axis))
+        normals = estimate_normals(exact, k=12)[0]
+        w_nrm = max(w_nrm, axis_angle_deg(normals_axis(normals), teat.axis))
 
         noisy = sample_teat_surface(teat, 20000, rng, noise_mm=2.0)
         down = voxel_downsample(PointCloud(noisy, frame="world"), 5.0)
         a_pca = pca_axis(down)
-        a_nrm = normals_axis(estimate_normals(down, k=32))
+        a_nrm = normals_axis(estimate_normals(down, k=32)[0])
         w_agree = max(w_agree, axis_angle_deg(a_pca, a_nrm))
     ok = w_pca <= 0.5 and w_nrm <= 1.0 and w_agree <= 5.0
     _verdict("axis-accuracy", ok,

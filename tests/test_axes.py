@@ -13,9 +13,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from _oracles import axis_angle_deg
-from teatpose.axes import (AXIS_RATIO_MIN, SurfaceNormalField,
-                           _hood_normals, estimate_normals, normals_axis,
-                           pca_axis)
+from teatpose.axes import (AXIS_RATIO_MIN, _hood_normals, estimate_normals,
+                           normals_axis, pca_axis)
 from teatpose.cloud import PointCloud
 from teatpose.cluster import euclidean_cluster
 from teatpose.errors import (AmbiguousAxisError, InsufficientPointsError,
@@ -151,9 +150,9 @@ class TestEstimateNormals:
         rng = np.random.default_rng(31)
         xy = rng.uniform(-50.0, 50.0, size=(300, 2))
         pts = np.column_stack([xy, np.zeros(300)])
-        field = estimate_normals(PointCloud(pts), k=12)
+        normals = estimate_normals(PointCloud(pts), k=12)[0]
         # Unsigned normals: only |n| is fixed by the plane.
-        np.testing.assert_allclose(np.abs(field.normals),
+        np.testing.assert_allclose(np.abs(normals),
                                    np.tile([0.0, 0.0, 1.0], (300, 1)),
                                    atol=1e-9)
 
@@ -161,8 +160,8 @@ class TestEstimateNormals:
         # 64 azimuths: k-NN distance ties at the patch rim stay mild.
         axis = np.array([0.0, 0.0, 1.0])
         pts = _cylinder_rings(14.0, 50.0, axis, azimuths=64)
-        field = estimate_normals(PointCloud(pts), k=12)
-        dots = np.abs(field.normals @ axis)
+        normals = estimate_normals(PointCloud(pts), k=12)[0]
+        dots = np.abs(normals @ axis)
         # Orthogonal to the true axis within 3 degrees -> |dot| < sin(3 deg).
         assert np.degrees(np.arcsin(dots.max())) < 3.0
 
@@ -172,8 +171,8 @@ class TestEstimateNormals:
         rng = np.random.default_rng(32)
         axis = np.array([0.0, 0.0, 1.0])
         pts = _cylinder_points(2000, 14.0, 50.0, axis, rng)
-        field = estimate_normals(PointCloud(pts), k=12)
-        tilt = np.degrees(np.arcsin(np.abs(field.normals @ axis)))
+        normals = estimate_normals(PointCloud(pts), k=12)[0]
+        tilt = np.degrees(np.arcsin(np.abs(normals @ axis)))
         assert np.percentile(tilt, 95) < 3.0
 
     def test_k_larger_than_cloud_rejected(self):
@@ -185,14 +184,27 @@ class TestEstimateNormals:
         rng = np.random.default_rng(34)
         pts = _cylinder_points(500, 10.0, 40.0, (0.2, 0.9, 0.4), rng,
                                noise_mm=0.5)
-        field = estimate_normals(PointCloud(pts), k=10)
-        np.testing.assert_allclose(np.linalg.norm(field.normals, axis=1),
+        normals = estimate_normals(PointCloud(pts), k=10)[0]
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1),
                                    1.0, atol=1e-9)
 
     def test_fractional_k_rejected(self):
         pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
         with pytest.raises(InvalidInputError, match="k must be"):
             estimate_normals(PointCloud(pts), k=12.5)
+
+    @pytest.mark.parametrize("k", [12.0, np.float64(12), True])
+    def test_integral_float_or_bool_k_rejected(self, k):
+        # A count is an integer, as everywhere else; a float of integer
+        # value is not one.
+        pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
+        with pytest.raises(InvalidInputError, match="k must be"):
+            estimate_normals(PointCloud(pts), k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
+        nbr = estimate_normals(PointCloud(pts), k=np.int64(12))[1]
+        assert nbr.shape == (len(pts), 12)
 
     @pytest.mark.parametrize("x", [1e150, 1e155])
     def test_overflowing_extent_rejected(self, x):
@@ -202,7 +214,7 @@ class TestEstimateNormals:
         cloud = PointCloud(np.vstack([rng.uniform(-1.0, 1.0, (40, 3)),
                                       [x, 0.0, 0.0]]))
         if x < 1e154:
-            assert len(estimate_normals(cloud)) == 41
+            assert len(estimate_normals(cloud)[0]) == 41
         else:
             with pytest.raises(InvalidInputError, match="extent"):
                 estimate_normals(cloud)
@@ -222,10 +234,10 @@ class TestEstimateNormals:
     def test_neighbours_are_the_k_nearest_rows(self):
         rng = np.random.default_rng(35)
         pts = _cylinder_points(300, 10.0, 40.0, (0.0, 0.0, 1.0), rng)
-        field = estimate_normals(PointCloud(pts), k=12)
-        assert field.neighbours.shape == (300, 12)
-        np.testing.assert_array_equal(field.neighbours[:, 0], np.arange(300))
-        dist = np.linalg.norm(pts[field.neighbours] - pts[:, None], axis=2)
+        nbr = estimate_normals(PointCloud(pts), k=12)[1]
+        assert nbr.shape == (300, 12)
+        np.testing.assert_array_equal(nbr[:, 0], np.arange(300))
+        dist = np.linalg.norm(pts[nbr] - pts[:, None], axis=2)
         all_dist = np.sort(np.linalg.norm(pts[:, None] - pts[None], axis=2))
         np.testing.assert_allclose(dist, all_dist[:, :12])
 
@@ -236,11 +248,10 @@ class TestEstimateNormals:
         sq = np.sort(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
         unique = (np.diff(sq[:, :13], axis=1) > 0).all(axis=1)
         assert 0 < unique.sum() < len(pts)
-        # Where a tie leaves the k nearest not unique, the field keeps the
-        # rows a k query picks.
-        field = estimate_normals(PointCloud(pts), k=12)
-        np.testing.assert_array_equal(field.neighbours,
-                                      cKDTree(pts).query(pts, k=12)[1])
+        # Where a tie leaves the k nearest not unique, estimate_normals
+        # returns the rows a k query picks.
+        nbr = estimate_normals(PointCloud(pts), k=12)[1]
+        np.testing.assert_array_equal(nbr, cKDTree(pts).query(pts, k=12)[1])
 
     # The ids are the ones these cases had when each also carried a
     # neighbours_unique flag, so a case keeps its name across versions.
@@ -251,17 +262,14 @@ class TestEstimateNormals:
         pytest.param([0, 1], id="neighbours3-unique3"),
     ])
     def test_bad_neighbours_rejected(self, neighbours):
+        # Rows are checked where they are read: euclidean_cluster.
+        cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(InvalidInputError, match="neighbours"):
-            SurfaceNormalField(normals=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                               neighbours=neighbours)
+            euclidean_cluster(cloud, neighbours=neighbours)
 
     def test_unsigned_neighbour_rows_accepted(self):
-        # The field and euclidean_cluster(neighbours=) share one row check.
         pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
-        field = estimate_normals(PointCloud(pts), k=12)
-        rows = field.neighbours.astype(np.uint32)
-        unsigned = SurfaceNormalField(normals=field.normals, neighbours=rows)
-        np.testing.assert_array_equal(unsigned.neighbours, field.neighbours)
+        rows = estimate_normals(PointCloud(pts), k=12)[1].astype(np.uint32)
         clusters = euclidean_cluster(PointCloud(pts), 10.0, neighbours=rows)
         assert [len(c) for c in clusters] == [len(pts)]
 
@@ -376,7 +384,7 @@ def _teat_like(n: int, rng) -> np.ndarray:
 
 
 class TestSubsetReuse:
-    """A wall's normals read from the cloud's field, as `pose._refine_axis`
+    """A wall's normals read from the cloud's normals, as `pose._refine_axis`
     reads them, against the wall searched again by estimate_normals.
 
     A wall point whose k nearest neighbours in the cloud all lie in the wall,
@@ -384,28 +392,26 @@ class TestSubsetReuse:
     wall, so its read normal is copied bit for bit from what a search of the
     wall gives. The other wall points keep cloud points outside the wall in
     their neighbourhoods; their normals differ a little, and so does the
-    axis. The read normals are a contiguous (n, 3) array like a fresh
-    field's, so past a few hundred rows `normals_axis` takes the same BLAS
-    branch for both.
+    axis. The read normals are a contiguous (n, 3) array like fresh ones,
+    so past a few hundred rows `normals_axis` takes the same BLAS branch
+    for both.
     """
 
     @staticmethod
     def _both(pts, rows, k=12):
         cloud = PointCloud(pts)
-        field = estimate_normals(cloud, k=k)
-        fresh = estimate_normals(cloud.select(rows), k=k)
-        read = SurfaceNormalField(normals=field.normals[rows])
-        assert read.normals.strides == fresh.normals.strides == (24, 8)
-        np.testing.assert_array_equal(read.normals, field.normals[rows])
+        normals, nbr = estimate_normals(cloud, k=k)
+        fresh = estimate_normals(cloud.select(rows), k=k)[0]
+        read = normals[rows]
+        assert read.strides == fresh.strides == (24, 8)
         inside = np.zeros(len(pts), bool)
         inside[rows] = True
-        copied = inside[field.neighbours[rows]].all(axis=1)
+        copied = inside[nbr[rows]].all(axis=1)
         return fresh, read, copied
 
     @staticmethod
     def _assert_copied(fresh, read, copied):
-        assert read.normals[copied].tobytes() == \
-            fresh.normals[copied].tobytes()
+        assert read[copied].tobytes() == fresh[copied].tobytes()
 
     def test_mixed_wall_above_blas_switch(self):
         rng = np.random.default_rng(61)
@@ -422,7 +428,7 @@ class TestSubsetReuse:
         rows = np.arange(len(pts))
         fresh, read, copied = self._both(pts, rows)
         assert copied.all() and len(rows) >= 400
-        assert read.normals.tobytes() == fresh.normals.tobytes()
+        assert read.tobytes() == fresh.tobytes()
         assert normals_axis(read).tobytes() == normals_axis(fresh).tobytes()
 
     def test_tied_neighbours_are_searched_again(self):
@@ -444,7 +450,7 @@ class TestSubsetReuse:
         rows = np.arange(0, len(pts), 2)
         fresh, read, copied = self._both(pts, rows)
         assert not copied.any() and len(rows) >= 400
-        assert not (read.normals == fresh.normals).all(axis=1).any()
+        assert not (read == fresh).all(axis=1).any()
         assert axis_angle_deg(normals_axis(read), normals_axis(fresh)) < 1.5
 
     @pytest.mark.parametrize("n_rows", [12, 13, 16])
@@ -464,8 +470,7 @@ class TestSubsetReuse:
 
 class TestNormalsAxis:
     def test_two_orthogonal_normals(self):
-        field = SurfaceNormalField(normals=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        axis = normals_axis(field)
+        axis = normals_axis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         np.testing.assert_allclose(np.abs(axis), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_cylinder_normals_recover_axis(self):
@@ -473,8 +478,7 @@ class TestNormalsAxis:
         axis_true = np.array([0.3, -0.2, 0.93])
         axis_true /= np.linalg.norm(axis_true)
         pts = _cylinder_points(1500, 13.0, 55.0, axis_true, rng)
-        field = estimate_normals(PointCloud(pts), k=12)
-        axis = normals_axis(field)
+        axis = normals_axis(estimate_normals(PointCloud(pts), k=12)[0])
         assert axis_angle_deg(axis, axis_true) < 1.0
 
     def test_matches_fibonacci_grid_search(self):
@@ -482,8 +486,7 @@ class TestNormalsAxis:
         normals = rng.normal(size=(40, 3))
         normals[:, 2] *= 0.2  # flatten so a clear minimizer exists
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        field = SurfaceNormalField(normals=normals)
-        axis = normals_axis(field)
+        axis = normals_axis(normals)
         dirs = _fibonacci_directions(100_000)
         cost = np.einsum("di,ni->dn", dirs, normals) ** 2
         best = dirs[int(np.argmin(cost.sum(axis=1)))]
@@ -494,37 +497,38 @@ class TestNormalsAxis:
         rng = np.random.default_rng(43)
         pts = _cylinder_points(800, 12.0, 50.0, (0.3, -0.2, 0.93), rng,
                                noise_mm=0.3)
-        normals = estimate_normals(PointCloud(pts), k=12).normals
-        axis = normals_axis(SurfaceNormalField(normals=normals))
+        normals = estimate_normals(PointCloud(pts), k=12)[0]
+        axis = normals_axis(normals)
         for _ in range(5):
             flip = np.where(rng.random(len(normals)) < 0.5, -1.0, 1.0)
-            negated = SurfaceNormalField(normals=normals * flip[:, None])
+            negated = normals * flip[:, None]
             assert normals_axis(negated).tobytes() == axis.tobytes()
 
     def test_parallel_normals_rejected(self):
-        field = SurfaceNormalField(normals=np.tile([0.0, 0.0, 1.0], (5, 1)))
         with pytest.raises(AmbiguousAxisError):
-            normals_axis(field)
+            normals_axis(np.tile([0.0, 0.0, 1.0], (5, 1)))
 
     def test_single_normal_rejected(self):
-        field = SurfaceNormalField(normals=[[1.0, 0.0, 0.0]])
         with pytest.raises(InsufficientPointsError):
-            normals_axis(field)
+            normals_axis([[1.0, 0.0, 0.0]])
 
     def test_non_unit_normals_rejected(self):
         with pytest.raises(InvalidInputError):
-            SurfaceNormalField(normals=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            normals_axis([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        # The unit-length check comes before the count check.
+        with pytest.raises(InvalidInputError, match="unit length"):
+            normals_axis([[2.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize("length", [1.0 + 1e-6, 1.0 - 1e-6, np.nan])
     def test_unit_length_bound_is_absolute_1e_9(self, length):
         # np.allclose's default rtol=1e-5 used to let 1 + 1e-6 through.
         with pytest.raises(InvalidInputError, match="unit length"):
-            SurfaceNormalField(normals=[[length, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            normals_axis([[length, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_unit_length_within_1e_9_accepted(self):
-        field = SurfaceNormalField(normals=[[1.0 + 5e-10, 0.0, 0.0],
-                                            [0.0, 1.0 - 5e-10, 0.0]])
-        assert len(field) == 2
+        axis = normals_axis([[1.0 + 5e-10, 0.0, 0.0],
+                             [0.0, 1.0 - 5e-10, 0.0]])
+        np.testing.assert_allclose(np.abs(axis), [0.0, 0.0, 1.0], atol=1e-9)
 
 
 class TestCrossMethod:
@@ -540,7 +544,7 @@ class TestCrossMethod:
                                    noise_mm=rng.uniform(0.0, 2.0))
             cloud = PointCloud(pts)
             a_pca = pca_axis(cloud)
-            a_nrm = normals_axis(estimate_normals(cloud, k=32))
+            a_nrm = normals_axis(estimate_normals(cloud, k=32)[0])
             assert axis_angle_deg(a_pca, a_nrm) < 5.0
             assert axis_angle_deg(a_pca, axis) < 5.0
 

@@ -124,7 +124,7 @@ def _knn_rows(pts: np.ndarray, k: int = 12) -> np.ndarray:
 
 
 def _normals_rows(pts: np.ndarray) -> np.ndarray:
-    return estimate_normals(PointCloud(pts), k=12).neighbours
+    return estimate_normals(PointCloud(pts), k=12)[1]
 
 
 class TestNeighbours:

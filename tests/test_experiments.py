@@ -85,6 +85,25 @@ class TestRunRepeatability:
         with pytest.raises(InvalidInputError):
             run_repeatability(default_scene(), cycles=0, out_dir=tmp_path)
 
+    def test_negative_tilt_rejected_before_out_dir(self, tmp_path):
+        # numpy's uniform(-tilt, tilt) would raise a bare ValueError.
+        out = tmp_path / "out"
+        with pytest.raises(InvalidInputError, match="tilt_deg"):
+            run_repeatability(default_scene(), cycles=1, out_dir=out,
+                              tilt_deg=-5.0)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["tilt_deg", "shift_mm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_jitter_rejected_before_out_dir(self, key, value,
+                                                        tmp_path):
+        # numpy's uniform would raise OverflowError.
+        out = tmp_path / "out"
+        with pytest.raises(InvalidInputError, match=key):
+            run_repeatability(default_scene(), cycles=1, out_dir=out,
+                              **{key: value})
+        assert not out.exists()
+
 
 class TestRunCameraCurve:
 

@@ -287,6 +287,13 @@ class TestRasterize:
                                              [164, 148], [-100, 148]]))
         assert rasterize_mask(mask, 64, 48).all()
 
+    @pytest.mark.parametrize("size", [(-1, 480), (640, 480.0), (True, 480)],
+                             ids=["negative_width", "float_height",
+                                  "bool_width"])
+    def test_bad_image_size_rejected(self, size):
+        with pytest.raises(InvalidInputError, match="width|height"):
+            rasterize_mask(_square(lo=10, hi=20), *size)
+
     def test_rasterize_matches_membership(self):
         poly = _traced_disc(30.0, (60, 50))
         mask = TeatMask("T1", 0, poly)

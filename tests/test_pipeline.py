@@ -23,10 +23,10 @@ from teatpose.cloud import FRAME_CAMERA, PointCloud
 from teatpose.contour import trace_boundary
 from teatpose.errors import InvalidInputError
 from teatpose.mask import TeatMask
-from teatpose.pipeline import (ConsistencyGate, FrameMessage, GateState,
-                               LatencyModel, PipelineConfig, estimate_frame,
-                               gate_update, poses_agree, run_pipeline,
-                               static_scene_stream, write_events_jsonl)
+from teatpose.pipeline import (ConsistencyGate, FrameMessage, LatencyModel,
+                               PipelineConfig, estimate_frame, gate_update,
+                               poses_agree, run_pipeline, static_scene_stream,
+                               write_events_jsonl)
 from teatpose.pose import PoseConfig, TeatPose
 from teatpose.scene import TeatSpec, default_scene, orbbec_like_noise, render
 
@@ -128,30 +128,30 @@ class TestGateUpdate:
 
     def test_window_fills_then_gates(self):
         gate = ConsistencyGate(window=5)
-        state = GateState()
-        decisions = [gate_update(state, _pose([0.0, 0.0, 0.0]), gate)
+        track = []
+        decisions = [gate_update(track, _pose([0.0, 0.0, 0.0]), gate)
                      for _ in range(6)]
         assert decisions == ["pending"] * 4 + ["consistent", "consistent"]
 
     def test_jump_resets_window(self):
         gate = ConsistencyGate(window=3)
-        state = GateState()
-        gate_update(state, _pose([0.0, 0.0, 0.0]), gate)
-        gate_update(state, _pose([0.5, 0.0, 0.0]), gate)
-        assert gate_update(state, _pose([10.0, 0.0, 0.0]), gate) == "reset"
-        assert len(state.poses) == 1
+        track = []
+        gate_update(track, _pose([0.0, 0.0, 0.0]), gate)
+        gate_update(track, _pose([0.5, 0.0, 0.0]), gate)
+        assert gate_update(track, _pose([10.0, 0.0, 0.0]), gate) == "reset"
+        assert len(track) == 1
         # the window rebuilds from the post-jump pose
-        assert gate_update(state, _pose([10.0, 0.0, 0.0]), gate) == "pending"
-        assert gate_update(state, _pose([10.0, 0.0, 0.0]), gate) == "consistent"
+        assert gate_update(track, _pose([10.0, 0.0, 0.0]), gate) == "pending"
+        assert gate_update(track, _pose([10.0, 0.0, 0.0]), gate) == "consistent"
 
     def test_axis_twist_resets(self):
         gate = ConsistencyGate(window=2, axis_tol_deg=5.0)
-        state = GateState()
-        gate_update(state, _pose([0.0, 0.0, 0.0]), gate)
+        track = []
+        gate_update(track, _pose([0.0, 0.0, 0.0]), gate)
         twisted = _pose([0.0, 0.0, 0.0],
                         axis=(np.sin(np.radians(10.0)), 0.0,
                               np.cos(np.radians(10.0))))
-        assert gate_update(state, twisted, gate) == "reset"
+        assert gate_update(track, twisted, gate) == "reset"
 
     @pytest.mark.parametrize("window", [2, 3, 5])
     def test_matches_pairwise_oracle(self, window):
@@ -165,8 +165,8 @@ class TestGateUpdate:
             tip = tip + rng.standard_normal(3) * step
             axis = np.array([0.0, 0.0, 1.0]) + rng.standard_normal(3) * 0.03
             stream.append(_pose(tip, axis=axis))
-        state = GateState()
-        got = [gate_update(state, p, gate) for p in stream]
+        track = []
+        got = [gate_update(track, p, gate) for p in stream]
         assert got == _gate_oracle(stream, gate)
 
 

@@ -9,7 +9,6 @@ statistical bounds frozen from calibration runs.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -336,13 +335,12 @@ class TestEstimateTeatPose:
             def __getitem__(self, rows):
                 walls.append(len(rows))
                 return tp_pose.estimate_normals(
-                    self.cluster.select(rows), k=tp_pose._NORMALS_K).normals
+                    self.cluster.select(rows), k=tp_pose._NORMALS_K)[0]
 
         refine = tp_pose._refine_axis
 
-        def fresh(cluster, field, axis, camera):
-            wall = SimpleNamespace(normals=FreshWallNormals(cluster))
-            return refine(cluster, wall, axis, camera)
+        def fresh(cluster, normals, axis, camera):
+            return refine(cluster, FreshWallNormals(cluster), axis, camera)
 
         monkeypatch.setattr(tp_pose, "_refine_axis", fresh)
         for pose, (camera, cloud) in zip(reused, clouds):

@@ -22,6 +22,8 @@ from teatpose.contour import clean_region
 from teatpose.errors import (CurveFitError, InsufficientPointsError,
                              InvalidInputError, InvalidSceneError)
 from teatpose.mask import TeatMask, rasterize_mask
+from teatpose.pipeline import estimate_frame
+from teatpose.pose import PoseConfig
 from teatpose.scene import (NoiseModel, SceneSpec, TeatSpec, _cast_scene,
                             _pixel_dirs, _rays_in_box, default_scene,
                             fit_error_curve, occlude, orbbec_like_noise,
@@ -160,6 +162,13 @@ class TestTeatSpec:
             TeatSpec(base_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
                      length_mm=float("nan"))
 
+    @pytest.mark.parametrize("key", ["length_mm", "radius_mm"])
+    def test_infinite_dimensions_rejected(self, key):
+        # An infinite length made render warn in a multiply.
+        with pytest.raises(InvalidSceneError, match=key):
+            TeatSpec(base_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
+                     **{key: float("inf")})
+
     def test_removed_tip_shape_key_rejected(self):
         # Scene files once carried the only legal tip shape.
         d = TeatSpec(base_mm=np.zeros(3),
@@ -202,6 +211,13 @@ class TestNoiseModel:
             with pytest.raises(InvalidInputError, match=field):
                 NoiseModel(**{field: float("nan")})
 
+    @pytest.mark.parametrize("key", ["a_mm", "b_mm_per_m2",
+                                     "lateral_jitter_px"])
+    def test_infinite_coefficients_rejected(self, key):
+        # render used to warn, or fail on a non-finite cloud.
+        with pytest.raises(InvalidInputError, match=key):
+            NoiseModel(**{key: float("inf")})
+
     def test_dropout_range(self):
         with pytest.raises(InvalidInputError):
             NoiseModel(dropout_rate=1.0)
@@ -231,6 +247,12 @@ class TestSceneSpec:
             default_scene(n_teats=0)
         with pytest.raises(InvalidSceneError):
             default_scene(n_teats=7)
+
+    @pytest.mark.parametrize("n_teats", [2.5, True, 4.0])
+    def test_teat_count_must_be_an_integer(self, n_teats):
+        # 2.5 raised a bare TypeError, and True built a 1-teat rig.
+        with pytest.raises(InvalidSceneError, match="teat count"):
+            default_scene(n_teats=n_teats)
 
     def test_detached_base_rejected(self):
         teat = TeatSpec(base_mm=np.array([0.0, 0.0, 900.0]),
@@ -374,30 +396,69 @@ class TestRender:
         assert len(cloud) > 0
 
 
+# The scenes whose render and frame poses are pinned by literal digests.
+_PINNED_SCENES = {
+    "default_orbbec": lambda: default_scene(seed=0, noise=orbbec_like_noise()),
+    "six_teats_close": lambda: _moved_camera(default_scene(
+        seed=1, noise=orbbec_like_noise(), n_teats=6), 0.6),
+    "dropout_jitter": lambda: default_scene(seed=2, noise=NoiseModel(
+        dropout_rate=0.1, lateral_jitter_px=0.7)),
+    "teat_on_border": _border_scene,
+}
+
+
 class TestRenderDigest:
     """Render output pinned byte for byte by literal digests."""
 
-    @pytest.mark.parametrize("make, digest", [
-        (lambda: default_scene(seed=0, noise=orbbec_like_noise()),
+    @pytest.mark.parametrize("name, digest", [
+        ("default_orbbec",
          "84abcc3b40f235cb831222cd999480da8a92976c25005db3347ce2b7e96e2f71"),
-        (lambda: _moved_camera(default_scene(
-            seed=1, noise=orbbec_like_noise(), n_teats=6), 0.6),
+        ("six_teats_close",
          "cd1c4e94294f4c38414ba1378ddad7e17360eb3d8d454c7a4e68b763ed4b8b17"),
-        (lambda: default_scene(seed=2, noise=NoiseModel(
-            dropout_rate=0.1, lateral_jitter_px=0.7)),
+        ("dropout_jitter",
          "01122a13c539fe13cf5611e41b2d2ee3e681df24eea9a86190d3d1a82380a256"),
-        (_border_scene,
+        ("teat_on_border",
          "236775438ddc8bf4883e71a0d0bb0c5d5e843f79d5d0349886a02331624e2013"),
     ], ids=["default_orbbec", "six_teats_close", "dropout_jitter",
             "teat_on_border"])
-    def test_digest(self, make, digest):
-        assert _render_digest(make()) == digest
+    def test_digest(self, name, digest):
+        assert _render_digest(_PINNED_SCENES[name]()) == digest
 
     def test_border_scene_cuts_a_teat(self):
         _, masks, _ = render(_border_scene())
         c = {m.teat_id: m.contour for m in masks}["T1"]
         assert np.any((c[:, 0] == 0) | (c[:, 0] == 640)
                       | (c[:, 1] == 0) | (c[:, 1] == 480))
+
+
+class TestFrameDigest:
+    """The frame path's poses on the pinned scenes, pinned by literal
+    digests: tip rounded to 1e-6 mm, axis to 1e-9, supporting point count,
+    and the failure list."""
+
+    @pytest.mark.parametrize("name, n_poses, digest", [
+        ("default_orbbec", 4,
+         "aa7440b33088438694919e34087931546a6a2154c777f1dde2afc90665a83dd6"),
+        ("six_teats_close", 6,
+         "f558752efdf633bb23e0ef263bcc5682498fa2bda48edfd6a5ecce617701852e"),
+        ("dropout_jitter", 4,
+         "82f6927cfde321c0f8c1717dcdbc8611b47ca1130b9293afacc56291e6095e0b"),
+        ("teat_on_border", 3,
+         "1c80c271dcfb1852237514823687c22271354dd00f1c57ca02f1b5e68d0ac1c0"),
+    ], ids=["default_orbbec", "six_teats_close", "dropout_jitter",
+            "teat_on_border"])
+    def test_digest(self, name, n_poses, digest):
+        scene = _PINNED_SCENES[name]()
+        # perfbench's frame-close workload runs the close rig at a 2 mm leaf.
+        config = PoseConfig(voxel_leaf_mm=2.0 if name == "six_teats_close"
+                            else 5.0)
+        cloud, masks, _ = render(scene)
+        poses, failures = estimate_frame(cloud, masks, scene.camera, config)
+        assert (len(poses), failures) == (n_poses, [])
+        record = [[p.teat_id, np.round(p.tip_mm, 6).tolist(),
+                   np.round(p.axis, 9).tolist(), p.n_points] for p in poses]
+        text = json.dumps([record, failures])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRenderWindow:
@@ -450,6 +511,14 @@ class TestRenderWindow:
 
 
 class TestOcclude:
+
+    @pytest.mark.parametrize("size", [(640.5, 480), (640, -1), (0, 480)],
+                             ids=["float_width", "negative_height",
+                                  "zero_width"])
+    def test_bad_image_size_rejected(self, size):
+        _, masks, _ = render(default_scene(seed=3))
+        with pytest.raises(InvalidInputError, match="width|height"):
+            occlude(masks, (0.0, 0.0, 10.0, 10.0), *size)
 
     def test_disjoint_occluder_keeps_masks(self):
         _, masks, _ = render(default_scene(seed=3))
@@ -529,6 +598,12 @@ class TestPlaneTarget:
         with pytest.raises(InvalidInputError, match="seed"):
             render_plane_target(800.0, camera, NoiseModel(), seed=seed)
 
+    def test_overflowing_sigma_rejected(self):
+        # sigma(1e300 mm) overflows; it used to raise a RuntimeWarning.
+        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
+        with pytest.raises(InvalidInputError, match="sigma"):
+            render_plane_target(1e300, camera, NoiseModel())
+
     def test_off_target_region_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         cloud = render_plane_target(800.0, camera, NoiseModel())
@@ -561,6 +636,11 @@ class TestErrorCurve:
     def test_too_few_distances_rejected(self):
         with pytest.raises(CurveFitError):
             fit_error_curve([(400.0, 1.0), (400.0, 1.1), (600.0, 2.0)])
+
+    def test_overflowing_distances_rejected(self):
+        # (1e200 mm)^2 overflows; it used to raise a RuntimeWarning.
+        with pytest.raises(CurveFitError, match="overflow"):
+            fit_error_curve([(1e200, 1.0), (2e200, 1.0), (3e200, 2.0)])
 
     # A NaN used to raise numpy's LinAlgError after LAPACK printed to
     # stderr; an infinite error returned an all-NaN curve.
