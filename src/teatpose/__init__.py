@@ -2,10 +2,11 @@
 
 The geometry path mirrors a milking-robot perception stack: 2D teat masks
 carve a depth cloud into per-teat frustum clusters, voxel downsampling and
-Euclidean clustering isolate each teat, and surface-normal analysis yields
-the tip position and cup-approach axis. A synthetic scene generator
-with oracle masks plus a latency-injecting pipeline analogue make the whole
-stack testable without a robot.
+Euclidean clustering isolate each teat, and a least-squares capsule fit,
+seeded by the principal axis, yields the tip position and cup-approach
+axis. A synthetic scene generator with oracle masks plus a
+latency-injecting pipeline analogue make the whole stack testable without
+a robot.
 """
 
 from .axes import estimate_normals, normals_axis, pca_axis

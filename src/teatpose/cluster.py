@@ -45,7 +45,7 @@ def euclidean_cluster(cloud: PointCloud, tolerance_mm: float = 10.0, *,
     PCL's Euclidean cluster extraction, without size limits).
 
     `neighbours` lets a caller that already holds neighbour rows, such as
-    the k-NN rows of `estimate_normals`, skip the radius search when those
+    the k-NN rows of `estimate_teat_pose`, skip the radius search when those
     rows connect the cloud. Of the edges (i, neighbours[i, j]) only those
     whose squared distance is below tolerance^2 by a relative margin are
     kept; the margin covers any rounding difference between numpy and the

@@ -22,8 +22,9 @@ from .mask import extract_masked_points, project_cells
 from .pipeline import estimate_frame
 from .pose import PoseConfig
 from .reports import read_csv, svg_histogram, svg_lines, write_csv
-from .scene import (NoiseModel, SceneSpec, fit_error_curve,
-                    plane_target_measure, render, render_plane_target)
+from .scene import (MAX_CAMERA_DISTANCE_MM, NoiseModel, SceneSpec,
+                    fit_error_curve, plane_target_measure, render,
+                    render_plane_target)
 
 logger = logging.getLogger(__name__)
 
@@ -59,10 +60,11 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
         Summary dict: per-teat stats, overall success rate, elapsed seconds.
     """
     _check_count("cycles", cycles)
-    for name, value in (("tilt_deg", tilt_deg), ("shift_mm", shift_mm)):
-        if not 0 <= value < np.inf:
+    for name, value, top in (("tilt_deg", tilt_deg, 180.0),
+                             ("shift_mm", shift_mm, MAX_CAMERA_DISTANCE_MM)):
+        if not 0 <= value <= top:
             raise InvalidInputError(
-                f"{name} must be finite and >= 0, got {value!r}")
+                f"{name} must be in [0, {top:g}], got {value!r}")
     config = PoseConfig()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()

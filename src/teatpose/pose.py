@@ -9,15 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .axes import estimate_normals, normals_axis
-# Not called here: perfbench's span hooks wrap teatpose.pose.pca_axis by name.
-from .axes import pca_axis  # noqa: F401
+from .axes import pca_axis
+# Not called here: perfbench's span hooks wrap these names in teatpose.pose.
+from .axes import estimate_normals, normals_axis  # noqa: F401
 from .camera import CameraModel
 from .cloud import FRAME_CAMERA, PointCloud
 from .cluster import euclidean_cluster
 from .errors import (InsufficientPointsError, InvalidInputError,
-                     TeatPoseError, _check_bound, _is_int)
+                     _check_bound, _is_int)
 
 # Near-horizontal axes make the world-up sign rule unreliable below this dot.
 _UP_DOT_MIN = 0.1
@@ -26,16 +27,16 @@ _UP_DOT_MIN = 0.1
 _MIN_POINTS = 30
 # Euclidean clustering radius that splits stray frustum hits from the teat.
 _CLUSTER_TOLERANCE_MM = 10.0
-# Neighbourhood size of the surface normals. It trades noise robustness
-# against small-cluster fidelity: the normal patch must span clearly more
-# than the noise-thickened shell, so heavy isotropic noise (~2 mm and up)
-# wants k around 32, while typical depth-noise clusters of a few hundred
-# points do best at 12 (large k over-smooths them).
-_NORMALS_K = 12
+# k-NN rows per point that euclidean_cluster reads before any radius search.
+_NEIGHBOURS_K = 12
 # Robust-minimum percentile of the axial positions in locate_tip.
 _TIP_PERCENTILE = 2.0
-# Length of the cap band that _refine_axis drops from the tip-side extreme.
-_TIP_TRIM_MM = 15.0
+# Capsule fit: soft-L1 residual scale, Gauss-Newton iteration cap, the step
+# (mm and rad) below which it has converged, and damping relative to tr(H).
+_FIT_SCALE_MM = 2.0
+_FIT_MAX_ITER = 30
+_FIT_STEP_TOL = 1e-4
+_FIT_DAMPING = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class PoseConfig:
 
     Attributes:
         voxel_leaf_mm: Downsampling leaf; perfbench `frame-close` uses 2 mm.
-        tip_slab_mm: Tip slab half-width of locate_tip; perfbench's test of
-            a changed answer varies it.
+        tip_slab_mm: Half-width of the slab of the tip seed (locate_tip);
+            perfbench's test of a changed answer varies it.
 
     Every other setting of the path is a constant of this module or of
     `teatpose.axes`.
@@ -163,18 +164,12 @@ def disambiguate_direction(axis: np.ndarray, points: PointCloud,
 
 def locate_tip(points: PointCloud, axis: np.ndarray,
                slab_mm: float = 5.0) -> np.ndarray:
-    """Tip position from the axial extreme of the cluster.
+    """Tip seed from the axial extreme of the cluster.
 
     The axial coordinates are reduced to a robust minimum (their
-    _TIP_PERCENTILE percentile), and the points within `slab_mm` of that
-    position form the tip neighbourhood. That neighbourhood lies on the
-    rounded tip cap, so a free-centre least-squares sphere fit recovers the
-    cap, and the apex is the sphere point furthest along -axis. The fit is
-    exact for a spherical cap and, because the centre is free, stays exact
-    when the camera sees only part of the cap. If the fit is degenerate (too
-    few points, flat or wall-like neighbourhood, apex away from the observed
-    extreme) the percentile position on the axis line through the centroid
-    is used.
+    _TIP_PERCENTILE percentile). The centroid of the points within
+    `slab_mm` of it (or of the nearest point), which lies near the axis on
+    the rounded cap, is moved along the axis to that minimum.
 
     Args:
         points: Non-empty cloud of one teat.
@@ -196,69 +191,75 @@ def locate_tip(points: PointCloud, axis: np.ndarray,
     s = (points.points - c) @ a
     s_floor = float(np.percentile(s, _TIP_PERCENTILE))
     slab = np.abs(s - s_floor) <= slab_mm
-    q = points.points[slab]
-
-    if len(q) >= 4:
-        # Sphere |p - ctr|^2 = R^2 is linear in (ctr, R^2 - |ctr|^2).
-        design = np.column_stack([2.0 * q, np.ones(len(q))])
-        target = np.einsum("ni,ni->n", q, q)
-        sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        if rank == 4:
-            ctr, gamma = sol[:3], sol[3]
-            r2 = float(gamma + ctr @ ctr)
-            if 0.0 < r2 < 1e8:
-                apex = ctr - np.sqrt(r2) * a
-                s_apex = float((apex - c) @ a)
-                # Accept only a cap apex near the observed extreme.
-                if s[slab].min() - slab_mm <= s_apex <= s_floor:
-                    return apex
-
-    return c + s_floor * a
+    slab[np.argmin(np.abs(s - s_floor))] = True
+    q = points.points[slab].mean(axis=0)
+    return q + (s_floor - float((q - c) @ a)) * a
 
 
-# Refinement floors: minimum wall points and maximum believable correction.
-_REFINE_MIN_POINTS = 12
-_REFINE_MAX_TURN_COS = np.cos(np.radians(45.0))
+def _tangent_basis(a: np.ndarray) -> np.ndarray:
+    """(3, 2) orthonormal columns orthogonal to the unit vector a, in the
+    closed form of Duff et al., JCGT 6(1), 2017 (no cross product)."""
+    x, y, z = a.tolist()
+    sign = 1.0 if z >= 0.0 else -1.0
+    k = -1.0 / (sign + z)
+    b = x * y * k
+    return np.array([[1.0 + sign * x * x * k, b],
+                     [sign * b, sign + y * y * k], [-sign * x, -y]])
 
 
-def _refine_axis(cluster: PointCloud, normals: np.ndarray,
-                 axis: np.ndarray, camera: CameraModel) -> np.ndarray:
-    """Re-estimate the normals axis after excluding the tip cap.
+def _fit_capsule(p: np.ndarray, tip: np.ndarray,
+                 axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Robust least-squares capsule through p, seeded at (tip, axis).
 
-    A depth camera sees one side of the teat, and the visible part of the
-    rounded cap pulls the estimated axis off. The wall's normal bundle
-    alone is bias-free (wall normals are orthogonal to the axis no matter
-    which side is visible), so the cap band (_TIP_TRIM_MM from the tip-side
-    extreme) is dropped and the normals axis re-estimated, iterating once
-    with the improved axis. The trimmed wall's point covariance would not
-    do: it is nearly isotropic in cross-section versus length for typical
-    teat proportions, so a PCA re-fit would be ill-conditioned there.
-    Orthogonal flips and estimator failures keep the current axis.
-
-    `normals` are the cluster's (n, 3) unit normals. Each pass reads the
-    wall's rows of them, so no neighbour search runs on the wall; a wall
-    point next to the trim keeps the cap points among its k neighbours.
+    The teat's shape: a cylinder of radius r about the unit axis a through
+    the cap centre C, closed at the tip by the hemisphere about C and open
+    toward the udder. With s = (p - C).a, a point is |p - C| - r off the
+    cap if s <= 0 and |p - C - s a| - r off the wall otherwise (geometric
+    distances: Lukacs, Martin & Marshall, 1998). Gauss-Newton steps C, r
+    and two turns of a, under IRLS soft-L1 weights 1/sqrt(1 + (d /
+    _FIT_SCALE_MM)^2), from r = the median distance to the seed axis line.
+    Returns (C - r a, a) if the fit converges within _FIT_MAX_ITER steps
+    to r > 0 and a finite tip within 2 r of the seed, else the seed.
     """
-    p = cluster.points
-    c = p.mean(axis=0)
-    for _ in range(2):
-        s = (p - c) @ axis
-        rows = np.nonzero(s >= s.min() + _TIP_TRIM_MM)[0]
-        # Too few wall normals to trust; normals_axis alone would take 2.
-        if len(rows) < _REFINE_MIN_POINTS:
-            return axis
-        try:
-            cand = normals_axis(normals[rows])
-        except TeatPoseError:
-            return axis
-        cand = disambiguate_direction(cand, cluster, camera)
-        if float(cand @ axis) < _REFINE_MAX_TURN_COS:
-            return axis
-        done = float(cand @ axis) > 1.0 - 1e-9
-        axis = cand
-        if done:
-            break
-    return axis
+    d = p - tip
+    d -= np.multiply.outer(d @ axis, axis)
+    r = float(np.median(np.sqrt(np.einsum("ni,ni->n", d, d))))
+    centre, a = tip + r * axis, axis
+    # Distance derivatives by C, the two turns and r, then the residual:
+    # one product with the weighted rows gives H and its right-hand side.
+    jac = np.empty((len(p), 7))
+    jac[:, 5] = -1.0
+    # A point on the axis line divides by zero; its NaN fails the fit.
+    with np.errstate(all="ignore"):
+        for _ in range(_FIT_MAX_ITER):
+            tangents = _tangent_basis(a)
+            d = p - centre
+            s = np.maximum(d @ a, 0.0)
+            d -= np.multiply.outer(s, a)
+            dist = np.sqrt(np.einsum("ni,ni->n", d, d))
+            np.subtract(dist, r, out=jac[:, 6])
+            np.divide(d, -dist[:, None], out=jac[:, :3])
+            np.multiply(jac[:, :3] @ tangents, s[:, None], out=jac[:, 3:5])
+            weighted = jac / np.hypot(1.0, jac[:, 6] / _FIT_SCALE_MM)[:, None]
+            normal = weighted.T @ jac
+            h = normal[:6, :6]
+            h.flat[::7] += _FIT_DAMPING * h.trace()
+            try:
+                step = np.linalg.solve(h, -normal[:6, 6])
+            except np.linalg.LinAlgError:
+                break
+            centre = centre + step[:3]
+            a = a + tangents @ step[3:5]
+            a = a / np.linalg.norm(a)
+            r += float(step[5])
+            if np.abs(step).max() < _FIT_STEP_TOL:
+                fit_tip = centre - r * a
+                # NaN fails both tests, and a finite r bounds the tip.
+                if (0.0 < r < np.inf
+                        and np.linalg.norm(fit_tip - tip) <= 2.0 * r):
+                    return fit_tip, a
+                break
+    return tip, axis
 
 
 def estimate_teat_pose(points: PointCloud, camera: CameraModel,
@@ -266,18 +267,12 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
                        teat_id: str = "", stamp_us: int = 0) -> TeatPose:
     """Full single-teat pose from its extracted points.
 
-    Pipeline: estimate surface normals, keep the largest Euclidean cluster
-    (stray frustum hits fall away), take the normals axis and resolve its
-    sign, re-estimate it on the cap-trimmed wall, locate the tip, and report
+    Pipeline: keep the largest Euclidean cluster (stray frustum hits fall
+    away; `euclidean_cluster` reads one k-NN query's rows first), seed the
+    axis with its principal direction, sign-resolved by
+    `disambiguate_direction`, and the tip with `locate_tip`, refine both
+    with one capsule fit, which keeps the seed if it fails, and report
     everything in the world frame.
-
-    Neighbours are searched once, before clustering: `estimate_normals`
-    returns the whole cloud's normals and k-NN rows, and the rows go to
-    `euclidean_cluster`. When their edges within the tolerance connect the
-    cloud, the one cluster is the whole cloud in input order, and the
-    normals already computed are the cluster's normals, bit for bit.
-    Otherwise the radius clustering runs and the largest cluster's normals
-    are estimated afresh.
 
     Args:
         points: Camera-frame points of one teat (already voxel-downsampled
@@ -299,21 +294,20 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
     if len(points) < _MIN_POINTS:
         raise InsufficientPointsError(
             f"teat {teat_id!r}: {len(points)} points < minimum {_MIN_POINTS}")
+    points.require_finite_extent("estimate_teat_pose")
 
-    normals, neighbours = estimate_normals(points, k=_NORMALS_K)
-    clusters = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM,
-                                 neighbours=neighbours)
-    cluster = clusters[0]
+    neighbours = cKDTree(points.points).query(points.points,
+                                              k=_NEIGHBOURS_K)[1]
+    cluster = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM,
+                                neighbours=neighbours)[0]
     if len(cluster) < _MIN_POINTS:
         raise InsufficientPointsError(
             f"teat {teat_id!r}: largest cluster has {len(cluster)} points "
             f"< minimum {_MIN_POINTS}")
 
-    if len(clusters) > 1:
-        normals = estimate_normals(cluster, k=_NORMALS_K)[0]
-    axis = disambiguate_direction(normals_axis(normals), cluster, camera)
-    axis = _refine_axis(cluster, normals, axis, camera)
+    axis = disambiguate_direction(pca_axis(cluster), cluster, camera)
     tip_cam = locate_tip(cluster, axis, slab_mm=cfg.tip_slab_mm)
+    tip_cam, axis = _fit_capsule(cluster.points, tip_cam, axis)
 
     tip_world = camera.camera_to_world(tip_cam)
     axis_world = camera.rotate_to_world(axis)

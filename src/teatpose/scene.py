@@ -27,6 +27,17 @@ from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
 from .mask import TeatMask, rasterize_mask
 
 MIN_MASK_PIXELS = 50
+# Farthest camera from the udder centre that a scene accepts; render is
+# tested there and overflows from ~1e150 mm.
+MAX_CAMERA_DISTANCE_MM = 1e6
+
+
+def _ellipsoid_level(p: np.ndarray, c: np.ndarray, s: np.ndarray) -> float:
+    """sum(((p - c) / s) ** 2), or inf for a point more than 2 s off the
+    centre along an axis, so that no far point or small s overflows."""
+    with np.errstate(over="ignore"):
+        q = np.abs(p - c)
+    return np.inf if np.any(q / 2.0 > s) else float(np.sum((q / s) ** 2))
 
 
 @dataclass(frozen=True)
@@ -158,9 +169,9 @@ class SceneSpec:
         s.flags.writeable = False
 
         for i, t in enumerate(teats):
-            if np.sum(((t.base_mm - c) / s) ** 2) > 1.0 + 1e-9:
+            if _ellipsoid_level(t.base_mm, c, s) > 1.0 + 1e-9:
                 raise InvalidSceneError(f"teat {i} base detached from the udder")
-            if np.sum(((t.tip_mm - c) / s) ** 2) <= 1.0:
+            if _ellipsoid_level(t.tip_mm, c, s) <= 1.0:
                 raise InvalidSceneError(f"teat {i} tip buried inside the udder")
         for i in range(len(teats)):
             for j in range(i + 1, len(teats)):
@@ -171,7 +182,10 @@ class SceneSpec:
                     raise InvalidSceneError(f"teats {i} and {j} interpenetrate")
 
         pos = self.camera.position_world
-        if np.sum(((pos - c) / s) ** 2) <= 1.0:
+        if not math.dist(pos, c) <= MAX_CAMERA_DISTANCE_MM:
+            raise InvalidSceneError(
+                f"camera is over {MAX_CAMERA_DISTANCE_MM:g} mm from the udder")
+        if _ellipsoid_level(pos, c, s) <= 1.0:
             raise InvalidSceneError("camera is inside the udder")
         for i, t in enumerate(teats):
             if t.contains(pos):

@@ -24,6 +24,7 @@ from teatpose.experiments import (run_camera_curve, run_rate_bench,
 from teatpose.mask import extract_masked_points, project_cells
 from teatpose.pipeline import (run_pipeline, static_scene_stream,
                                write_events_jsonl)
+from teatpose.pose import estimate_teat_pose
 from teatpose.reports import read_csv
 from teatpose.scene import (NoiseModel, default_scene, orbbec_like_noise,
                             render, sample_teat_surface)
@@ -105,6 +106,38 @@ def test_axis_estimators_on_randomized_poses():
              f"noiseless worst over 100 poses: pca {w_pca:.3f} deg (<= 0.5), "
              f"normals {w_nrm:.3f} deg (<= 1); methods within "
              f"{w_agree:.2f} deg under 2 mm noise (<= 5)")
+
+
+def test_pose_fit_on_randomized_poses():
+    # The axis gate's 100 poses, estimated end to end by estimate_teat_pose
+    # from a camera 500 mm off each tip, as tests/test_pose.py places it;
+    # the noisy clouds are voxelized in the camera frame, as estimate_frame
+    # does.
+    rng = np.random.default_rng(11)
+    exact, noisy = [], []
+    for _ in range(100):
+        teat = random_teat(rng)
+        camera = CameraModel.look_at(teat.tip_mm + [0.0, -500.0, -80.0],
+                                     teat.tip_mm)
+        rings = teat_rings(teat, azimuths=64)
+        dense = sample_teat_surface(teat, 20000, rng, noise_mm=2.0)
+        for errors, points, leaf in ((exact, rings, None),
+                                     (noisy, dense, 5.0)):
+            cloud = PointCloud(camera.world_to_camera(points), frame="camera")
+            if leaf:
+                cloud = voxel_downsample(cloud, leaf)
+            pose = estimate_teat_pose(cloud, camera)
+            errors.append((axis_angle_deg(pose.axis, teat.axis),
+                           np.linalg.norm(pose.tip_mm - teat.tip_mm)))
+    exact_axis, exact_tip = np.max(exact, axis=0)
+    noisy_axis, noisy_tip = np.max(noisy, axis=0)
+    ok = (exact_axis <= 0.5 and exact_tip <= 0.5 and noisy_axis <= 2.0
+          and noisy_tip <= 4.0)
+    _verdict("pose-fit-accuracy", ok,
+             f"worst over 100 poses: noiseless rings {exact_axis:.3f} deg "
+             f"(<= 0.5), tip {exact_tip:.3f} mm (<= 0.5); 2 mm noise, 5 mm "
+             f"leaf {noisy_axis:.2f} deg (<= 2), tip {noisy_tip:.2f} mm "
+             f"(<= 4)")
 
 
 def test_kernels_match_brute_force_oracles():

@@ -384,8 +384,8 @@ def _teat_like(n: int, rng) -> np.ndarray:
 
 
 class TestSubsetReuse:
-    """A wall's normals read from the cloud's normals, as `pose._refine_axis`
-    reads them, against the wall searched again by estimate_normals.
+    """A subset's normals read from the cloud's normals (`normals[rows]`)
+    against the subset searched again by estimate_normals.
 
     A wall point whose k nearest neighbours in the cloud all lie in the wall,
     with no distance tie, has the same neighbours in the same order in the

@@ -19,8 +19,8 @@ from teatpose.experiments import (run_camera_curve, run_rate_bench,
                                   run_repeatability)
 from teatpose.pipeline import static_scene_stream
 from teatpose.reports import read_csv
-from teatpose.scene import (NoiseModel, SceneSpec, TeatSpec, default_scene,
-                            orbbec_like_noise)
+from teatpose.scene import (MAX_CAMERA_DISTANCE_MM, NoiseModel, SceneSpec,
+                            TeatSpec, default_scene, orbbec_like_noise)
 
 _SMALL_CAMERA = CameraModel(fx=142.5, fy=142.5, cx=80.0, cy=60.0,
                             width=160, height=120)
@@ -103,6 +103,26 @@ class TestRunRepeatability:
             run_repeatability(default_scene(), cycles=1, out_dir=out,
                               **{key: value})
         assert not out.exists()
+
+
+    # Huge finite jitter: numpy's uniform raised OverflowError at ~9e307,
+    # and a 1e200 mm shift overflowed SceneSpec's inside-udder check.
+    @pytest.mark.parametrize("key, value", [
+        ("tilt_deg", 180.5), ("tilt_deg", 1e308),
+        ("shift_mm", MAX_CAMERA_DISTANCE_MM * 1.001), ("shift_mm", 1e200),
+        ("shift_mm", 1e308),
+    ])
+    def test_huge_jitter_rejected_before_out_dir(self, key, value, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(InvalidInputError, match=key):
+            run_repeatability(default_scene(), cycles=1, out_dir=out,
+                              **{key: value})
+        assert not out.exists()
+
+    def test_jitter_bounds_accepted(self, tmp_path):
+        summary = run_repeatability(default_scene(), cycles=1,
+                                    out_dir=tmp_path, tilt_deg=180.0)
+        assert summary["cycles"] == 1
 
 
 class TestRunCameraCurve:

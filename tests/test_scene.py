@@ -24,7 +24,8 @@ from teatpose.errors import (CurveFitError, InsufficientPointsError,
 from teatpose.mask import TeatMask, rasterize_mask
 from teatpose.pipeline import estimate_frame
 from teatpose.pose import PoseConfig
-from teatpose.scene import (NoiseModel, SceneSpec, TeatSpec, _cast_scene,
+from teatpose.scene import (MAX_CAMERA_DISTANCE_MM, NoiseModel, SceneSpec,
+                            TeatSpec, _cast_scene,
                             _pixel_dirs, _rays_in_box, default_scene,
                             fit_error_curve, occlude, orbbec_like_noise,
                             plane_target_measure, render, render_plane_target,
@@ -292,6 +293,35 @@ class TestSceneSpec:
                       camera=CameraModel.look_at(_UDDER_CENTER + 10.0,
                                                  (0.0, 0.0, 0.0)))
 
+    # A camera ~1e150 mm off passed SceneSpec and overflowed in render.
+    @pytest.mark.parametrize("distance", [MAX_CAMERA_DISTANCE_MM * 1.001,
+                                          1e150, 1e300])
+    def test_camera_beyond_distance_bound_rejected(self, distance):
+        scene = _single_teat_scene()
+        camera = replace(scene.camera, translation_mm=distance
+                         * np.array([0.3, -0.5, -0.8]) / np.sqrt(0.98))
+        with pytest.raises(InvalidSceneError, match="camera is over"):
+            replace(scene, camera=camera)
+
+    def test_render_clean_at_distance_bound(self):
+        # Tier-1 turns every RuntimeWarning into an error.
+        direction = np.array([0.3, -0.5, -0.8]) / np.sqrt(0.98)
+        scene = replace(_single_teat_scene(), camera=CameraModel.look_at(
+            _UDDER_CENTER + MAX_CAMERA_DISTANCE_MM * 0.999999 * direction,
+            _UDDER_CENTER))
+        cloud, masks, _ = render(scene)
+        assert len(cloud) == len(masks) == 0
+
+    def test_inside_udder_check_cannot_overflow(self):
+        # ((pos - c) / s) ** 2 overflowed for a 1e-160 mm udder; the scaled
+        # check finds the camera outside.
+        teat = TeatSpec(base_mm=_UDDER_CENTER, axis=np.array([0.0, 0.0, -1.0]))
+        scene = SceneSpec(teats=(teat,), udder_center_mm=_UDDER_CENTER,
+                          udder_semi_axes_mm=np.full(3, 1e-160),
+                          camera=CameraModel.look_at((0.0, -585.0, 430.0),
+                                                     teat.tip_mm))
+        assert scene.udder_semi_axes_mm[0] == 1e-160
+
     def test_json_round_trip(self):
         scene = default_scene(seed=7, noise=orbbec_like_noise())
         back = SceneSpec.from_dict(json.loads(json.dumps(scene.to_dict())))
@@ -438,13 +468,13 @@ class TestFrameDigest:
 
     @pytest.mark.parametrize("name, n_poses, digest", [
         ("default_orbbec", 4,
-         "aa7440b33088438694919e34087931546a6a2154c777f1dde2afc90665a83dd6"),
+         "d5b322b9a50b48a54d2eb7e21a8ba634368e4034deb1306dcde69fa73fddcfb7"),
         ("six_teats_close", 6,
-         "f558752efdf633bb23e0ef263bcc5682498fa2bda48edfd6a5ecce617701852e"),
+         "2dbe39ee087b61f1c28df2d95628a33b93ac9d87da277bed72395e128cd0320e"),
         ("dropout_jitter", 4,
-         "82f6927cfde321c0f8c1717dcdbc8611b47ca1130b9293afacc56291e6095e0b"),
+         "39c2c675b01b1a60b9411aff633ea3496285eda3e08ee093bdf6e809446e645e"),
         ("teat_on_border", 3,
-         "1c80c271dcfb1852237514823687c22271354dd00f1c57ca02f1b5e68d0ac1c0"),
+         "0e2271a00379d099b271ed1acfc033052209ac4f1379263aac2c69b8a96cf5cf"),
     ], ids=["default_orbbec", "six_teats_close", "dropout_jitter",
             "teat_on_border"])
     def test_digest(self, name, n_poses, digest):
