@@ -2,8 +2,8 @@
 
 Both estimators return a unit axis of arbitrary sign, and surface normals
 are unsigned; `teatpose.pose.disambiguate_direction` alone resolves a sign.
-Normals and their k-NN rows travel as plain arrays: `normals_axis` checks
-the normals it reads, and `euclidean_cluster` the rows it reads.
+Normals and their k-NN rows travel as plain arrays; `normals_axis` checks
+the normals it reads.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ def estimate_normals(cloud: PointCloud,
         (normals, neighbours): (n, 3) unit normals, one per input point in
         input order, and the (n, k) rows of each point's k nearest
         neighbours, nearest first, as `cKDTree.query` orders them.
-        `euclidean_cluster(neighbours=...)` reads the rows.
     """
     if not (_is_int(k) and k >= 3):
         raise InvalidInputError(f"k must be an integer >= 3, got {k!r}")

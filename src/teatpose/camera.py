@@ -148,9 +148,19 @@ class CameraModel:
         """
         position = np.asarray(position, dtype=float)
         target = np.asarray(target, dtype=float)
-        forward = target - position
-        norm = np.linalg.norm(forward)
-        if norm < 1e-9:
+        # The norm is taken of forward scaled by a power of two, which is
+        # exact: the direction keeps its bits, and no square overflows.
+        with np.errstate(over="ignore"):
+            forward = target - position
+            exponent = np.frexp(np.abs(forward).max())[1]
+            forward = np.ldexp(forward, -exponent)
+            norm = np.linalg.norm(forward)
+            distance = np.ldexp(norm, exponent)
+        if not np.all(np.isfinite(forward)):
+            raise InvalidInputError(
+                "camera position and target must be finite, and so must "
+                "their difference")
+        if distance < 1e-9:
             raise InvalidInputError("camera position and target coincide")
         zc = forward / norm
         xc = np.cross(zc, WORLD_UP)

@@ -94,17 +94,6 @@ def _check_count(name: str, value) -> None:
             f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_neighbours(rows, n: int) -> np.ndarray:
-    """rows as an (n, k) array of row indices in [0, n) of any signed or
-    unsigned integer dtype, or raise InvalidInputError."""
-    a = np.asarray(rows)
-    if (a.ndim != 2 or len(a) != n or a.dtype.kind not in "iu"
-            or (a.size and (a.min() < 0 or a.max() >= n))):
-        raise InvalidInputError(
-            f"neighbours must be ({n}, k) integer rows in [0, {n})")
-    return a
-
-
 def _check_vector(value, n: int, what: str, key: str) -> np.ndarray:
     """value as a float array of n finite numbers, or raise naming key."""
     try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .axes import pca_axis
 # Not called here: perfbench's span hooks wrap these names in teatpose.pose.
@@ -27,8 +26,6 @@ _UP_DOT_MIN = 0.1
 _MIN_POINTS = 30
 # Euclidean clustering radius that splits stray frustum hits from the teat.
 _CLUSTER_TOLERANCE_MM = 10.0
-# k-NN rows per point that euclidean_cluster reads before any radius search.
-_NEIGHBOURS_K = 12
 # Robust-minimum percentile of the axial positions in locate_tip.
 _TIP_PERCENTILE = 2.0
 # Capsule fit: soft-L1 residual scale, Gauss-Newton iteration cap, the step
@@ -268,11 +265,11 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
     """Full single-teat pose from its extracted points.
 
     Pipeline: keep the largest Euclidean cluster (stray frustum hits fall
-    away; `euclidean_cluster` reads one k-NN query's rows first), seed the
-    axis with its principal direction, sign-resolved by
-    `disambiguate_direction`, and the tip with `locate_tip`, refine both
-    with one capsule fit, which keeps the seed if it fails, and report
-    everything in the world frame.
+    away; no radius search runs when `euclidean_cluster`'s lattice proves
+    the cloud connected), seed the axis with its principal direction,
+    sign-resolved by `disambiguate_direction`, and the tip with
+    `locate_tip`, refine both with one capsule fit, which keeps the seed if
+    it fails, and report everything in the world frame.
 
     Args:
         points: Camera-frame points of one teat (already voxel-downsampled
@@ -296,10 +293,7 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
             f"teat {teat_id!r}: {len(points)} points < minimum {_MIN_POINTS}")
     points.require_finite_extent("estimate_teat_pose")
 
-    neighbours = cKDTree(points.points).query(points.points,
-                                              k=_NEIGHBOURS_K)[1]
-    cluster = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM,
-                                neighbours=neighbours)[0]
+    cluster = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM)[0]
     if len(cluster) < _MIN_POINTS:
         raise InsufficientPointsError(
             f"teat {teat_id!r}: largest cluster has {len(cluster)} points "

@@ -16,7 +16,6 @@ from _oracles import axis_angle_deg
 from teatpose.axes import (AXIS_RATIO_MIN, _hood_normals, estimate_normals,
                            normals_axis, pca_axis)
 from teatpose.cloud import PointCloud
-from teatpose.cluster import euclidean_cluster
 from teatpose.errors import (AmbiguousAxisError, InsufficientPointsError,
                              InvalidInputError)
 
@@ -252,26 +251,6 @@ class TestEstimateNormals:
         # returns the rows a k query picks.
         nbr = estimate_normals(PointCloud(pts), k=12)[1]
         np.testing.assert_array_equal(nbr, cKDTree(pts).query(pts, k=12)[1])
-
-    # The ids are the ones these cases had when each also carried a
-    # neighbours_unique flag, so a case keeps its name across versions.
-    @pytest.mark.parametrize("neighbours", [
-        pytest.param([[0, 1], [1, 2]], id="neighbours0-unique0"),
-        pytest.param([[0], [1.0]], id="neighbours1-unique1"),
-        pytest.param([[0], [-1]], id="neighbours2-unique2"),
-        pytest.param([0, 1], id="neighbours3-unique3"),
-    ])
-    def test_bad_neighbours_rejected(self, neighbours):
-        # Rows are checked where they are read: euclidean_cluster.
-        cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(InvalidInputError, match="neighbours"):
-            euclidean_cluster(cloud, neighbours=neighbours)
-
-    def test_unsigned_neighbour_rows_accepted(self):
-        pts = _cylinder_rings(10.0, 40.0, (0.0, 0.0, 1.0))
-        rows = estimate_normals(PointCloud(pts), k=12)[1].astype(np.uint32)
-        clusters = euclidean_cluster(PointCloud(pts), 10.0, neighbours=rows)
-        assert [len(c) for c in clusters] == [len(pts)]
 
 
 def _eigh(hoods: np.ndarray):

@@ -9,6 +9,7 @@ everything else; it is checked over 1000 random pixel/depth draws.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,41 @@ class TestLookAt:
     def test_vertical_axis_rejected(self):
         with pytest.raises(InvalidInputError):
             CameraModel.look_at([0.0, 0.0, 500.0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("distance", [1e154, 1e200, 1e308])
+    @pytest.mark.parametrize("target", [[0.0, 0.0, 0.0], [5.0, -3.0, 700.0]])
+    def test_far_eye_gives_a_camera_without_warning(self, distance, target):
+        # A sum of squares of the offset overflows past ~1e154 mm.
+        eye = np.array(target) + distance * np.array([0.6, -0.8, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cam = CameraModel.look_at(eye, target)
+        assert np.all(np.isfinite(cam.rotation))
+        np.testing.assert_allclose(cam.rotate_to_world([0.0, 0.0, 1.0]),
+                                   [-0.6, 0.8, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("eye, target", [
+        ([-1e308, -1e308, 0.0], [1e308, 1e308, 0.0]),  # offset overflows
+        ([np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]),          # coincide
+    ])
+    def test_unusable_eye_rejected_without_warning(self, eye, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                CameraModel.look_at(eye, target)
+
+    def test_direction_bits_match_the_plain_quotient(self):
+        # The power-of-two scaling is exact: forward / |forward| unchanged.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            eye = rng.normal(size=3) * rng.uniform(1.0, 2000.0)
+            target = rng.normal(size=3) * 100.0
+            forward = target - eye
+            cam = CameraModel.look_at(eye, target)
+            assert cam.rotation[:, 2].tobytes() == \
+                (forward / np.linalg.norm(forward)).tobytes()
 
 
 class TestSerialization:

@@ -357,23 +357,20 @@ class TestEstimateTeatPose:
         assert pose.n_points == len(rings)
         assert np.linalg.norm(pose.tip_mm - teat.tip_mm) < 0.5
 
-    def test_knn_clustering_matches_radius_clustering(self, monkeypatch):
-        # The pose reads the cluster off one k-NN query's rows. The poses
-        # must be those of radius clustering, bit for bit.
+    def test_lattice_clustering_matches_radius_clustering(self, monkeypatch):
+        # euclidean_cluster first tries to prove the teat connected on its
+        # lattice. The poses must be those of radius clustering, bit for bit.
         rng = np.random.default_rng(13)
         cases = []
         for _ in range(6):
             teat = random_teat(rng)
             pts = sample_teat_surface(teat, 3000, rng, noise_mm=1.0)
             cases.append(self._camera_cloud(teat, pts))
-        # The stray blob is not reached by any k-NN row: the fallback runs.
+        # The stray blob is far from the teat: the radius path runs.
         cases.append(self._rings_and_stray_blob()[2:])
         got = [estimate_teat_pose(cloud, camera) for camera, cloud in cases]
 
-        def radius_only(cloud, tolerance_mm, neighbours=None):
-            return tp_cluster.euclidean_cluster(cloud, tolerance_mm)
-
-        monkeypatch.setattr(tp_pose, "euclidean_cluster", radius_only)
+        monkeypatch.setattr(tp_cluster, "_lattice_edges", lambda *args: None)
         for pose, (camera, cloud) in zip(got, cases):
             ref = estimate_teat_pose(cloud, camera)
             assert pose.tip_mm.tobytes() == ref.tip_mm.tobytes()
@@ -381,10 +378,11 @@ class TestEstimateTeatPose:
             assert pose.n_points == ref.n_points
 
     @pytest.mark.parametrize("stray", [False, True])
-    def test_one_neighbour_search_per_teat(self, monkeypatch, stray):
-        # One k-NN query feeds the clustering, and the capsule fit needs no
-        # normals: the normals kernels, imported for perfbench's hooks, are
-        # never called.
+    def test_at_most_one_neighbour_search_per_teat(self, monkeypatch, stray):
+        # A connected teat builds no k-d tree: the lattice proves it one
+        # cluster. A teat with a stray blob needs one radius search. The
+        # capsule fit needs no normals: the normals kernels, imported for
+        # perfbench's hooks, are never called.
         calls = []
 
         def spy(name, fn):
@@ -394,11 +392,15 @@ class TestEstimateTeatPose:
             return traced
 
         class CountedTree(cKDTree):
-            def query(self, x, *args, **kwargs):
-                calls.append(("query", len(x)))
-                return super().query(x, *args, **kwargs)
+            def __init__(self, data, *args, **kwargs):
+                calls.append(("cKDTree", len(data)))
+                super().__init__(data, *args, **kwargs)
 
-        monkeypatch.setattr(tp_pose, "cKDTree", CountedTree)
+            def query_pairs(self, *args, **kwargs):
+                calls.append(("query_pairs", self.n))
+                return super().query_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(tp_cluster, "cKDTree", CountedTree)
         for name in ("euclidean_cluster", "pca_axis", "estimate_normals",
                      "normals_axis"):
             monkeypatch.setattr(tp_pose, name,
@@ -411,10 +413,11 @@ class TestEstimateTeatPose:
             camera, cloud = self._camera_cloud(
                 teat, sample_teat_surface(teat, 3000, rng, noise_mm=1.0))
         pose = estimate_teat_pose(cloud, camera)
+        search = [("cKDTree", len(cloud)), ("query_pairs", len(cloud))]
         if stray:
             assert pose.n_points == len(rings)
-        assert calls == [("query", len(cloud)),
-                         ("euclidean_cluster", len(cloud)),
+        assert calls == [("euclidean_cluster", len(cloud)),
+                         *(search if stray else []),
                          ("pca_axis", pose.n_points)]
 
     def test_overflowing_extent_rejected(self):
