@@ -70,7 +70,11 @@ class TeatMask:
             raise InvalidInputError(
                 "contour edges must each be one pixel along u or v "
                 "(a traced pixel boundary)")
-        if len(np.unique(ci, axis=0)) != len(ci):
+        # With unit edges, M vertices span at most M pixels per axis, so
+        # one int64 key per vertex is exact and far cheaper to sort than
+        # the rows.
+        d = ci - ci.min(axis=0)
+        if len(np.unique(d[:, 0] * (d[:, 1].max() + 1) + d[:, 1])) != len(ci):
             raise InvalidInputError(
                 "contour revisits a vertex (polygon not simple)")
         object.__setattr__(self, "contour", ci)

@@ -384,15 +384,16 @@ def _silhouette_uv(camera: CameraModel, center: np.ndarray,
     return uv
 
 
-def _rect_rays(camera: CameraModel, v0: int, v1: int, u0: int, u1: int,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel centres (u+0.5, v+0.5) of rows v0:v1 and columns u0:u1 in
-    row-major order, and their camera-frame ray directions."""
-    pix = np.empty((v1 - v0, u1 - u0, 2))
-    pix[..., 0] = np.arange(u0, u1) + 0.5
-    pix[..., 1] = (np.arange(v0, v1) + 0.5)[:, None]
-    pix = pix.reshape(-1, 2)
-    return pix, _pixel_dirs(camera, pix)
+def _rect_rays(camera: CameraModel, v0: int, v1: int, u0: int,
+               u1: int) -> np.ndarray:
+    """Camera-frame ray directions, as `_pixel_dirs` gives them, of the
+    pixel centres (u+0.5, v+0.5) of rows v0:v1 and columns u0:u1 in
+    row-major order."""
+    d = np.empty((v1 - v0, u1 - u0, 3))
+    d[..., 0] = (np.arange(u0, u1) + 0.5 - camera.cx) / camera.fx
+    d[..., 1] = ((np.arange(v0, v1) + 0.5 - camera.cy) / camera.fy)[:, None]
+    d[..., 2] = 1.0
+    return d.reshape(-1, 3)
 
 
 def _cast_scene(scene: SceneSpec, dirs_world: np.ndarray, origin: np.ndarray,
@@ -420,6 +421,101 @@ def _cast_scene(scene: SceneSpec, dirs_world: np.ndarray, origin: np.ndarray,
     return z, label
 
 
+@dataclass(frozen=True)
+class _Geometry:
+    """What the noise pass and the masks of `render` read of a scene's
+    geometry, all of it read-only.
+
+    window is (v0, v1, u0, u1); hit_idx holds the window-local row-major
+    indices of the rays that hit a surface, dirs_hit their camera-frame
+    directions and z_true their exact depths. labels is the window's label
+    image, visible the teats' visible pixel counts and contours the
+    (teat id, image contour) pair of each mask.
+    """
+
+    window: tuple
+    hit_idx: np.ndarray
+    dirs_hit: np.ndarray
+    z_true: np.ndarray
+    labels: np.ndarray
+    visible: tuple
+    contours: tuple
+
+
+# (key, _Geometry) of the last scene `render` cast, or None.
+_last_geometry = None
+
+
+def _geometry_key(scene: SceneSpec) -> tuple:
+    """Exact bytes of every input of the geometry pass: the camera, the
+    udder and each teat's shape; never the noise, seed or stamp.
+
+    A number's type and its repr, which round-trips, fix the arithmetic
+    done with it, so equal keys mean equal casts.
+    """
+    cam = scene.camera
+    parts = [cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
+             cam.rotation, cam.translation_mm, scene.udder_center_mm,
+             scene.udder_semi_axes_mm]
+    for t in scene.teats:
+        parts += [t.base_mm, t.axis, t.length_mm, t.radius_mm]
+    return tuple(p.tobytes() if isinstance(p, np.ndarray)
+                 else (type(p), repr(p)) for p in parts)
+
+
+def _cast_geometry(scene: SceneSpec) -> _Geometry:
+    """The seed-free part of a render: window, rays, casts, hit set, label
+    image, visible counts and traced teat contours."""
+    cam = scene.camera
+    rects = [_rays_in_box(cam, scene.udder_center_mm - scene.udder_semi_axes_mm,
+                          scene.udder_center_mm + scene.udder_semi_axes_mm,
+                          ellipsoid=True)]
+    for teat in scene.teats:
+        ends = np.stack([teat.base_mm, teat.tip_mm])
+        rects.append(_rays_in_box(cam, ends.min(axis=0) - teat.radius_mm,
+                                  ends.max(axis=0) + teat.radius_mm))
+    # The window, rows v0:v1 and columns u0:u1, spans the non-empty rects.
+    live = [r for r in rects if r[0] < r[1] and r[2] < r[3]] or [(0, 0, 0, 0)]
+    v0, u0 = (min(r[k] for r in live) for k in (0, 2))
+    v1, u1 = (max(r[k] for r in live) for k in (1, 3))
+    # Window-local ray indices of each rectangle; an empty one gives none.
+    boxes = [(np.arange(a - v0, b - v0)[:, None] * (u1 - u0)
+              + np.arange(c - u0, d - u0)).ravel() for a, b, c, d in rects]
+    dirs_cam = _rect_rays(cam, v0, v1, u0, u1)
+    # Row for row, this matmul gives the bits of a full-image matmul, which
+    # the digests in tests/test_scene.py pin. Per-component sums need not:
+    # BLAS kernels may round with fused multiply-adds.
+    z_buf, label = _cast_scene(scene, dirs_cam @ cam.rotation.T,
+                               cam.position_world, boxes)
+    hit_idx = np.flatnonzero(np.isfinite(z_buf))
+
+    n = len(scene.teats)
+    visible = np.bincount(label + 1, minlength=n + 2)[2:]
+    label_win = label.reshape(v1 - v0, u1 - u0)
+    contours = []
+    # In label + 1, 0 is background, 1 the udder and i + 2 teat i.
+    teat_boxes = ndimage.find_objects(label_win + 1, max_label=n + 1)[1:]
+    for i, box in enumerate(teat_boxes):
+        if visible[i] < MIN_MASK_PIXELS:
+            continue
+        rows, cols = box
+        contour = _traced_in_box(
+            label_win[box] == i + 1,
+            (slice(rows.start + v0, rows.stop + v0),
+             slice(cols.start + u0, cols.stop + u0)))
+        if contour is not None:
+            contours.append((f"T{i + 1}", contour))
+
+    geo = _Geometry(window=(v0, v1, u0, u1), hit_idx=hit_idx,
+                    dirs_hit=dirs_cam[hit_idx], z_true=z_buf[hit_idx],
+                    labels=label_win, visible=tuple(visible.tolist()),
+                    contours=tuple(contours))
+    for a in (geo.hit_idx, geo.dirs_hit, geo.z_true, geo.labels,
+              *(c for _, c in contours)):
+        a.flags.writeable = False
+    return geo
+
+
 def render(scene: SceneSpec, stamp_us: int = 0,
            ) -> tuple[PointCloud, list[TeatMask], GroundTruth]:
     """Render one frame: noisy camera-frame cloud, oracle masks, ground truth.
@@ -435,86 +531,64 @@ def render(scene: SceneSpec, stamp_us: int = 0,
     >= 50 visible pixels). Each teat's pixels are cleaned and traced on
     the crop of its bounding box, and the contour comes back in image
     coordinates. Reproducible bit-for-bit from (scene, seed).
+
+    The geometry pass (window, rays, casts, hit set, label image, visible
+    counts and contours) depends on neither the noise, the seed nor the
+    stamp, so the last one is kept and reused while the next scene has
+    the same camera, udder and teats, byte for byte; a copy of a scene
+    with another seed re-renders only its noise. The jittered rays and
+    their recast, the depth noise, the dropout and the stamps are never
+    reused, and every returned array is new.
     """
+    global _last_geometry
+    key = _geometry_key(scene)
+    entry = _last_geometry
+    if entry is None or entry[0] != key:
+        entry = _last_geometry = None  # the old entry goes before the recast
+        entry = _last_geometry = (key, _cast_geometry(scene))
+    geo = entry[1]
+    v0, v1, u0, u1 = geo.window
     cam = scene.camera
     rng = np.random.default_rng(np.random.SeedSequence(scene.seed))
-    origin = cam.position_world
-
-    rects = [_rays_in_box(cam, scene.udder_center_mm - scene.udder_semi_axes_mm,
-                          scene.udder_center_mm + scene.udder_semi_axes_mm,
-                          ellipsoid=True)]
-    for teat in scene.teats:
-        ends = np.stack([teat.base_mm, teat.tip_mm])
-        rects.append(_rays_in_box(cam, ends.min(axis=0) - teat.radius_mm,
-                                  ends.max(axis=0) + teat.radius_mm))
-    # The window, rows v0:v1 and columns u0:u1, spans the non-empty rects.
-    live = [r for r in rects if r[0] < r[1] and r[2] < r[3]] or [(0, 0, 0, 0)]
-    v0, u0 = (min(r[k] for r in live) for k in (0, 2))
-    v1, u1 = (max(r[k] for r in live) for k in (1, 3))
-    # Window-local ray indices of each rectangle; an empty one gives none.
-    boxes = [(np.arange(a - v0, b - v0)[:, None] * (u1 - u0)
-              + np.arange(c - u0, d - u0)).ravel() for a, b, c, d in rects]
-    pix, dirs_cam = _rect_rays(cam, v0, v1, u0, u1)
-    # Row for row, this matmul gives the bits of a full-image matmul, which
-    # the digests in tests/test_scene.py pin. Per-component sums need not:
-    # BLAS kernels may round with fused multiply-adds.
-    z_buf, label = _cast_scene(scene, dirs_cam @ cam.rotation.T, origin,
-                               boxes)
-
-    hit_idx = np.flatnonzero(np.isfinite(z_buf))
-    z_true = z_buf[hit_idx]
 
     # Noise draws happen in a fixed order: jitter, depth eps, dropout.
     noise = scene.noise
-    dirs_sample = dirs_cam[hit_idx]
-    z_sample = z_true
+    dirs_sample = geo.dirs_hit
+    z_sample = geo.z_true
     keep = None
     if noise.lateral_jitter_px > 0:
-        jit = pix[hit_idx] + rng.standard_normal((len(hit_idx), 2)) \
-            * noise.lateral_jitter_px
+        rows, cols = np.divmod(geo.hit_idx, u1 - u0)
+        jit = np.column_stack([cols + u0, rows + v0]) + 0.5 \
+            + rng.standard_normal((len(rows), 2)) * noise.lateral_jitter_px
         dirs_j = _pixel_dirs(cam, jit)
-        zj, _ = _cast_scene(scene, dirs_j @ cam.rotation.T, origin)
+        zj, _ = _cast_scene(scene, dirs_j @ cam.rotation.T,
+                            cam.position_world)
         keep = np.isfinite(zj)
         dirs_sample = np.where(keep[:, None], dirs_j, dirs_sample)
-        z_sample = np.where(keep, zj, z_true)
+        z_sample = np.where(keep, zj, z_sample)
 
     sigma = noise.sigma_mm(z_sample)
     z_noisy = z_sample + rng.standard_normal(len(z_sample)) * sigma
 
     if noise.dropout_rate > 0:
-        kept = rng.random(len(hit_idx)) >= noise.dropout_rate
+        kept = rng.random(len(z_sample)) >= noise.dropout_rate
         keep = kept if keep is None else kept & keep
     if keep is not None:
         dirs_sample, z_noisy = dirs_sample[keep], z_noisy[keep]
 
     pts_cam = dirs_sample * z_noisy[:, None]
     cloud = PointCloud(pts_cam, frame=FRAME_CAMERA)
+    masks = [TeatMask(teat_id=teat_id, stamp_us=stamp_us, contour=contour)
+             for teat_id, contour in geo.contours]
 
     n = len(scene.teats)
-    visible = np.bincount(label + 1, minlength=n + 2)[2:]
-    label_win = label.reshape(v1 - v0, u1 - u0)
-    masks = []
-    # In label + 1, 0 is background, 1 the udder and i + 2 teat i.
-    teat_boxes = ndimage.find_objects(label_win + 1, max_label=n + 1)[1:]
-    for i, box in enumerate(teat_boxes):
-        if visible[i] < MIN_MASK_PIXELS:
-            continue
-        rows, cols = box
-        contour = _traced_in_box(
-            label_win[box] == i + 1,
-            (slice(rows.start + v0, rows.stop + v0),
-             slice(cols.start + u0, cols.stop + u0)))
-        if contour is not None:
-            masks.append(TeatMask(teat_id=f"T{i + 1}", stamp_us=stamp_us,
-                                  contour=contour))
-
     label_img = np.full((cam.height, cam.width), -1, dtype=np.int16)
-    label_img[v0:v1, u0:u1] = label_win
+    label_img[v0:v1, u0:u1] = geo.labels
     tips = np.stack([t.tip_mm for t in scene.teats])
     axes = np.stack([-t.axis for t in scene.teats])
     gt = GroundTruth(teat_ids=tuple(f"T{i + 1}" for i in range(n)),
                      tips_mm=tips, axes=axes,
-                     visible_px=tuple(visible.tolist()), labels=label_img)
+                     visible_px=geo.visible, labels=label_img)
     return cloud, masks, gt
 
 
@@ -598,7 +672,7 @@ def render_plane_target(distance_mm: float, camera: CameraModel,
             f"distance_mm must be finite and > 0, got {distance_mm!r}")
     if not (_is_int(seed) and seed >= 0):
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
-    _, dirs = _rect_rays(camera, 0, camera.height, 0, camera.width)
+    dirs = _rect_rays(camera, 0, camera.height, 0, camera.width)
     dirs = dirs[_on_plane_target(dirs[:, 0] * distance_mm,
                                  dirs[:, 1] * distance_mm)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -125,6 +125,37 @@ class TestTeatMask:
         with pytest.raises(InvalidInputError, match=rule):
             TeatMask("T1", 0, np.array(contour))
 
+    def test_revisit_verdict_matches_row_unique(self):
+        # Closed unit-step walks (shuffled balanced steps) mostly revisit a
+        # vertex; traced cleaned blobs, discs and rectangles never do.
+        rng = np.random.default_rng(23)
+        steps = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        contours = [_traced_disc(r, (r + 3.3, 2 * r + 0.7))
+                    for r in (2.0, 5.5, 11.2)]
+        contours += [unit_steps(_square_corners(lo, lo + w))
+                     for lo, w in ((0, 1), (-7, 3), (2**53 - 9, 8))]
+        for _ in range(40):
+            blob = clean_region(np.pad(rng.random((12, 16)) < 0.6, 1))
+            if blob.any():
+                contours.append(trace_boundary(blob) - 5)
+        for _ in range(300):
+            k, m = rng.integers(0, 6, size=2)
+            walk = np.repeat(steps, [k, k, m, m], axis=0)
+            if len(walk) < 3:
+                continue
+            offset = rng.choice([0, -40, 2**52, -2**53 + 30])
+            contours.append(offset + np.cumsum(rng.permutation(walk), axis=0))
+        verdicts = []
+        for c in contours:
+            simple = len(np.unique(c, axis=0)) == len(c)
+            if simple:
+                TeatMask("T1", 0, c)
+            else:
+                with pytest.raises(InvalidInputError, match="revisits"):
+                    TeatMask("T1", 0, c)
+            verdicts.append(simple)
+        assert 20 < sum(verdicts) < len(verdicts) - 100
+
 
 class TestPointsInPolygon:
     def test_square_interior_exterior(self):

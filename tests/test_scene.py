@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import teatpose.scene as tp_scene
 from _lattice import unit_steps
 from teatpose.camera import CameraModel
 from teatpose.cloud import FRAME_CAMERA, PointCloud
@@ -22,7 +23,8 @@ from teatpose.contour import clean_region
 from teatpose.errors import (CurveFitError, InsufficientPointsError,
                              InvalidInputError, InvalidSceneError)
 from teatpose.mask import TeatMask, rasterize_mask
-from teatpose.pipeline import estimate_frame
+from teatpose.pipeline import (estimate_frame, run_pipeline,
+                               static_scene_stream)
 from teatpose.pose import PoseConfig
 from teatpose.scene import (MAX_CAMERA_DISTANCE_MM, NoiseModel, SceneSpec,
                             TeatSpec, _cast_scene,
@@ -437,28 +439,143 @@ _PINNED_SCENES = {
 }
 
 
+_RENDER_DIGESTS = {
+    "default_orbbec":
+        "84abcc3b40f235cb831222cd999480da8a92976c25005db3347ce2b7e96e2f71",
+    "six_teats_close":
+        "cd1c4e94294f4c38414ba1378ddad7e17360eb3d8d454c7a4e68b763ed4b8b17",
+    "dropout_jitter":
+        "01122a13c539fe13cf5611e41b2d2ee3e681df24eea9a86190d3d1a82380a256",
+    "teat_on_border":
+        "236775438ddc8bf4883e71a0d0bb0c5d5e843f79d5d0349886a02331624e2013",
+}
+
+
 class TestRenderDigest:
     """Render output pinned byte for byte by literal digests."""
 
-    @pytest.mark.parametrize("name, digest", [
-        ("default_orbbec",
-         "84abcc3b40f235cb831222cd999480da8a92976c25005db3347ce2b7e96e2f71"),
-        ("six_teats_close",
-         "cd1c4e94294f4c38414ba1378ddad7e17360eb3d8d454c7a4e68b763ed4b8b17"),
-        ("dropout_jitter",
-         "01122a13c539fe13cf5611e41b2d2ee3e681df24eea9a86190d3d1a82380a256"),
-        ("teat_on_border",
-         "236775438ddc8bf4883e71a0d0bb0c5d5e843f79d5d0349886a02331624e2013"),
-    ], ids=["default_orbbec", "six_teats_close", "dropout_jitter",
-            "teat_on_border"])
-    def test_digest(self, name, digest):
-        assert _render_digest(_PINNED_SCENES[name]()) == digest
+    @pytest.mark.parametrize("name", list(_RENDER_DIGESTS))
+    def test_digest(self, name):
+        assert _render_digest(_PINNED_SCENES[name]()) == _RENDER_DIGESTS[name]
 
     def test_border_scene_cuts_a_teat(self):
         _, masks, _ = render(_border_scene())
         c = {m.teat_id: m.contour for m in masks}["T1"]
         assert np.any((c[:, 0] == 0) | (c[:, 0] == 640)
                       | (c[:, 1] == 0) | (c[:, 1] == 480))
+
+
+@pytest.fixture
+def casts(monkeypatch):
+    """Start with no kept geometry; list each `_cast_scene` call as
+    "geometry" (the window cast, with surface boxes) or "jitter"."""
+    monkeypatch.setattr(tp_scene, "_last_geometry", None)
+    calls = []
+
+    def spy(scene, dirs_world, origin, boxes=None):
+        calls.append("jitter" if boxes is None else "geometry")
+        return _cast_scene(scene, dirs_world, origin, boxes)
+
+    monkeypatch.setattr(tp_scene, "_cast_scene", spy)
+    return calls
+
+
+def _next_up(x):
+    """The next representable value above x, of x's own type; for an
+    array, with only its first entry moved."""
+    if isinstance(x, np.ndarray):
+        y = x.copy()
+        y.flat[0] = np.nextafter(y.flat[0], np.inf)
+        return y
+    return x + 1 if isinstance(x, int) else type(x)(np.nextafter(x, np.inf))
+
+
+def _moved_field(scene, field):
+    """The scene with one geometry input moved by the least step."""
+    cam = scene.camera
+    if field in ("fx", "fy", "cx", "cy", "width", "height", "rotation",
+                 "translation_mm"):
+        return replace(scene, camera=replace(
+            cam, **{field: _next_up(getattr(cam, field))}))
+    if field in ("udder_center_mm", "udder_semi_axes_mm"):
+        return replace(scene, **{field: _next_up(getattr(scene, field))})
+    if field == "teat_count":
+        return replace(scene, teats=scene.teats[:-1])
+    last = scene.teats[-1]
+    teat = replace(last, **{field: _next_up(getattr(last, field))})
+    return replace(scene, teats=scene.teats[:-1] + (teat,))
+
+
+class TestGeometryReuse:
+    """render keeps the last geometry pass and reuses it only for a scene
+    with the same camera, udder and teats, byte for byte."""
+
+    @pytest.mark.parametrize("stream, n_rendered, n_casts", [
+        (lambda a, b: static_scene_stream(a, 40), 8, 1),
+        (lambda a, b: [a] * 40 + [b] * 40, 15, 2),
+    ], ids=["static_session", "two_scenes"])
+    def test_one_cast_per_geometry(self, casts, stream, n_rendered, n_casts):
+        scene = default_scene(seed=4, noise=orbbec_like_noise())
+        result = run_pipeline(stream(scene, _moved_camera(scene, 0.9)))
+        rendered = [e for e in result.events if e["event"] == "frame_accepted"]
+        assert len(rendered) == n_rendered
+        assert casts == ["geometry"] * n_casts
+
+    @pytest.mark.parametrize("field", [
+        "fx", "fy", "cx", "cy", "width", "height", "rotation",
+        "translation_mm", "udder_center_mm", "udder_semi_axes_mm",
+        "base_mm", "axis", "length_mm", "radius_mm", "teat_count"])
+    def test_any_geometry_field_forces_a_recast(self, casts, field):
+        scene = default_scene(seed=4, noise=orbbec_like_noise())
+        moved = _moved_field(scene, field)
+        assert tp_scene._geometry_key(moved) != tp_scene._geometry_key(scene)
+        render(scene)
+        _, _, gt = render(moved)
+        assert casts == ["geometry"] * 2
+        _, _, gt_fresh = render(moved)
+        assert casts == ["geometry"] * 2
+        np.testing.assert_array_equal(gt.labels, gt_fresh.labels)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 5}, {"noise": NoiseModel(a_mm=1.0, dropout_rate=0.2)},
+        {"stamp_us": 123}], ids=["seed", "noise", "stamp_us"])
+    def test_noise_seed_and_stamp_reuse_the_cast(self, casts, change):
+        scene = default_scene(seed=4, noise=orbbec_like_noise())
+        stamp_us = change.pop("stamp_us", 0)
+        render(scene)
+        _, masks, _ = render(replace(scene, **change), stamp_us=stamp_us)
+        assert casts == ["geometry"]
+        assert len(masks) == 4
+        assert all(m.stamp_us == stamp_us for m in masks)
+
+    @pytest.mark.parametrize("before", ["cold", "itself_reseeded", "other"])
+    @pytest.mark.parametrize("name", list(_RENDER_DIGESTS))
+    def test_cold_equals_warm(self, casts, name, before):
+        scene = _PINNED_SCENES[name]()
+        if before == "itself_reseeded":
+            render(replace(scene, seed=scene.seed + 1))
+        elif before == "other":
+            names = list(_PINNED_SCENES)
+            render(_PINNED_SCENES[names[names.index(name) - 1]]())
+        assert _render_digest(scene) == _RENDER_DIGESTS[name]
+        assert casts.count("geometry") == (2 if before == "other" else 1)
+
+    def test_jittered_rays_recast_every_frame(self, casts):
+        scene = _PINNED_SCENES["dropout_jitter"]()
+        clouds = [render(s)[0] for s in static_scene_stream(scene, 4)]
+        assert casts == ["geometry", "jitter", "jitter", "jitter", "jitter"]
+        assert len({c.points.tobytes() for c in clouds}) == 4
+
+    def test_outputs_stay_the_callers(self, casts):
+        scene = _PINNED_SCENES["default_orbbec"]()
+        cloud, masks, gt = render(scene)
+        for a in (cloud.points, *(m.contour for m in masks)):
+            a.flags.writeable = True
+            a[:] = 0
+        for a in (gt.labels, gt.tips_mm, gt.axes):
+            a[:] = 7
+        assert _render_digest(scene) == _RENDER_DIGESTS["default_orbbec"]
+        assert casts == ["geometry"]
 
 
 class TestFrameDigest:
