@@ -9,7 +9,7 @@ latency-injecting pipeline analogue make the whole stack testable without
 a robot.
 """
 
-from .axes import estimate_normals, normals_axis, pca_axis
+from .axes import pca_axis
 from .camera import WORLD_UP, CameraModel
 from .cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
 from .cluster import euclidean_cluster
@@ -41,9 +41,9 @@ __all__ = [
     "PixelCells", "PointCloud", "PoseConfig", "SceneSpec",
     "TeatMask", "TeatPose", "TeatPoseError", "TeatSpec",
     "WORLD_UP", "default_scene", "disambiguate_direction", "estimate_frame",
-    "estimate_normals", "estimate_teat_pose", "euclidean_cluster",
-    "extract_masked_points", "fit_error_curve", "gate_update", "locate_tip",
-    "normals_axis", "occlude", "orbbec_like_noise", "pca_axis",
+    "estimate_teat_pose", "euclidean_cluster", "extract_masked_points",
+    "fit_error_curve", "gate_update", "locate_tip", "occlude",
+    "orbbec_like_noise", "pca_axis",
     "plane_target_measure", "points_in_polygon", "project_cells",
     "rasterize_mask", "render", "render_plane_target", "run_camera_curve",
     "run_pipeline", "run_rate_bench", "run_repeatability",

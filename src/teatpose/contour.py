@@ -12,6 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+_EIGHT_CONN = np.ones((3, 3), dtype=bool)
 
 
 def largest_component(region: np.ndarray) -> np.ndarray:
@@ -43,21 +44,45 @@ def _pinch_removals(region: np.ndarray) -> np.ndarray:
     return drop
 
 
-def clean_region(region: np.ndarray) -> np.ndarray:
-    """Reduce a pixel set to one simple-boundary region.
+def _hole_cuts(region: np.ndarray) -> np.ndarray:
+    """Pixels to drop so that every hole opens to the outside.
 
-    Keeps the largest 4-connected component, fills interior holes, and drops
-    diagonal pinch pixels. Smooth convex-ish blobs (every scene this package
-    generates) pass through unchanged; the loop only bites on pathological
-    shapes.
+    A hole is an 8-connected background component off the image border (a
+    pocket open only at a corner is a pinch). The region pixels in the
+    column above a hole's top pixel, up to the nearest outside pixel or
+    the border, are dropped.
+    """
+    labels, n = ndimage.label(~region, structure=_EIGHT_CONN)
+    outside = np.zeros(n + 1, dtype=bool)
+    outside[np.concatenate((labels[0], labels[-1],
+                            labels[:, 0], labels[:, -1]))] = True
+    outside[0] = False  # label 0 is the region itself
+    drop = np.zeros_like(region)
+    if outside[1:].all():
+        return drop
+    boxes = ndimage.find_objects(labels)
+    for i in np.flatnonzero(~outside[1:]).tolist():
+        top = boxes[i][0].start  # hole i has label i + 1
+        col = int(np.argmax(labels[top] == i + 1))
+        out = np.flatnonzero(outside[labels[:top, col]])
+        drop[out[-1] + 1 if len(out) else 0:top, col] = True
+    return drop & region
+
+
+def clean_region(region: np.ndarray) -> np.ndarray:
+    """Reduce a pixel set to one simple-boundary region by removing pixels.
+
+    Keeps the largest 4-connected component, cuts interior holes open and
+    drops diagonal pinch pixels; it never adds one, so an occluded pixel
+    stays out. Smooth convex-ish blobs (every scene this package generates)
+    pass through unchanged; the loop only bites on pathological shapes.
     """
     m = region.astype(bool)
     for _ in range(64):
         m = largest_component(m)
         if not m.any():
             return m
-        m = ndimage.binary_fill_holes(m)
-        drop = _pinch_removals(m)
+        drop = _hole_cuts(m) | _pinch_removals(m)
         if not drop.any():
             return m
         m = m & ~drop

@@ -552,31 +552,35 @@ def render(scene: SceneSpec, stamp_us: int = 0,
     rng = np.random.default_rng(np.random.SeedSequence(scene.seed))
 
     # Noise draws happen in a fixed order: jitter, depth eps, dropout.
+    # Huge settings may overflow: an overflowing jittered ray misses and is
+    # dropped, and a non-finite depth fails PointCloud's finite check.
     noise = scene.noise
     dirs_sample = geo.dirs_hit
     z_sample = geo.z_true
     keep = None
-    if noise.lateral_jitter_px > 0:
-        rows, cols = np.divmod(geo.hit_idx, u1 - u0)
-        jit = np.column_stack([cols + u0, rows + v0]) + 0.5 \
-            + rng.standard_normal((len(rows), 2)) * noise.lateral_jitter_px
-        dirs_j = _pixel_dirs(cam, jit)
-        zj, _ = _cast_scene(scene, dirs_j @ cam.rotation.T,
-                            cam.position_world)
-        keep = np.isfinite(zj)
-        dirs_sample = np.where(keep[:, None], dirs_j, dirs_sample)
-        z_sample = np.where(keep, zj, z_sample)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise.lateral_jitter_px > 0:
+            rows, cols = np.divmod(geo.hit_idx, u1 - u0)
+            jit = np.column_stack([cols + u0, rows + v0]) + 0.5 \
+                + rng.standard_normal((len(rows), 2)) * noise.lateral_jitter_px
+            dirs_j = _pixel_dirs(cam, jit)
+            zj, _ = _cast_scene(scene, dirs_j @ cam.rotation.T,
+                                cam.position_world)
+            keep = np.isfinite(zj)
+            dirs_sample = np.where(keep[:, None], dirs_j, dirs_sample)
+            z_sample = np.where(keep, zj, z_sample)
 
-    sigma = noise.sigma_mm(z_sample)
-    z_noisy = z_sample + rng.standard_normal(len(z_sample)) * sigma
+        sigma = noise.sigma_mm(z_sample)
+        z_noisy = z_sample + rng.standard_normal(len(z_sample)) * sigma
 
-    if noise.dropout_rate > 0:
-        kept = rng.random(len(z_sample)) >= noise.dropout_rate
-        keep = kept if keep is None else kept & keep
-    if keep is not None:
-        dirs_sample, z_noisy = dirs_sample[keep], z_noisy[keep]
+        if noise.dropout_rate > 0:
+            kept = rng.random(len(z_sample)) >= noise.dropout_rate
+            keep = kept if keep is None else kept & keep
+        if keep is not None:
+            dirs_sample, z_noisy = dirs_sample[keep], z_noisy[keep]
 
-    pts_cam = dirs_sample * z_noisy[:, None]
+        pts_cam = dirs_sample * z_noisy[:, None]
+
     cloud = PointCloud(pts_cam, frame=FRAME_CAMERA)
     masks = [TeatMask(teat_id=teat_id, stamp_us=stamp_us, contour=contour)
              for teat_id, contour in geo.contours]
@@ -617,15 +621,23 @@ def occlude(masks, occluder_px: tuple[float, float, float, float],
 
     Args:
         masks: TeatMasks from render().
-        occluder_px: (u_min, v_min, u_max, v_max) rectangle in pixels;
-            pixels whose center falls inside are removed from every mask.
+        occluder_px: (u_min, v_min, u_max, v_max) rectangle in pixels,
+            finite with u_min <= u_max and v_min <= v_max; pixels whose
+            center falls inside are removed from every mask.
         width, height: Image size the masks live in.
 
     Returns:
-        New masks; a clipped mask may split into several components (each
-        keeps the source teat_id) and components under 50 px are dropped.
+        New masks, none covering a removed pixel: the hole an occluder
+        inside a mask leaves is cut open, never filled (clean_region). A
+        clipped mask may split into several components (each keeps the
+        source teat_id); components under 50 px are dropped.
     """
     u0, v0, u1, v1 = occluder_px
+    if not (-math.inf < u0 <= u1 < math.inf
+            and -math.inf < v0 <= v1 < math.inf):
+        raise InvalidInputError(
+            f"occluder_px must be finite with u_min <= u_max and "
+            f"v_min <= v_max, got {tuple(occluder_px)!r}")
     cols = np.arange(width) + 0.5
     rows = np.arange(height) + 0.5
     clear = ~(((rows >= v0) & (rows <= v1))[:, None]

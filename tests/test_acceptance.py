@@ -15,7 +15,7 @@ import numpy as np
 
 from _oracles import (as_sets, axis_angle_deg, oracle_components,
                       oracle_downsample, random_teat, teat_rings)
-from teatpose.axes import estimate_normals, normals_axis, pca_axis
+from teatpose.axes import pca_axis
 from teatpose.camera import CameraModel
 from teatpose.cloud import PointCloud
 from teatpose.cluster import euclidean_cluster
@@ -86,26 +86,23 @@ def test_repeatability_long_run(tmp_path):
 
 
 def test_axis_estimators_on_randomized_poses():
+    # pca_axis, the capsule fit's axis seed, against the true axis.
     rng = np.random.default_rng(11)
-    w_pca = w_nrm = w_agree = 0.0
+    w_exact = w_noisy = 0.0
     for _ in range(100):
         teat = random_teat(rng)
 
         exact = PointCloud(teat_rings(teat, azimuths=64), frame="world")
-        w_pca = max(w_pca, axis_angle_deg(pca_axis(exact), teat.axis))
-        normals = estimate_normals(exact, k=12)[0]
-        w_nrm = max(w_nrm, axis_angle_deg(normals_axis(normals), teat.axis))
+        w_exact = max(w_exact, axis_angle_deg(pca_axis(exact), teat.axis))
 
         noisy = sample_teat_surface(teat, 20000, rng, noise_mm=2.0)
         down = voxel_downsample(PointCloud(noisy, frame="world"), 5.0)
-        a_pca = pca_axis(down)
-        a_nrm = normals_axis(estimate_normals(down, k=32)[0])
-        w_agree = max(w_agree, axis_angle_deg(a_pca, a_nrm))
-    ok = w_pca <= 0.5 and w_nrm <= 1.0 and w_agree <= 5.0
+        w_noisy = max(w_noisy, axis_angle_deg(pca_axis(down), teat.axis))
+    ok = w_exact <= 0.5 and w_noisy <= 5.0
     _verdict("axis-accuracy", ok,
-             f"noiseless worst over 100 poses: pca {w_pca:.3f} deg (<= 0.5), "
-             f"normals {w_nrm:.3f} deg (<= 1); methods within "
-             f"{w_agree:.2f} deg under 2 mm noise (<= 5)")
+             f"pca axis worst over 100 poses: noiseless rings "
+             f"{w_exact:.3f} deg (<= 0.5); 2 mm noise, 5 mm leaf "
+             f"{w_noisy:.2f} deg (<= 5)")
 
 
 def test_pose_fit_on_randomized_poses():

@@ -12,7 +12,6 @@ from scipy.spatial import cKDTree
 
 import teatpose.cluster as tp_cluster
 from _oracles import as_sets, oracle_components
-from teatpose.axes import estimate_normals
 from teatpose.cloud import PointCloud
 from teatpose.cluster import euclidean_cluster
 from teatpose.errors import InvalidInputError
@@ -173,10 +172,6 @@ def _knn_rows(pts: np.ndarray, k: int = 12) -> np.ndarray:
     return cKDTree(pts).query(pts, k=k)[1]
 
 
-def _normals_rows(pts: np.ndarray) -> np.ndarray:
-    return estimate_normals(PointCloud(pts), k=12)[1]
-
-
 def _row_edges(rows):
     """A stand-in for _lattice_edges that proposes (n, k) neighbour rows."""
     def edges(points, tolerance_mm):
@@ -202,7 +197,7 @@ class TestNeighbours:
     # distance check alone makes the certificate exact, whatever proposes
     # the edges.
     @pytest.mark.parametrize("rows", [
-        pytest.param(None, id="lattice"), _knn_rows, _normals_rows])
+        pytest.param(None, id="lattice"), _knn_rows])
     def test_matches_radius_path_bit_for_bit(self, monkeypatch, rows):
         if rows is not None:
             monkeypatch.setattr(tp_cluster, "_lattice_edges", _row_edges(rows))

@@ -53,6 +53,22 @@ class TestTraceBoundary:
             trace_boundary(region)
 
 
+class TestCleanRegion:
+
+    @pytest.mark.parametrize("region, expected", [
+        (_region("XXXXX XXXXX XX.XX XXXXX"),
+         _region("XX.XX XX.XX XX.XX XXXXX")),
+        # Two holes in one column: one cut opens both.
+        (_region("XXX X.X XXX X.X XXX"),
+         _region("X.X X.X X.X X.X XXX")),
+        # A pocket open at a corner is a pinch; one pixel opens it.
+        (_region("XXX X.X XX."),
+         _region("XXX X.X X..")),
+    ], ids=["hole", "stacked_holes", "corner_pocket"])
+    def test_holes_are_cut_open_never_filled(self, region, expected):
+        np.testing.assert_array_equal(clean_region(region), expected)
+
+
 class TestRoundTrip:
     """The traced contour of a cleaned region, rasterized by the mask
     membership path, gives back the region."""
@@ -64,6 +80,7 @@ class TestRoundTrip:
             h, w = rng.integers(2, 25, 2)
             raw = rng.random((h, w)) < rng.uniform(0.3, 0.95)
             region = clean_region(raw)
+            assert not (region & ~raw).any()
             if not region.any():
                 continue
             seen["hole"] += bool((ndimage.binary_fill_holes(raw)

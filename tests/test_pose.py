@@ -315,21 +315,53 @@ class TestEstimateTeatPose:
         assert errors.mean() < 1.0
         assert errors.max() < 2.0
 
-    def test_unconverged_fit_keeps_the_seed(self, monkeypatch):
+    def _seed_case(self):
+        """(camera, cloud, seed tip, seed axis): a noisy teat and the world
+        pose estimate_teat_pose reports when its capsule fit is refused."""
         rng = np.random.default_rng(15)
         teat = random_teat(rng)
         camera, cloud = self._camera_cloud(
             teat, sample_teat_surface(teat, 3000, rng, noise_mm=1.0))
-        fitted = estimate_teat_pose(cloud, camera)
-        monkeypatch.setattr(tp_pose, "_FIT_MAX_ITER", 1)
-        pose = estimate_teat_pose(cloud, camera)
         axis = disambiguate_direction(pca_axis(cloud), cloud, camera)
         tip = camera.camera_to_world(locate_tip(cloud, axis))
         axis = camera.rotate_to_world(axis)
-        axis = axis / np.linalg.norm(axis)
+        return camera, cloud, tip, axis / np.linalg.norm(axis)
+
+    def test_unconverged_fit_keeps_the_seed(self, monkeypatch):
+        camera, cloud, tip, axis = self._seed_case()
+        fitted = estimate_teat_pose(cloud, camera)
+        monkeypatch.setattr(tp_pose, "_FIT_MAX_ITER", 1)
+        pose = estimate_teat_pose(cloud, camera)
         assert pose.tip_mm.tobytes() == tip.tobytes()
         assert pose.axis.tobytes() == axis.tobytes()
         assert np.linalg.norm(fitted.tip_mm - pose.tip_mm) > 1e-3
+
+    # A Gauss-Newton step in (C, two turns of a, r) that the fit rejects,
+    # or None where np.linalg.solve raises. Any finite step counts as
+    # converged under the test's step tolerance, so the first step is final.
+    @pytest.mark.parametrize("step", [
+        None,
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1e3],
+        [0.0, 0.0, 1e3, 0.0, 0.0, 0.0],
+    ], ids=["singular_normal_matrix", "radius_not_positive",
+            "tip_beyond_two_radii"])
+    def test_refused_fit_keeps_the_seed(self, monkeypatch, step):
+        camera, cloud, tip, axis = self._seed_case()
+        solves = []
+
+        def solve(h, rhs):
+            solves.append(h.shape)
+            if step is None:
+                raise np.linalg.LinAlgError("singular matrix")
+            return np.array(step)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(tp_pose, "_FIT_STEP_TOL", np.inf)
+        pose = estimate_teat_pose(cloud, camera)
+        # One step ran and the fit stopped on it.
+        assert solves == [(6, 6)]
+        assert pose.tip_mm.tobytes() == tip.tobytes()
+        assert pose.axis.tobytes() == axis.tobytes()
 
     def test_too_few_points_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
@@ -380,9 +412,7 @@ class TestEstimateTeatPose:
     @pytest.mark.parametrize("stray", [False, True])
     def test_at_most_one_neighbour_search_per_teat(self, monkeypatch, stray):
         # A connected teat builds no k-d tree: the lattice proves it one
-        # cluster. A teat with a stray blob needs one radius search. The
-        # capsule fit needs no normals: the normals kernels, imported for
-        # perfbench's hooks, are never called.
+        # cluster. A teat with a stray blob needs one radius search.
         calls = []
 
         def spy(name, fn):
@@ -401,8 +431,7 @@ class TestEstimateTeatPose:
                 return super().query_pairs(*args, **kwargs)
 
         monkeypatch.setattr(tp_cluster, "cKDTree", CountedTree)
-        for name in ("euclidean_cluster", "pca_axis", "estimate_normals",
-                     "normals_axis"):
+        for name in ("euclidean_cluster", "pca_axis"):
             monkeypatch.setattr(tp_pose, name,
                                 spy(name, getattr(tp_pose, name)))
         if stray:

@@ -427,6 +427,25 @@ class TestRender:
         assert gt.visible_px == (0,)
         assert len(cloud) > 0
 
+    # Tier-1 makes only RuntimeWarning an error; these make every warning one.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_depth_noise_rejected(self):
+        # eps * sigma overflows at sigma = 1e308 mm; it used to leak a
+        # RuntimeWarning instead of failing the cloud's finiteness check.
+        scene = replace(default_scene(), noise=NoiseModel(a_mm=1e308))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            render(scene)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_jitter_misses_every_ray(self):
+        # Every jittered ray overflows and hits nothing, so every point is
+        # dropped as a miss; the masks do not depend on the noise.
+        scene = replace(default_scene(),
+                        noise=NoiseModel(lateral_jitter_px=1e300))
+        cloud, masks, _ = render(scene)
+        assert len(cloud) == 0
+        assert len(masks) == len(scene.teats)
+
 
 # The scenes whose render and frame poses are pinned by literal digests.
 _PINNED_SCENES = {
@@ -698,12 +717,33 @@ class TestOcclude:
         # occluder reaches past them.
         ([(18, 6), (18, 16), (30, 16), (30, 6)], (24.2, 11.2, 40.0, 40.0),
          [[(18, 6), (18, 16), (24, 16), (24, 11), (30, 11), (30, 6)]]),
-    ], ids=["split_in_two", "clipped_at_border"])
+        # An occluder strictly inside the mask: the hole is cut open up the
+        # column above its top-left pixel, never filled back.
+        ([(2, 2), (2, 12), (26, 12), (26, 2)], (10.2, 5.2, 13.8, 8.8),
+         [[(2, 2), (2, 12), (26, 12), (26, 2), (11, 2), (11, 5), (14, 5),
+           (14, 9), (10, 9), (10, 2)]]),
+    ], ids=["split_in_two", "clipped_at_border", "interior"])
     def test_literal_contours(self, contour, occluder, expected):
         mask = TeatMask(teat_id="T2", stamp_us=5, contour=unit_steps(contour))
         out = occlude([mask], occluder, 30, 16)
         assert all(m.teat_id == "T2" and m.stamp_us == 5 for m in out)
         assert [_corners(m.contour) for m in out] == expected
+        u0, v0, u1, v1 = occluder
+        u, v = np.arange(30) + 0.5, np.arange(16) + 0.5
+        covered = (((v >= v0) & (v <= v1))[:, None]
+                   & ((u >= u0) & (u <= u1)))
+        for m in out:
+            assert not (rasterize_mask(m, 30, 16) & covered).any()
+
+    @pytest.mark.parametrize("occluder", [
+        (float("nan"),) * 4, (0.0, 0.0, float("inf"), 10.0),
+        (300.0, 200.0, 100.0, 100.0), (0.0, 20.0, 10.0, 10.0)],
+        ids=["nan", "infinite", "inverted_u", "inverted_v"])
+    def test_bad_occluder_rejected(self, occluder):
+        # These used to occlude nothing, silently.
+        _, masks, _ = render(default_scene(seed=3))
+        with pytest.raises(InvalidInputError, match="occluder_px"):
+            occlude(masks, occluder, 640, 480)
 
 
 class TestPlaneTarget:
