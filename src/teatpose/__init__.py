@@ -11,14 +11,14 @@ a robot.
 
 from .axes import pca_axis
 from .camera import WORLD_UP, CameraModel
-from .cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
+from .cloud import PointCloud
 from .cluster import euclidean_cluster
-from .errors import (AmbiguousAxisError, CurveFitError, FrameMismatchError,
+from .errors import (AmbiguousAxisError, CurveFitError,
                      InsufficientPointsError, InvalidInputError,
                      InvalidSceneError, TeatPoseError)
 from .experiments import run_camera_curve, run_rate_bench, run_repeatability
 from .mask import (PixelCells, TeatMask, extract_masked_points,
-                   points_in_polygon, project_cells, rasterize_mask)
+                   project_cells, rasterize_mask)
 from .pipeline import (ConsistencyGate, FrameMessage, LatencyModel,
                        PipelineConfig, PipelineResult, estimate_frame,
                        gate_update, run_pipeline, static_scene_stream)
@@ -27,15 +27,14 @@ from .pose import (PoseConfig, TeatPose, disambiguate_direction,
 from .scene import (ErrorCurve, GroundTruth, NoiseModel, SceneSpec, TeatSpec,
                     default_scene, fit_error_curve, occlude,
                     orbbec_like_noise, plane_target_measure, render,
-                    render_plane_target, sample_teat_surface)
+                    render_plane_target)
 from .voxel import voxel_downsample
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousAxisError", "CameraModel", "ConsistencyGate", "CurveFitError",
-    "ErrorCurve", "FRAME_CAMERA", "FRAME_WORLD", "FrameMessage",
-    "FrameMismatchError", "GroundTruth",
+    "ErrorCurve", "FrameMessage", "GroundTruth",
     "InsufficientPointsError", "InvalidInputError", "InvalidSceneError",
     "LatencyModel", "NoiseModel", "PipelineConfig", "PipelineResult",
     "PixelCells", "PointCloud", "PoseConfig", "SceneSpec",
@@ -44,8 +43,8 @@ __all__ = [
     "estimate_teat_pose", "euclidean_cluster", "extract_masked_points",
     "fit_error_curve", "gate_update", "locate_tip", "occlude",
     "orbbec_like_noise", "pca_axis",
-    "plane_target_measure", "points_in_polygon", "project_cells",
+    "plane_target_measure", "project_cells",
     "rasterize_mask", "render", "render_plane_target", "run_camera_curve",
     "run_pipeline", "run_rate_bench", "run_repeatability",
-    "sample_teat_surface", "static_scene_stream", "voxel_downsample",
+    "static_scene_stream", "voxel_downsample",
 ]

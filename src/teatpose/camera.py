@@ -89,27 +89,6 @@ class CameraModel:
         uv[:, 1] = self.fy * p[:, 1] / z + self.cy
         return uv[0] if single else uv
 
-    def backproject(self, pixel, depth_mm: float) -> np.ndarray:
-        """Lift a pixel at a given depth into the camera frame.
-
-        Args:
-            pixel: (u, v) pixel coordinates, inside the closed image rectangle.
-            depth_mm: Depth along the optical axis, strictly positive.
-
-        Returns:
-            (3,) camera-frame point in mm.
-        """
-        u, v = float(pixel[0]), float(pixel[1])
-        if depth_mm <= 0:
-            raise InvalidInputError(f"depth must be positive, got {depth_mm}")
-        if not (0 <= u <= self.width and 0 <= v <= self.height):
-            raise InvalidInputError(f"pixel ({u}, {v}) outside image bounds")
-        return np.array([
-            (u - self.cx) * depth_mm / self.fx,
-            (v - self.cy) * depth_mm / self.fy,
-            depth_mm,
-        ])
-
     # -- extrinsics ---------------------------------------------------------
 
     @property

@@ -20,6 +20,21 @@ _FORWARD = np.array([(i, j, k) for i in (0, 1) for j in (-1, 0, 1)
                      for k in (-1, 0, 1) if (i, j, k) >= (0, 0, 0)])
 
 
+def _require_finite_extent(points: np.ndarray) -> None:
+    """InvalidInputError unless the squared bbox diagonal is finite.
+
+    Every squared point distance is at most that diagonal, so k-d tree
+    searches cannot overflow on such points.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = points.max(axis=0) - points.min(axis=0)
+        diag2 = float(np.sum(extent * extent))
+    if not np.isfinite(diag2):
+        raise InvalidInputError(
+            f"euclidean_cluster: cloud extent {extent.tolist()} mm overflows "
+            "squared distances")
+
+
 def _lattice_edges(
         points: np.ndarray,
         tolerance_mm: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -102,8 +117,7 @@ def euclidean_cluster(cloud: PointCloud,
     cubes or more, the radius path runs.
 
     Args:
-        cloud: Input cloud, any frame; its squared bbox diagonal must be
-            finite.
+        cloud: Input cloud; its squared bbox diagonal must be finite.
         tolerance_mm: Neighbour radius, > 0.
 
     Returns:
@@ -116,7 +130,7 @@ def euclidean_cluster(cloud: PointCloud,
     n = len(cloud)
     if n == 0:
         return []
-    cloud.require_finite_extent("euclidean_cluster")
+    _require_finite_extent(cloud.points)
 
     edges = _lattice_edges(cloud.points, tolerance_mm)
     if edges is not None and _edges_connect(cloud.points, *edges,

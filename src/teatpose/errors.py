@@ -14,10 +14,6 @@ class InvalidInputError(TeatPoseError, ValueError):
     """Malformed argument: bad shape, non-finite value, out-of-range parameter."""
 
 
-class FrameMismatchError(TeatPoseError, ValueError):
-    """Operation received a point cloud in the wrong coordinate frame."""
-
-
 class InsufficientPointsError(TeatPoseError):
     """Too few points to run the requested estimator."""
 

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .camera import CameraModel
-from .errors import (InsufficientPointsError, InvalidInputError, _check_count,
-                     _is_int)
+from .errors import (CurveFitError, InsufficientPointsError,
+                     InvalidInputError, _check_count, _is_int)
 from .mask import extract_masked_points, project_cells
 from .pipeline import estimate_frame
 from .pose import PoseConfig
@@ -212,6 +212,10 @@ def run_camera_curve(presets: dict[str, NoiseModel], out_dir,
         for d, e in samples:
             by_d.setdefault(d, []).append(e)
         ds = sorted(by_d)
+        if len(ds) < 3:
+            raise CurveFitError(
+                f"preset {name!r}: {len(ds)} of {len(set(distances))} "
+                "distances kept a measurable target; the curve needs 3")
         spread = [float(np.std(by_d[d], ddof=1)) if len(by_d[d]) > 1
                   else abs(by_d[d][0]) for d in ds]
         curve = fit_error_curve(list(zip(ds, spread)))

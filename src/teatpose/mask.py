@@ -5,11 +5,11 @@ its contour is the lattice boundary that `trace_boundary` draws around
 that set: closed, every edge one pixel long along u or v, no vertex
 visited twice. `TeatMask` accepts nothing else.
 
-Membership is the even-odd (crossing-number) rule with the half-open edge
-convention of `points_in_polygon`, evaluated on the pinhole projection of
-each 3D point against the mask's own contour. On a lattice contour that
-rule depends only on the unit cell a point falls in, so membership is one
-lookup in a parity raster of the bounding box (`_parity_raster`).
+Membership is the even-odd (crossing-number) rule with a half-open edge
+convention, evaluated on the pinhole projection of each camera-frame point
+against the mask's own contour. On a lattice contour that rule depends
+only on the unit cell a point falls in, so membership is one lookup in a
+parity raster of the bounding box (`_parity_raster`).
 
 A frame's cloud is projected once: `project_cells` gives the integer pixel
 cell of every point inside the union bounding box of the frame's masks,
@@ -27,7 +27,8 @@ from .camera import CameraModel
 from .cloud import PointCloud
 from .errors import InvalidInputError, _check_bound, _check_count, _is_int
 
-_CHUNK = 4096
+# Read only by perfbench/spans.py HOOKS; the benchmark refresh drops it.
+points_in_polygon = None
 
 
 @dataclass(frozen=True)
@@ -98,32 +99,6 @@ class TeatMask:
 # -- membership ----------------------------------------------------------------
 
 
-def points_in_polygon(uv: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Even-odd membership of 2D points in a closed polygon.
-
-    Half-open crossing rule: an edge counts when exactly one endpoint lies
-    strictly above the query row, and the crossing is strictly right of the
-    point. Vertices and edge interiors therefore resolve deterministically.
-    """
-    uv = np.atleast_2d(np.asarray(uv, dtype=float))
-    poly = np.asarray(polygon, dtype=float)
-    x1 = poly[:, 0]
-    y1 = poly[:, 1]
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
-    dy = y2 - y1
-    inside = np.zeros(len(uv), dtype=bool)
-    for lo in range(0, len(uv), _CHUNK):
-        pu = uv[lo:lo + _CHUNK, 0][:, None]
-        pv = uv[lo:lo + _CHUNK, 1][:, None]
-        cond = (y1 > pv) != (y2 > pv)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (pv - y1) * (x2 - x1) / dy
-        cross = cond & (pu < xint)
-        inside[lo:lo + _CHUNK] = (cross.sum(axis=1) % 2).astype(bool)
-    return inside
-
-
 def _parity_raster(poly: np.ndarray, lo: np.ndarray,
                    hi: np.ndarray) -> np.ndarray:
     """Even-odd membership of each unit cell of the window [lo, hi].
@@ -132,10 +107,12 @@ def _parity_raster(poly: np.ndarray, lo: np.ndarray,
     the result has shape (hi_v - lo_v, hi_u - lo_u). poly is a lattice
     contour (see `TeatMask`).
 
-    Under the half-open rule of `points_in_polygon` with integer vertices,
-    a horizontal edge never counts, and a vertical edge at x counts for a
-    point (u, v) exactly when min y <= v < max y and u < x (its crossing is
-    x itself). Both conditions hold for (u, v) exactly when they hold for
+    The even-odd rule is half-open: an edge counts for a point (u, v)
+    when exactly one of its endpoints has y > v and it crosses the row v
+    strictly right of u. With integer vertices, a horizontal edge never
+    counts, and a vertical edge at x counts exactly when
+    min y <= v < max y and u < x (its crossing is x itself). Both
+    conditions hold for (u, v) exactly when they hold for
     (floor(u), floor(v)), so every point of a cell gets the cell's answer:
     the parity of the vertical edges that cover its row and lie right of it.
     With the polygon's bounding box as the window, points with
@@ -187,12 +164,12 @@ def project_cells(cloud: PointCloud, camera: CameraModel,
 
     The window is the union bounding box of the masks whose vertices lie
     inside the image; a mask that reaches off the image does not widen it,
-    and a world-frame cloud or a frame with no such mask projects nothing.
+    and a frame with no such mask projects nothing.
     Points are projected as u = fx x / z + cx, v = fy y / z + cy.
     """
     boxes = [m.bbox for m in masks
              if m.bounds_ok(camera.width, camera.height)]
-    if cloud.frame != "camera" or not boxes:
+    if not boxes:
         none = np.zeros(0, dtype=np.int64)
         return PixelCells(cloud, camera, np.zeros(2, dtype=np.int64),
                           np.full(2, -1, dtype=np.int64), none, none, none)
@@ -233,8 +210,8 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask,
     Points with z <= 0 cannot project and are never kept. Input order is
     preserved.
 
-    Membership is the even-odd rule of `points_in_polygon`, read from the
-    lattice contour's parity raster at (floor(u), floor(v)), which gives
+    Membership is the half-open even-odd rule, read from the lattice
+    contour's parity raster at (floor(u), floor(v)), which gives
     the same answer for every point of a cell (see `_parity_raster`). The
     bounding-box prefilter is exact: nothing outside the hull can be inside.
 
@@ -249,7 +226,6 @@ def extract_masked_points(cloud: PointCloud, mask: TeatMask,
     Returns:
         The in-mask subset as a new PointCloud.
     """
-    cloud.require_frame("camera", "extract_masked_points")
     if not mask.bounds_ok(camera.width, camera.height):
         raise InvalidInputError(
             f"mask {mask.teat_id!r} has vertices outside the image")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .axes import pca_axis
 from .camera import CameraModel
-from .cloud import FRAME_CAMERA, PointCloud
+from .cloud import PointCloud
 from .cluster import euclidean_cluster
 from .errors import (InsufficientPointsError, InvalidInputError,
                      _check_bound, _is_int)
@@ -118,19 +118,21 @@ def disambiguate_direction(axis: np.ndarray, points: PointCloud,
                            camera: CameraModel) -> np.ndarray:
     """Resolve the sign of an estimated axis so it points tip -> base.
 
-    Primary rule: positive dot product with the world up direction (teats
-    hang downward, the udder is up). When the axis is near-horizontal
-    (|dot| < 0.1) that rule is unstable, so the sign is chosen to point away
-    from whichever axial extreme of the cloud lies nearest the camera (the
-    tip faces the sensor during approach).
+    Axis and points are in the camera frame. Primary rule: positive dot
+    product with the world up direction expressed in the camera frame
+    (teats hang downward, the udder is up). When the axis is
+    near-horizontal (|dot| < 0.1) that rule is unstable, so the sign is
+    chosen to point away from whichever axial extreme of the cloud lies
+    nearest the sensor, the camera-frame origin (the tip faces the sensor
+    during approach).
 
     Args:
-        axis: Non-zero axis estimate, sign arbitrary.
-        points: The teat's points (camera or world frame).
-        camera: Supplies world-up and the sensor position.
+        axis: Non-zero camera-frame axis estimate, sign arbitrary.
+        points: The teat's camera-frame points.
+        camera: Supplies world up in the camera frame.
 
     Returns:
-        Unit axis with the sign resolved.
+        Unit camera-frame axis with the sign resolved.
     """
     a = _finite_axis(axis)
     norm = np.linalg.norm(a)
@@ -138,14 +140,7 @@ def disambiguate_direction(axis: np.ndarray, points: PointCloud,
         raise InvalidInputError("axis must be non-zero")
     a = a / norm
 
-    if points.frame == FRAME_CAMERA:
-        up = camera.up_in_camera
-        origin = np.zeros(3)
-    else:
-        up = np.array([0.0, 0.0, 1.0])
-        origin = camera.position_world
-
-    d = float(a @ up)
+    d = float(a @ camera.up_in_camera)
     if abs(d) >= _UP_DOT_MIN:
         return -a if d < 0 else a
 
@@ -155,7 +150,7 @@ def disambiguate_direction(axis: np.ndarray, points: PointCloud,
     p_lo = points.points[int(np.argmin(s))]
     p_hi = points.points[int(np.argmax(s))]
     # Tip end is closer to the sensor; axis must run away from it.
-    if np.linalg.norm(p_lo - origin) <= np.linalg.norm(p_hi - origin):
+    if np.linalg.norm(p_lo) <= np.linalg.norm(p_hi):
         return a
     return -a
 
@@ -288,11 +283,9 @@ def estimate_teat_pose(points: PointCloud, camera: CameraModel,
         AmbiguousAxisError: No usable elongation direction.
     """
     cfg = config or PoseConfig()
-    points.require_frame(FRAME_CAMERA, "estimate_teat_pose")
     if len(points) < _MIN_POINTS:
         raise InsufficientPointsError(
             f"teat {teat_id!r}: {len(points)} points < minimum {_MIN_POINTS}")
-    points.require_finite_extent("estimate_teat_pose")
 
     cluster = euclidean_cluster(points, tolerance_mm=_CLUSTER_TOLERANCE_MM)[0]
     if len(cluster) < _MIN_POINTS:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .camera import CameraModel
-from .cloud import FRAME_CAMERA, PointCloud
+from .cloud import PointCloud
 from .contour import clean_region, largest_component, trace_boundary
 from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
                      InvalidSceneError, _check_bound, _check_keys,
@@ -581,7 +581,7 @@ def render(scene: SceneSpec, stamp_us: int = 0,
 
         pts_cam = dirs_sample * z_noisy[:, None]
 
-    cloud = PointCloud(pts_cam, frame=FRAME_CAMERA)
+    cloud = PointCloud(pts_cam)
     masks = [TeatMask(teat_id=teat_id, stamp_us=stamp_us, contour=contour)
              for teat_id, contour in geo.contours]
 
@@ -698,7 +698,7 @@ def render_plane_target(distance_mm: float, camera: CameraModel,
     if noise.dropout_rate > 0:
         keep = rng.random(len(dirs)) >= noise.dropout_rate
         dirs, z = dirs[keep], z[keep]
-    return PointCloud(dirs * z[:, None], frame=FRAME_CAMERA)
+    return PointCloud(dirs * z[:, None])
 
 
 def plane_target_measure(cloud: PointCloud) -> float:
@@ -714,7 +714,6 @@ def plane_target_measure(cloud: PointCloud) -> float:
     Raises:
         InsufficientPointsError: Fewer than 100 points fall on the target.
     """
-    cloud.require_frame(FRAME_CAMERA, "plane_target_measure")
     p = cloud.points
     on = _on_plane_target(p[:, 0], p[:, 1])
     n = int(on.sum())
@@ -766,47 +765,6 @@ def fit_error_curve(samples) -> ErrorCurve:
         raise CurveFitError("degenerate design matrix")
     a, b = float(sol[0]), float(sol[1])
     return ErrorCurve(a_mm=a, b_mm_per_m2=b, max_error_at_1m_mm=a + b)
-
-
-def sample_teat_surface(teat: TeatSpec, n: int, rng, noise_mm: float = 0.0,
-                        ) -> np.ndarray:
-    """Uniform area sample of the teat surface (cylinder wall + tip cap).
-
-    The base disc is excluded: it faces the udder and no sensor sees it.
-    By symmetry the principal axis of such a sample is the teat axis, which
-    makes this the reference geometry for orientation checks. Optional
-    isotropic Gaussian noise is added per point.
-
-    Returns:
-        (n, 3) world-frame points.
-    """
-    a = teat.axis
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(a)))] = 1.0
-    u = np.cross(ref, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(a, u)
-    r = teat.radius_mm
-    h = teat.length_mm - teat.radius_mm
-
-    area_cyl = 2.0 * np.pi * r * h
-    area_cap = 2.0 * np.pi * r * r
-    on_cap = rng.random(n) < area_cap / (area_cyl + area_cap)
-    theta = rng.random(n) * 2.0 * np.pi
-    ring = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
-
-    pts = np.empty((n, 3))
-    t = rng.random(n) * h
-    pts[~on_cap] = (teat.base_mm + t[~on_cap, None] * a
-                    + r * ring[~on_cap])
-    # Uniform on the hemisphere: cos of the polar angle is uniform in [0, 1].
-    ca = rng.random(n)
-    sa = np.sqrt(1.0 - ca ** 2)
-    cap_dir = ca[:, None] * a + sa[:, None] * ring
-    pts[on_cap] = teat.cap_center_mm + r * cap_dir[on_cap]
-    if noise_mm > 0:
-        pts = pts + rng.standard_normal((n, 3)) * noise_mm
-    return pts
 
 
 # -- canned scenes ---------------------------------------------------------------

@@ -18,17 +18,17 @@ def voxel_downsample(cloud: PointCloud, leaf_mm: float = 5.0) -> PointCloud:
     Idempotent on clouds that are already one-point-per-voxel.
 
     Args:
-        cloud: Input cloud, any frame.
+        cloud: Input cloud.
         leaf_mm: Voxel edge length in mm, finite and positive. Every
             |p / leaf_mm| must stay below 2^63 so the voxel indices fit int64.
 
     Returns:
-        Downsampled PointCloud in the same frame.
+        Downsampled PointCloud.
     """
     if not (leaf_mm > 0 and np.isfinite(leaf_mm)):
         raise InvalidInputError(f"leaf size must be positive, got {leaf_mm}")
     if len(cloud) == 0:
-        return PointCloud(np.empty((0, 3)), frame=cloud.frame)
+        return PointCloud(np.empty((0, 3)))
 
     pts = cloud.points
     cells = np.floor(pts / leaf_mm)
@@ -47,5 +47,4 @@ def voxel_downsample(cloud: PointCloud, leaf_mm: float = 5.0) -> PointCloud:
     label = np.cumsum(start) - 1
     counts = np.bincount(label)
     sums = [np.bincount(label, weights=pts[order, k]) for k in range(3)]
-    return PointCloud(np.column_stack(sums) / counts[:, None],
-                      frame=cloud.frame)
+    return PointCloud(np.column_stack(sums) / counts[:, None])

@@ -1,4 +1,5 @@
-"""Brute-force references for tests, one per kernel.
+"""Brute-force references for tests, one per kernel, and the test-only
+geometry they run on (surface samples, pinhole backprojection).
 
 Each is the plainest code that gives the answer: Python loops, dicts and
 all-pairs matrices, with none of the production path's bookkeeping.
@@ -22,6 +23,43 @@ def _orthobasis(axis):
     u = np.cross(ref, axis)
     u /= np.linalg.norm(u)
     return u, np.cross(axis, u)
+
+
+def sample_teat_surface(teat, n: int, rng, noise_mm: float = 0.0,
+                        ) -> np.ndarray:
+    """Uniform area sample of the teat surface (cylinder wall + tip cap).
+
+    The base disc is excluded: it faces the udder and no sensor sees it.
+    By symmetry the principal axis of such a sample is the teat axis, which
+    makes this the reference geometry for orientation checks. Optional
+    isotropic Gaussian noise is added per point.
+
+    Returns:
+        (n, 3) world-frame points.
+    """
+    a = teat.axis
+    u, v = _orthobasis(a)
+    r = teat.radius_mm
+    h = teat.length_mm - teat.radius_mm
+
+    area_cyl = 2.0 * np.pi * r * h
+    area_cap = 2.0 * np.pi * r * r
+    on_cap = rng.random(n) < area_cap / (area_cyl + area_cap)
+    theta = rng.random(n) * 2.0 * np.pi
+    ring = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
+
+    pts = np.empty((n, 3))
+    t = rng.random(n) * h
+    pts[~on_cap] = (teat.base_mm + t[~on_cap, None] * a
+                    + r * ring[~on_cap])
+    # Uniform on the hemisphere: cos of the polar angle is uniform in [0, 1].
+    ca = rng.random(n)
+    sa = np.sqrt(1.0 - ca ** 2)
+    cap_dir = ca[:, None] * a + sa[:, None] * ring
+    pts[on_cap] = teat.cap_center_mm + r * cap_dir[on_cap]
+    if noise_mm > 0:
+        pts = pts + rng.standard_normal((n, 3)) * noise_mm
+    return pts
 
 
 def teat_rings(teat, azimuths, step_mm=1.5):
@@ -110,3 +148,42 @@ def as_sets(clusters, points: np.ndarray) -> set[frozenset]:
         index.setdefault(tuple(p), []).append(i)
     return {frozenset(i for q in c.points for i in index[tuple(q)])
             for c in clusters}
+
+
+def backproject(camera, pixel, depth_mm: float) -> np.ndarray:
+    """Camera-frame point at depth_mm along the optical axis whose pinhole
+    projection is pixel (u, v): the inverse of `CameraModel.project`."""
+    u, v = float(pixel[0]), float(pixel[1])
+    return np.array([(u - camera.cx) * depth_mm / camera.fx,
+                     (v - camera.cy) * depth_mm / camera.fy, depth_mm])
+
+
+_CHUNK = 4096
+
+
+def points_in_polygon(uv: np.ndarray, polygon: np.ndarray) -> np.ndarray:
+    """Even-odd membership of 2D points in any closed polygon.
+
+    Half-open crossing rule: an edge counts when exactly one endpoint lies
+    strictly above the query row, and the crossing is strictly right of the
+    point. Vertices and edge interiors therefore resolve deterministically.
+    This is the rule the parity raster of `teatpose.mask` evaluates per
+    cell on lattice contours.
+    """
+    uv = np.atleast_2d(np.asarray(uv, dtype=float))
+    poly = np.asarray(polygon, dtype=float)
+    x1 = poly[:, 0]
+    y1 = poly[:, 1]
+    x2 = np.roll(x1, -1)
+    y2 = np.roll(y1, -1)
+    dy = y2 - y1
+    inside = np.zeros(len(uv), dtype=bool)
+    for lo in range(0, len(uv), _CHUNK):
+        pu = uv[lo:lo + _CHUNK, 0][:, None]
+        pv = uv[lo:lo + _CHUNK, 1][:, None]
+        cond = (y1 > pv) != (y2 > pv)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x1 + (pv - y1) * (x2 - x1) / dy
+        cross = cond & (pu < xint)
+        inside[lo:lo + _CHUNK] = (cross.sum(axis=1) % 2).astype(bool)
+    return inside

@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from _oracles import (as_sets, axis_angle_deg, oracle_components,
-                      oracle_downsample, random_teat, teat_rings)
+                      oracle_downsample, random_teat, sample_teat_surface,
+                      teat_rings)
 from teatpose.axes import pca_axis
 from teatpose.camera import CameraModel
 from teatpose.cloud import PointCloud
@@ -27,7 +28,7 @@ from teatpose.pipeline import (run_pipeline, static_scene_stream,
 from teatpose.pose import estimate_teat_pose
 from teatpose.reports import read_csv
 from teatpose.scene import (NoiseModel, default_scene, orbbec_like_noise,
-                            render, sample_teat_surface)
+                            render)
 from teatpose.voxel import voxel_downsample
 
 
@@ -92,11 +93,11 @@ def test_axis_estimators_on_randomized_poses():
     for _ in range(100):
         teat = random_teat(rng)
 
-        exact = PointCloud(teat_rings(teat, azimuths=64), frame="world")
+        exact = PointCloud(teat_rings(teat, azimuths=64))
         w_exact = max(w_exact, axis_angle_deg(pca_axis(exact), teat.axis))
 
         noisy = sample_teat_surface(teat, 20000, rng, noise_mm=2.0)
-        down = voxel_downsample(PointCloud(noisy, frame="world"), 5.0)
+        down = voxel_downsample(PointCloud(noisy), 5.0)
         w_noisy = max(w_noisy, axis_angle_deg(pca_axis(down), teat.axis))
     ok = w_exact <= 0.5 and w_noisy <= 5.0
     _verdict("axis-accuracy", ok,
@@ -120,7 +121,7 @@ def test_pose_fit_on_randomized_poses():
         dense = sample_teat_surface(teat, 20000, rng, noise_mm=2.0)
         for errors, points, leaf in ((exact, rings, None),
                                      (noisy, dense, 5.0)):
-            cloud = PointCloud(camera.world_to_camera(points), frame="camera")
+            cloud = PointCloud(camera.world_to_camera(points))
             if leaf:
                 cloud = voxel_downsample(cloud, leaf)
             pose = estimate_teat_pose(cloud, camera)
@@ -172,7 +173,7 @@ def test_kernels_match_brute_force_oracles():
     uniform = rng.uniform(0.0, 1000.0, (20000, 3))
     lattice = rng.integers(-40, 40, (3000, 3)).astype(float) * 2.5
     for pts, leaf in ((rendered.points, 5.0), (uniform, 50.0), (lattice, 5.0)):
-        got = voxel_downsample(PointCloud(pts, frame="world"), leaf).points
+        got = voxel_downsample(PointCloud(pts), leaf).points
         voxel_ok &= np.array_equal(got, oracle_downsample(pts, leaf))
 
     # Clustering vs the all-pairs union-find oracle on small clouds.
@@ -186,8 +187,7 @@ def test_kernels_match_brute_force_oracles():
         trials.append((pts, float(rng.uniform(6.0, 18.0))))
     trials.append((rendered.points[::60], 10.0))
     for pts, tol in trials:
-        clusters = euclidean_cluster(PointCloud(pts, frame="world"),
-                                     tolerance_mm=tol)
+        clusters = euclidean_cluster(PointCloud(pts), tolerance_mm=tol)
         cluster_ok &= as_sets(clusters, pts) == oracle_components(pts, tol)
 
     ok = extract_ok and voxel_ok and cluster_ok

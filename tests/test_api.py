@@ -1,6 +1,12 @@
-"""The package's public names: __all__ is the whole, exact export list."""
+"""The package's public names: __all__ is the whole, exact export list.
+
+Every module of the package and of the tests reads each name it imports.
+"""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import teatpose
 
@@ -19,3 +25,29 @@ def test_star_import_exports_exactly_all():
     exec("from teatpose import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(teatpose.__all__)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """'file:line name' for each name an import binds in path and no
+    expression of the module reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in read]
+
+
+def test_no_unused_imports():
+    # The package re-exports its names by importing them, so its
+    # __init__ is the one module whose imports need no reader.
+    modules = [p for p in sorted(Path(teatpose.__file__).parent.glob("*.py"))
+               if p.name != "__init__.py"]
+    modules += sorted(Path(__file__).parent.glob("*.py"))
+    assert [u for p in modules for u in _unused_imports(p)] == []

@@ -9,7 +9,6 @@ emitted files.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -141,6 +140,17 @@ class TestCameraCurveCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: presets: expected a JSON object")
+
+    def test_lost_target_names_the_preset(self, tmp_path, capsys):
+        presets_path = tmp_path / "presets.json"
+        presets_path.write_text(json.dumps(
+            {"drop": {"a_mm": 0.2, "dropout_rate": 0.9999}}))
+        code = main(["camera-curve", "--presets", str(presets_path),
+                     "--distances", "200,400,600", "--conditions", "1",
+                     "--out", str(tmp_path / "curve")])
+        assert code == 1
+        assert ("error: preset 'drop': 0 of 3 distances kept a measurable "
+                "target; the curve needs 3\n") in capsys.readouterr().err
 
     def test_too_few_distances_fails(self, tmp_path, capsys):
         code = main(["camera-curve", "--distances", "200,400",

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
-from teatpose.errors import FrameMismatchError, InvalidInputError
+from teatpose.cloud import PointCloud
+from teatpose.errors import InvalidInputError
 
 
 class TestPointCloud:
@@ -14,26 +14,15 @@ class TestPointCloud:
         c = PointCloud([[1, 2, 3], [4, 5, 6]])
         assert c.points.dtype == np.float64
         assert len(c) == 2
-        assert c.frame == FRAME_CAMERA
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             PointCloud([[0.0, 0.0, np.nan]])
 
-    def test_rejects_unknown_frame(self):
-        with pytest.raises(InvalidInputError):
-            PointCloud([[0.0, 0.0, 1.0]], frame="robot")
-
     def test_points_are_immutable(self):
         c = PointCloud([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
             c.points[0, 0] = 9.0
-
-    def test_require_frame(self):
-        c = PointCloud([[0.0, 0.0, 1.0]], frame=FRAME_WORLD)
-        c.require_frame(FRAME_WORLD, "op")
-        with pytest.raises(FrameMismatchError):
-            c.require_frame(FRAME_CAMERA, "op")
 
     def test_select_preserves_order_and_colors(self):
         pts = np.arange(12.0).reshape(4, 3)
@@ -41,6 +30,5 @@ class TestPointCloud:
         np.testing.assert_allclose(sub.points, pts[[2, 0]])
 
     def test_empty_cloud(self):
-        c = PointCloud(np.empty((0, 3)), frame=FRAME_WORLD)
+        c = PointCloud(np.empty((0, 3)))
         assert len(c) == 0
-        assert c.frame == FRAME_WORLD

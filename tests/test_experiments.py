@@ -13,8 +13,9 @@ import os
 import numpy as np
 import pytest
 
+import teatpose.experiments as tp_experiments
 from teatpose.camera import CameraModel
-from teatpose.errors import InvalidInputError
+from teatpose.errors import CurveFitError, InvalidInputError
 from teatpose.experiments import (run_camera_curve, run_rate_bench,
                                   run_repeatability)
 from teatpose.pipeline import static_scene_stream
@@ -80,6 +81,30 @@ class TestRunRepeatability:
         assert summary["success_rate"] == 0.0
         _, raw = read_csv(tmp_path / "repeatability_raw.csv")
         assert [r[6] for r in raw] == ["no_mask"]
+
+    def test_failed_teat_is_an_ok_0_row(self, tmp_path, monkeypatch):
+        # estimate_frame fails T2 in every cycle: its rows say why, and it
+        # counts against the success rate but adds no error sample.
+        estimate = tp_experiments.estimate_frame
+
+        def fail_t2(cloud, masks, camera, config):
+            poses, failures = estimate(
+                cloud, [m for m in masks if m.teat_id != "T2"], camera,
+                config)
+            return poses, failures + [("T2", "InsufficientPointsError")]
+
+        monkeypatch.setattr(tp_experiments, "estimate_frame", fail_t2)
+        summary = run_repeatability(default_scene(seed=0), cycles=2,
+                                    out_dir=tmp_path, tilt_deg=0.0,
+                                    shift_mm=0.0)
+        _, raw = read_csv(tmp_path / "repeatability_raw.csv")
+        assert [(r[0], r[1], r[5], r[6]) for r in raw if r[2] == "0"] == [
+            (str(cycle), "T2", "0", "InsufficientPointsError")
+            for cycle in range(2)]
+        assert summary["samples"] == 6
+        assert summary["success_rate"] == 6 / 8
+        assert summary["per_teat"]["T2"]["success_rate"] == 0.0
+        assert summary["per_teat"]["T1"]["success_rate"] == 1.0
 
     def test_zero_cycles_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
@@ -172,6 +197,31 @@ class TestRunCameraCurve:
                      "camera_curve.svg"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_unmeasurable_distance_is_skipped(self, tmp_path, caplog):
+        # Half the returns dropped: the 1400 mm target keeps ~50 of the 100
+        # points a measurement needs; the nearer ones keep hundreds.
+        out = run_camera_curve(
+            {"drop": NoiseModel(a_mm=0.2, dropout_rate=0.5)}, tmp_path,
+            distances_mm=(200, 400, 600, 1400), conditions=5,
+            camera=_SMALL_CAMERA)
+        _, raw = read_csv(tmp_path / "camera_curve_raw.csv")
+        assert len(raw) == 5 * 3
+        assert {float(r[2]) for r in raw} == {200.0, 400.0, 600.0}
+        assert caplog.messages == ["preset drop: too few points at 1400 mm"] * 5
+        assert np.isfinite(out["drop"]["max_error_at_1m_mm"])
+
+    @pytest.mark.parametrize("dropout, kept", [(0.9999, 0), (0.9, 2)])
+    def test_lost_target_names_the_preset(self, dropout, kept, tmp_path):
+        # It used to raise a sample-shape error (none kept) or an error that
+        # named no preset (one or two kept).
+        presets = {"fine": NoiseModel(a_mm=0.2),
+                   "drop": NoiseModel(a_mm=0.2, dropout_rate=dropout)}
+        with pytest.raises(CurveFitError,
+                           match=f"preset 'drop': {kept} of 7 distances "
+                                 "kept a measurable target"):
+            run_camera_curve(presets, tmp_path, conditions=2,
+                             camera=_SMALL_CAMERA)
+
     def test_validation(self, tmp_path):
         with pytest.raises(InvalidInputError):
             run_camera_curve({"p": NoiseModel()}, tmp_path,
@@ -205,6 +255,8 @@ class TestRunRateBench:
     def test_validation(self, tmp_path):
         with pytest.raises(InvalidInputError):
             run_rate_bench(default_scene(seed=0), tmp_path, repeats=0)
+        with pytest.raises(InvalidInputError, match="no masks"):
+            run_rate_bench(_hidden_teat_scene(), tmp_path, repeats=1)
 
 
 @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])

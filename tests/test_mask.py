@@ -1,11 +1,12 @@
 """Mask contour, membership, and frustum-extraction tests.
 
 The canonical membership semantics is the even-odd rule with the half-open
-crossing test. The oracle below re-implements it point by point with the
-same crossing arithmetic, so the vectorized implementation must agree on
-every single point, including points exactly on vertex rows. Masks take
-only lattice contours (unit steps along u or v, as `trace_boundary` draws
-them); `points_in_polygon` takes any polygon.
+crossing test. Two references evaluate it: the scalar oracle below, point
+by point, and the vectorized `_oracles.points_in_polygon`, which the scalar
+oracle checks. The parity raster of `teatpose.mask` must agree with both on
+every single point, including points exactly on vertex rows and grid
+lines. Masks take only lattice contours (unit steps along u or v, as
+`trace_boundary` draws them); the references take any polygon.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 
 from _lattice import unit_steps
+from _oracles import backproject, points_in_polygon
 from teatpose.camera import CameraModel
-from teatpose.cloud import FRAME_WORLD, PointCloud
+from teatpose.cloud import PointCloud
 from teatpose.contour import clean_region, trace_boundary
 from teatpose.errors import InvalidInputError
-from teatpose.mask import (TeatMask, extract_masked_points, points_in_polygon,
-                           project_cells, rasterize_mask)
+from teatpose.mask import (TeatMask, extract_masked_points, project_cells,
+                           rasterize_mask)
 
 
 def _point_in_polygon_scalar(u: float, v: float, poly: np.ndarray) -> bool:
@@ -199,7 +201,7 @@ class TestExtractMaskedPoints:
     def _cloud_grid(self, depth=600.0):
         cam = self._camera()
         uu, vv = np.meshgrid(np.linspace(5, 635, 64), np.linspace(5, 475, 48))
-        pts = np.array([cam.backproject((u, v), depth)
+        pts = np.array([backproject(cam, (u, v), depth)
                         for u, v in zip(uu.ravel(), vv.ravel())])
         return PointCloud(pts)
 
@@ -247,11 +249,6 @@ class TestExtractMaskedPoints:
         out = extract_masked_points(PointCloud(pts), _full_image(), cam)
         np.testing.assert_array_equal(out.points, [[0.0, 0.0, 500.0]])
 
-    def test_requires_camera_frame(self):
-        cloud = PointCloud([[0.0, 0.0, 500.0]], frame=FRAME_WORLD)
-        with pytest.raises(Exception):
-            extract_masked_points(cloud, _square(), self._camera())
-
     def test_mask_outside_image_rejected(self):
         cam = self._camera()
         mask = TeatMask("T1", 0, unit_steps([[600, 400], [700, 400],
@@ -297,11 +294,9 @@ class TestExtractMaskedPoints:
             extract_masked_points(cloud, _square(), self._camera(),
                                   cells=cells)
 
-    @pytest.mark.parametrize("frame, masks", [
-        (FRAME_WORLD, [_square()]), ("camera", [])])
-    def test_nothing_to_project_gives_no_cells(self, frame, masks):
-        cloud = PointCloud([[0.0, 0.0, 500.0]], frame=frame)
-        cells = project_cells(cloud, self._camera(), masks)
+    def test_no_mask_gives_no_cells(self):
+        cloud = PointCloud([[0.0, 0.0, 500.0]])
+        cells = project_cells(cloud, self._camera(), [])
         assert len(cells.index) == len(cells.col) == len(cells.row) == 0
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from _lattice import unit_steps
 from teatpose.camera import CameraModel
-from teatpose.cloud import FRAME_CAMERA, PointCloud
+from teatpose.cloud import PointCloud
 from teatpose.contour import trace_boundary
 from teatpose.errors import InvalidInputError
 from teatpose.mask import TeatMask
@@ -251,7 +251,7 @@ def _frame_inputs(draw):
     dims = draw(st.integers(0, 3))  # coincident, collinear, planar, scattered
     offsets = rng.uniform(-spread, spread, (n, dims)) \
         @ rng.standard_normal((dims, 3))
-    return PointCloud(centre + offsets, frame=FRAME_CAMERA), masks
+    return PointCloud(centre + offsets), masks
 
 
 class TestEstimateFrame:
@@ -279,15 +279,6 @@ class TestEstimateFrame:
         assert failures == [("TX", "InsufficientPointsError")]
         assert len(poses) == len(masks)
 
-    def test_world_frame_cloud_fails_each_mask(self):
-        scene = default_scene(seed=0)
-        cloud, masks, _ = render(scene)
-        world = PointCloud(cloud.points, frame="world")
-        poses, failures = estimate_frame(world, masks, scene.camera,
-                                         PipelineConfig().pose)
-        assert poses == []
-        assert failures == [(m.teat_id, "FrameMismatchError") for m in masks]
-
     def test_off_image_mask_fails_alone(self):
         scene = default_scene(seed=0)
         cloud, masks, _ = render(scene)
@@ -304,7 +295,7 @@ class TestEstimateFrame:
 
     def test_no_masks_projects_nothing(self):
         # A cloud without points: any projection would raise.
-        cloud = SimpleNamespace(frame=FRAME_CAMERA)
+        cloud = SimpleNamespace()
         assert estimate_frame(cloud, [], default_scene(seed=0).camera,
                               PoseConfig()) == ([], [])
 

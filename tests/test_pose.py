@@ -18,17 +18,17 @@ from scipy.spatial import cKDTree
 
 import teatpose.cluster as tp_cluster
 import teatpose.pose as tp_pose
-from _oracles import axis_angle_deg, random_teat, teat_rings
+from _oracles import (axis_angle_deg, random_teat, sample_teat_surface,
+                      teat_rings)
 from teatpose.axes import pca_axis
 from teatpose.camera import CameraModel
-from teatpose.cloud import FRAME_CAMERA, FRAME_WORLD, PointCloud
-from teatpose.errors import (FrameMismatchError, InsufficientPointsError,
-                             InvalidInputError, TeatPoseError)
+from teatpose.cloud import PointCloud
+from teatpose.errors import (InsufficientPointsError, InvalidInputError,
+                             TeatPoseError)
 from teatpose.pose import (PoseConfig, TeatPose, disambiguate_direction,
                            estimate_teat_pose, locate_tip)
 from teatpose.mask import TeatMask
-from teatpose.scene import (TeatSpec, default_scene, render,
-                            sample_teat_surface)
+from teatpose.scene import TeatSpec, default_scene, render
 
 _POSE = dict(teat_id="T1", tip_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
              n_points=50)
@@ -143,23 +143,27 @@ class TestPoseConfig:
 
 class TestDisambiguateDirection:
 
-    def test_world_up_kept(self):
+    @staticmethod
+    def _vertical_teat():
+        # A camera looking along world +y at a teat on the world z axis.
         camera = CameraModel.look_at((0.0, -600.0, 0.0), (0.0, 0.0, 0.0))
-        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -50.0]]),
-                           frame=FRAME_WORLD)
-        out = disambiguate_direction(np.array([0.0, 0.0, 1.0]), cloud, camera)
-        np.testing.assert_allclose(out, [0.0, 0.0, 1.0])
+        cloud = PointCloud(camera.world_to_camera(
+            np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -50.0]])))
+        return camera, cloud, camera.rotation.T @ np.array([0.0, 0.0, 1.0])
+
+    def test_world_up_kept(self):
+        camera, cloud, up = self._vertical_teat()
+        out = disambiguate_direction(up, cloud, camera)
+        np.testing.assert_allclose(out, up)
 
     def test_world_down_flipped(self):
-        camera = CameraModel.look_at((0.0, -600.0, 0.0), (0.0, 0.0, 0.0))
-        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -50.0]]),
-                           frame=FRAME_WORLD)
-        out = disambiguate_direction(np.array([0.0, 0.0, -1.0]), cloud, camera)
-        np.testing.assert_allclose(out, [0.0, 0.0, 1.0])
+        camera, cloud, up = self._vertical_teat()
+        out = disambiguate_direction(-up, cloud, camera)
+        np.testing.assert_allclose(out, up)
 
     def test_zero_axis_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
-        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
+        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]))
         with pytest.raises(InvalidInputError):
             disambiguate_direction(np.zeros(3), cloud, camera)
 
@@ -167,7 +171,7 @@ class TestDisambiguateDirection:
                                       [np.inf, 0.0, 1.0]])
     def test_non_finite_axis_rejected(self, axis):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
-        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
+        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]))
         with pytest.raises(InvalidInputError, match="axis"):
             disambiguate_direction(np.array(axis), cloud, camera)
 
@@ -178,7 +182,7 @@ class TestDisambiguateDirection:
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         pts = np.column_stack([np.linspace(0.0, 100.0, 40),
                                np.zeros(40), np.full(40, 500.0)])
-        cloud = PointCloud(pts, frame=FRAME_CAMERA)
+        cloud = PointCloud(pts)
         for sign in (1.0, -1.0):
             out = disambiguate_direction(sign * np.array([1.0, 0.0, 0.0]),
                                          cloud, camera)
@@ -189,13 +193,14 @@ class TestDisambiguateDirection:
         for _ in range(200):
             teat = random_teat(rng)
             pts = sample_teat_surface(teat, 400, rng)
-            cloud = PointCloud(pts, frame=FRAME_WORLD)
             camera = CameraModel.look_at(teat.tip_mm + [0.0, -500.0, -80.0],
                                          teat.tip_mm)
+            cloud = PointCloud(camera.world_to_camera(pts))
+            axis_cam = camera.rotation.T @ teat.axis
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            out = disambiguate_direction(sign * teat.axis, cloud, camera)
+            out = disambiguate_direction(sign * axis_cam, cloud, camera)
             # tip -> base is the negative of the spec axis (base -> tip)
-            np.testing.assert_allclose(out, -teat.axis, atol=1e-12)
+            np.testing.assert_allclose(out, -axis_cam, atol=1e-12)
 
     def test_camera_frame_uses_camera_up(self):
         teat = TeatSpec(base_mm=np.array([0.0, 0.0, 600.0]),
@@ -204,7 +209,7 @@ class TestDisambiguateDirection:
                                      teat.tip_mm)
         rng = np.random.default_rng(5)
         pts = sample_teat_surface(teat, 400, rng)
-        cloud = PointCloud(camera.world_to_camera(pts), frame=FRAME_CAMERA)
+        cloud = PointCloud(camera.world_to_camera(pts))
         axis_cam = camera.rotation.T @ -teat.axis
         out = disambiguate_direction(-axis_cam, cloud, camera)
         np.testing.assert_allclose(out, axis_cam, atol=1e-12)
@@ -213,17 +218,17 @@ class TestDisambiguateDirection:
 class TestLocateTip:
 
     def test_empty_rejected(self):
-        cloud = PointCloud(np.empty((0, 3)), frame=FRAME_CAMERA)
+        cloud = PointCloud(np.empty((0, 3)))
         with pytest.raises(InsufficientPointsError):
             locate_tip(cloud, np.array([0.0, 0.0, 1.0]))
 
     def test_nan_slab_rejected(self):
-        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
+        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]))
         with pytest.raises(InvalidInputError, match="slab_mm"):
             locate_tip(cloud, np.array([0.0, 0.0, 1.0]), slab_mm=np.nan)
 
     def test_infinite_slab_rejected(self):
-        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]), frame=FRAME_CAMERA)
+        cloud = PointCloud(np.array([[0.0, 0.0, 500.0]]))
         with pytest.raises(InvalidInputError, match="slab_mm"):
             locate_tip(cloud, np.array([0.0, 0.0, 1.0]), slab_mm=np.inf)
 
@@ -231,8 +236,7 @@ class TestLocateTip:
                                       [0.0, -np.inf, 1.0]])
     def test_non_finite_axis_rejected(self, axis):
         rng = np.random.default_rng(3)
-        cloud = PointCloud(rng.normal(size=(50, 3)) + [0.0, 0.0, 500.0],
-                           frame=FRAME_CAMERA)
+        cloud = PointCloud(rng.normal(size=(50, 3)) + [0.0, 0.0, 500.0])
         with pytest.raises(InvalidInputError, match="axis"):
             locate_tip(cloud, np.array(axis))
 
@@ -241,14 +245,13 @@ class TestLocateTip:
     @pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 1e-6])
     def test_non_unit_axis_rejected(self, scale):
         rng = np.random.default_rng(3)
-        cloud = PointCloud(rng.normal(size=(200, 3)) * [5.0, 5.0, 20.0],
-                           frame=FRAME_CAMERA)
+        cloud = PointCloud(rng.normal(size=(200, 3)) * [5.0, 5.0, 20.0])
         with pytest.raises(InvalidInputError, match="unit length"):
             locate_tip(cloud, np.array([0.0, 0.0, scale]))
 
     def test_single_point_returns_it(self):
         p = np.array([3.0, -2.0, 500.0])
-        cloud = PointCloud(p[None, :], frame=FRAME_CAMERA)
+        cloud = PointCloud(p[None, :])
         np.testing.assert_allclose(locate_tip(cloud, np.array([0.0, 0.0, 1.0])),
                                    p, atol=1e-12)
 
@@ -256,7 +259,7 @@ class TestLocateTip:
         xx, yy = np.meshgrid(np.linspace(-20.0, 20.0, 15),
                              np.linspace(-20.0, 20.0, 15))
         pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
-        cloud = PointCloud(pts, frame=FRAME_CAMERA)
+        cloud = PointCloud(pts)
         tip = locate_tip(cloud, np.array([0.0, 0.0, 1.0]))
         # the slab centroid at the axial percentile of z = 0
         np.testing.assert_allclose(tip, [0.0, 0.0, 0.0], atol=1e-9)
@@ -268,8 +271,7 @@ class TestEstimateTeatPose:
     def _camera_cloud(teat, points_world):
         camera = CameraModel.look_at(teat.tip_mm + [0.0, -500.0, -80.0],
                                      teat.tip_mm)
-        return camera, PointCloud(camera.world_to_camera(points_world),
-                                  frame=FRAME_CAMERA)
+        return camera, PointCloud(camera.world_to_camera(points_world))
 
     def test_noiseless_rings_sub_half_degree(self):
         teat = TeatSpec(base_mm=np.array([10.0, -5.0, 640.0]),
@@ -366,8 +368,7 @@ class TestEstimateTeatPose:
     def test_too_few_points_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         rng = np.random.default_rng(0)
-        cloud = PointCloud(rng.uniform(0.0, 30.0, (8, 3)) + [0, 0, 500],
-                           frame=FRAME_CAMERA)
+        cloud = PointCloud(rng.uniform(0.0, 30.0, (8, 3)) + [0, 0, 500])
         with pytest.raises(InsufficientPointsError):
             estimate_teat_pose(cloud, camera)
 
@@ -455,7 +456,7 @@ class TestEstimateTeatPose:
                          [1e155, 0.0, 500.0]])
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         with pytest.raises(InvalidInputError, match="extent"):
-            estimate_teat_pose(PointCloud(pts, frame=FRAME_CAMERA), camera)
+            estimate_teat_pose(PointCloud(pts), camera)
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
@@ -465,15 +466,9 @@ class TestEstimateTeatPose:
         # would abort the whole frame and the pipeline run with it.
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         try:
-            estimate_teat_pose(PointCloud(points, frame=FRAME_CAMERA), camera)
+            estimate_teat_pose(PointCloud(points), camera)
         except TeatPoseError:
             pass
-
-    def test_world_frame_input_rejected(self):
-        camera = CameraModel(570.0, 570.0, 320.0, 240.0)
-        cloud = PointCloud(np.zeros((40, 3)), frame=FRAME_WORLD)
-        with pytest.raises(FrameMismatchError):
-            estimate_teat_pose(cloud, camera)
 
     def test_estimator_sign_is_never_read(self, monkeypatch):
         # disambiguate_direction alone decides the sign: an estimator that

@@ -17,8 +17,9 @@ import pytest
 
 import teatpose.scene as tp_scene
 from _lattice import unit_steps
+from _oracles import sample_teat_surface
 from teatpose.camera import CameraModel
-from teatpose.cloud import FRAME_CAMERA, PointCloud
+from teatpose.cloud import PointCloud
 from teatpose.contour import clean_region
 from teatpose.errors import (CurveFitError, InsufficientPointsError,
                              InvalidInputError, InvalidSceneError)
@@ -30,8 +31,7 @@ from teatpose.scene import (MAX_CAMERA_DISTANCE_MM, NoiseModel, SceneSpec,
                             TeatSpec, _cast_scene,
                             _pixel_dirs, _rays_in_box, default_scene,
                             fit_error_curve, occlude, orbbec_like_noise,
-                            plane_target_measure, render, render_plane_target,
-                            sample_teat_surface)
+                            plane_target_measure, render, render_plane_target)
 
 _UDDER_CENTER = np.array([0.0, 0.0, 650.0])
 _UDDER_SEMI = np.array([170.0, 130.0, 100.0])
@@ -256,6 +256,25 @@ class TestSceneSpec:
         # 2.5 raised a bare TypeError, and True built a 1-teat rig.
         with pytest.raises(InvalidSceneError, match="teat count"):
             default_scene(n_teats=n_teats)
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(teats=()), "teat count"),
+        (dict(teats=_single_teat_scene().teats * 7), "teat count"),
+        (dict(udder_semi_axes_mm=np.array([170.0, 0.0, 100.0])),
+         "semi-axes"),
+        (dict(udder_semi_axes_mm=np.array([-170.0, 130.0, 100.0])),
+         "semi-axes"),
+        # 30 mm down the teat's axis from its base: inside the teat, below
+        # the udder.
+        (dict(camera=CameraModel.look_at(
+            _single_teat_scene().teats[0].base_mm
+            + 30.0 * _single_teat_scene().teats[0].axis,
+            (0.0, 100.0, 530.0))), "inside teat 0"),
+    ], ids=["no_teats", "seven_teats", "zero_semi_axis",
+            "negative_semi_axis", "camera_inside_teat"])
+    def test_malformed_spec_rejected(self, change, match):
+        with pytest.raises(InvalidSceneError, match=match):
+            replace(_single_teat_scene(), **change)
 
     def test_detached_base_rejected(self):
         teat = TeatSpec(base_mm=np.array([0.0, 0.0, 900.0]),
@@ -722,7 +741,11 @@ class TestOcclude:
         ([(2, 2), (2, 12), (26, 12), (26, 2)], (10.2, 5.2, 13.8, 8.8),
          [[(2, 2), (2, 12), (26, 12), (26, 2), (11, 2), (11, 5), (14, 5),
            (14, 9), (10, 9), (10, 2)]]),
-    ], ids=["split_in_two", "clipped_at_border", "interior"])
+        # Two 40 px pieces: together over MIN_MASK_PIXELS, each under it,
+        # so neither becomes a mask.
+        ([(2, 2), (2, 12), (26, 12), (26, 2)], (6.2, 0.0, 21.8, 16.0), []),
+    ], ids=["split_in_two", "clipped_at_border", "interior",
+            "two_small_pieces"])
     def test_literal_contours(self, contour, occluder, expected):
         mask = TeatMask(teat_id="T2", stamp_us=5, contour=unit_steps(contour))
         out = occlude([mask], occluder, 30, 16)
@@ -794,7 +817,7 @@ class TestPlaneTarget:
     def test_off_target_region_rejected(self):
         camera = CameraModel(570.0, 570.0, 320.0, 240.0)
         cloud = render_plane_target(800.0, camera, NoiseModel())
-        off = PointCloud(cloud.points + [500.0, 0.0, 0.0], frame=FRAME_CAMERA)
+        off = PointCloud(cloud.points + [500.0, 0.0, 0.0])
         with pytest.raises(InsufficientPointsError):
             plane_target_measure(off)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracles import oracle_downsample
-from teatpose.cloud import FRAME_WORLD, PointCloud
+from teatpose.cloud import PointCloud
 from teatpose.errors import InvalidInputError
 from teatpose.voxel import voxel_downsample
 
@@ -65,7 +65,7 @@ class TestVoxelDownsample:
         # 1e5 uniform points in a 1 m cube, 50 mm leaf.
         rng = np.random.default_rng(2024)
         pts = rng.uniform(0.0, 1000.0, size=(100_000, 3))
-        out = voxel_downsample(PointCloud(pts, frame=FRAME_WORLD), 50.0)
+        out = voxel_downsample(PointCloud(pts), 50.0)
         expected = oracle_downsample(pts, 50.0)
         assert len(out) == len(expected)
         np.testing.assert_array_equal(out.points, expected)
@@ -133,7 +133,3 @@ class TestVoxelDownsample:
         a = voxel_downsample(PointCloud(pts), 7.0)
         b = voxel_downsample(PointCloud(pts[::-1]), 7.0)
         np.testing.assert_allclose(a.points, b.points, atol=1e-12)
-
-    def test_preserves_frame(self):
-        c = PointCloud([[1.0, 2.0, 3.0]], frame=FRAME_WORLD)
-        assert voxel_downsample(c, 5.0).frame == FRAME_WORLD
