@@ -1,4 +1,8 @@
-"""Border-following for pixel label sets.
+"""Cleaning and border-following for pixel label sets.
+
+`clean_region` reduces a pixel set to one simple region; `render` and
+`occlude` pass every mask through it. `trace_boundary` is read only by
+`TeatMask.contour`, which no frame or render needs.
 
 Pixels are unit cells: pixel (u, v) covers [u, u+1] x [v, v+1], its sample
 point sits at the center (u+0.5, v+0.5). The traced contour is the lattice

@@ -82,10 +82,12 @@ def run_repeatability(scene: SceneSpec, cycles: int, out_dir,
         poses, failures = estimate_frame(cloud, masks, cam, config)
         seen = set()
         for pose in poses:
-            d = np.linalg.norm(gt.tips_mm - pose.tip_mm, axis=1)
-            j = int(np.argmin(d))
-            seen.add(gt.teat_ids[j])
-            rows.append([cycle, gt.teat_ids[j], 1, float(d[j]),
+            # Mask ids are the ground-truth ids: a pose is scored against
+            # its own teat, never against whichever tip lies nearest.
+            j = gt.teat_ids.index(pose.teat_id)
+            seen.add(pose.teat_id)
+            rows.append([cycle, pose.teat_id, 1,
+                         float(np.linalg.norm(gt.tips_mm[j] - pose.tip_mm)),
                          _angle_deg(pose.axis, gt.axes[j]), pose.n_points, ""])
         for teat_id, err in failures:
             seen.add(teat_id)
@@ -196,6 +198,14 @@ def run_camera_curve(presets: dict[str, NoiseModel], out_dir,
                                    name, d)
                     continue
                 rows.append([name, cond, d, measured, measured - d])
+    # Checked before any file is written, so a failed run leaves the
+    # output directory as it found it.
+    for name in presets:
+        kept = len({r[2] for r in rows if r[0] == name})
+        if kept < 3:
+            raise CurveFitError(
+                f"preset {name!r}: {kept} of {len(set(distances))} "
+                "distances kept a measurable target; the curve needs 3")
 
     raw_path = os.path.join(out_dir, "camera_curve_raw.csv")
     write_csv(raw_path, columns, rows)
@@ -212,10 +222,6 @@ def run_camera_curve(presets: dict[str, NoiseModel], out_dir,
         for d, e in samples:
             by_d.setdefault(d, []).append(e)
         ds = sorted(by_d)
-        if len(ds) < 3:
-            raise CurveFitError(
-                f"preset {name!r}: {len(ds)} of {len(set(distances))} "
-                "distances kept a measurable target; the curve needs 3")
         spread = [float(np.std(by_d[d], ddof=1)) if len(by_d[d]) > 1
                   else abs(by_d[d][0]) for d in ds]
         curve = fit_error_curve(list(zip(ds, spread)))

@@ -149,8 +149,8 @@ def estimate_frame(cloud: PointCloud, masks, camera, config: PoseConfig,
     """Geometry path for one synchronized frame.
 
     The cloud is projected once per frame into pixel cells over the union
-    bounding box of the masks (`project_cells`). Per mask: carve the cloud
-    through the contour from those cells, voxel-downsample, estimate the
+    bounding box of the masks (`project_cells`). Per mask: keep the points
+    whose cells are the mask's pixels, voxel-downsample, estimate the
     pose. A failed teat is recorded and skipped; the frame never aborts.
 
     Returns:

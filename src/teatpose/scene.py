@@ -19,12 +19,15 @@ from scipy import ndimage
 
 from .camera import CameraModel
 from .cloud import PointCloud
-from .contour import clean_region, largest_component, trace_boundary
+from .contour import clean_region, largest_component
 from .errors import (CurveFitError, InsufficientPointsError, InvalidInputError,
                      InvalidSceneError, _check_bound, _check_keys,
                      _check_types, _check_vector, _dataclass_from_dict,
                      _is_int)
 from .mask import TeatMask, rasterize_mask
+
+# Read only by perfbench/spans.py HOOKS; the benchmark refresh drops it.
+trace_boundary = None
 
 MIN_MASK_PIXELS = 50
 # Farthest camera from the udder centre that a scene accepts; render is
@@ -429,8 +432,8 @@ class _Geometry:
     window is (v0, v1, u0, u1); hit_idx holds the window-local row-major
     indices of the rays that hit a surface, dirs_hit their camera-frame
     directions and z_true their exact depths. labels is the window's label
-    image, visible the teats' visible pixel counts and contours the
-    (teat id, image contour) pair of each mask.
+    image, visible the teats' visible pixel counts and masks the
+    (teat id, cleaned region, image origin) of each mask.
     """
 
     window: tuple
@@ -439,7 +442,7 @@ class _Geometry:
     z_true: np.ndarray
     labels: np.ndarray
     visible: tuple
-    contours: tuple
+    masks: tuple
 
 
 # (key, _Geometry) of the last scene `render` cast, or None.
@@ -465,7 +468,7 @@ def _geometry_key(scene: SceneSpec) -> tuple:
 
 def _cast_geometry(scene: SceneSpec) -> _Geometry:
     """The seed-free part of a render: window, rays, casts, hit set, label
-    image, visible counts and traced teat contours."""
+    image, visible counts and cleaned teat regions."""
     cam = scene.camera
     rects = [_rays_in_box(cam, scene.udder_center_mm - scene.udder_semi_axes_mm,
                           scene.udder_center_mm + scene.udder_semi_axes_mm,
@@ -492,26 +495,26 @@ def _cast_geometry(scene: SceneSpec) -> _Geometry:
     n = len(scene.teats)
     visible = np.bincount(label + 1, minlength=n + 2)[2:]
     label_win = label.reshape(v1 - v0, u1 - u0)
-    contours = []
+    masks = []
     # In label + 1, 0 is background, 1 the udder and i + 2 teat i.
     teat_boxes = ndimage.find_objects(label_win + 1, max_label=n + 1)[1:]
     for i, box in enumerate(teat_boxes):
         if visible[i] < MIN_MASK_PIXELS:
             continue
         rows, cols = box
-        contour = _traced_in_box(
+        cleaned = _cleaned_in_box(
             label_win[box] == i + 1,
             (slice(rows.start + v0, rows.stop + v0),
              slice(cols.start + u0, cols.stop + u0)))
-        if contour is not None:
-            contours.append((f"T{i + 1}", contour))
+        if cleaned is not None:
+            masks.append((f"T{i + 1}", *cleaned))
 
     geo = _Geometry(window=(v0, v1, u0, u1), hit_idx=hit_idx,
                     dirs_hit=dirs_cam[hit_idx], z_true=z_buf[hit_idx],
                     labels=label_win, visible=tuple(visible.tolist()),
-                    contours=tuple(contours))
+                    masks=tuple(masks))
     for a in (geo.hit_idx, geo.dirs_hit, geo.z_true, geo.labels,
-              *(c for _, c in contours)):
+              *(r for _, r, _ in masks)):
         a.flags.writeable = False
     return geo
 
@@ -526,14 +529,14 @@ def render(scene: SceneSpec, stamp_us: int = 0,
     rectangle (2 px around a teat's bounding box or the udder's
     silhouette), and rays are built only for the window, the rectangle
     that spans those rectangles: a pixel outside the window can hit no
-    surface, so it is background by construction. Masks are the lattice
-    boundaries of the per-teat visible pixel sets (one mask per teat with
-    >= 50 visible pixels). Each teat's pixels are cleaned and traced on
-    the crop of its bounding box, and the contour comes back in image
-    coordinates. Reproducible bit-for-bit from (scene, seed).
+    surface, so it is background by construction. Masks are the per-teat
+    visible pixel sets, reduced by `clean_region` to one simple region
+    (one mask per teat with >= 50 pixels left). Each teat's pixels are
+    cleaned on the crop of its bounding box, which goes to the mask with
+    its image origin. Reproducible bit-for-bit from (scene, seed).
 
     The geometry pass (window, rays, casts, hit set, label image, visible
-    counts and contours) depends on neither the noise, the seed nor the
+    counts and cleaned regions) depends on neither the noise, the seed nor the
     stamp, so the last one is kept and reused while the next scene has
     the same camera, udder and teats, byte for byte; a copy of a scene
     with another seed re-renders only its noise. The jittered rays and
@@ -582,8 +585,8 @@ def render(scene: SceneSpec, stamp_us: int = 0,
         pts_cam = dirs_sample * z_noisy[:, None]
 
     cloud = PointCloud(pts_cam)
-    masks = [TeatMask(teat_id=teat_id, stamp_us=stamp_us, contour=contour)
-             for teat_id, contour in geo.contours]
+    masks = [TeatMask(teat_id, stamp_us, region, origin)
+             for teat_id, region, origin in geo.masks]
 
     n = len(scene.teats)
     label_img = np.full((cam.height, cam.width), -1, dtype=np.int16)
@@ -596,20 +599,19 @@ def render(scene: SceneSpec, stamp_us: int = 0,
     return cloud, masks, gt
 
 
-def _traced_in_box(region: np.ndarray, box) -> np.ndarray | None:
-    """Contour of clean_region(region) in image coordinates.
+def _cleaned_in_box(region: np.ndarray, box) -> tuple | None:
+    """(clean_region(region), image (u, v) of its top-left pixel).
 
     region is the image cut to box, a (rows, cols) pair of slices; every
     image pixel outside the box must be background. The crop gets a
     one-pixel background border, so components, holes and pinches are the
-    ones the full image has, and so is the contour once the crop's origin
-    is added. Returns None when fewer than MIN_MASK_PIXELS pixels survive
-    the cleaning.
+    ones the full image has. Returns None when fewer than MIN_MASK_PIXELS
+    pixels survive the cleaning.
     """
     cleaned = clean_region(np.pad(region, 1))
     if int(cleaned.sum()) < MIN_MASK_PIXELS:
         return None
-    return trace_boundary(cleaned) + (box[1].start - 1, box[0].start - 1)
+    return cleaned, (box[1].start - 1, box[0].start - 1)
 
 
 # -- occlusion -----------------------------------------------------------------
@@ -627,10 +629,11 @@ def occlude(masks, occluder_px: tuple[float, float, float, float],
         width, height: Image size the masks live in.
 
     Returns:
-        New masks, none covering a removed pixel: the hole an occluder
-        inside a mask leaves is cut open, never filled (clean_region). A
-        clipped mask may split into several components (each keeps the
-        source teat_id); components under 50 px are dropped.
+        New masks, none covering a removed pixel: each component of what
+        the occluder leaves is cleaned (clean_region) and becomes a mask
+        with the source teat_id, so the hole an occluder inside a mask
+        leaves is cut open, never filled. Components with fewer than 50
+        pixels left are dropped.
     """
     u0, v0, u1, v1 = occluder_px
     if not (-math.inf < u0 <= u1 < math.inf
@@ -651,10 +654,9 @@ def occlude(masks, occluder_px: tuple[float, float, float, float],
             while remaining.sum() >= MIN_MASK_PIXELS:
                 comp = largest_component(remaining)
                 remaining = remaining & ~comp
-                contour = _traced_in_box(comp, box)
-                if contour is not None:
-                    out.append(TeatMask(teat_id=m.teat_id,
-                                        stamp_us=m.stamp_us, contour=contour))
+                cleaned = _cleaned_in_box(comp, box)
+                if cleaned is not None:
+                    out.append(TeatMask(m.teat_id, m.stamp_us, *cleaned))
     return out
 
 

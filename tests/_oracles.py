@@ -167,8 +167,8 @@ def points_in_polygon(uv: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     Half-open crossing rule: an edge counts when exactly one endpoint lies
     strictly above the query row, and the crossing is strictly right of the
     point. Vertices and edge interiors therefore resolve deterministically.
-    This is the rule the parity raster of `teatpose.mask` evaluates per
-    cell on lattice contours.
+    On the traced contour of a pixel set (`TeatMask.contour`) it holds
+    exactly the points whose cell is one of the set's pixels.
     """
     uv = np.atleast_2d(np.asarray(uv, dtype=float))
     poly = np.asarray(polygon, dtype=float)

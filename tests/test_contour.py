@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from _oracles import points_in_polygon
 from teatpose.contour import clean_region, trace_boundary
-from teatpose.mask import TeatMask, rasterize_mask
 
 
 def _region(rows: str) -> np.ndarray:
@@ -70,8 +70,8 @@ class TestCleanRegion:
 
 
 class TestRoundTrip:
-    """The traced contour of a cleaned region, rasterized by the mask
-    membership path, gives back the region."""
+    """The traced contour of a cleaned region holds, by the even-odd rule,
+    exactly the region's pixel centres."""
 
     def test_random_regions(self):
         rng = np.random.default_rng(15)
@@ -96,15 +96,18 @@ class TestRoundTrip:
             assert keys[0] == min(keys)
             assert keys[1] == (keys[0][0], keys[0][1] + 1)
             assert len(set(keys)) == len(keys)
+            vv, uu = np.mgrid[0:h, 0:w] + 0.5
+            centres = np.column_stack([uu.ravel(), vv.ravel()])
             np.testing.assert_array_equal(
-                rasterize_mask(TeatMask("T", 0, verts), w, h), region)
+                points_in_polygon(centres, verts).reshape(h, w), region)
         assert min(seen.values()) >= 100, seen
 
 
 class TestCropEquivalence:
     """Cleaning and tracing a region on its bounding-box crop, padded with
     one background pixel, gives the full-image contour once the crop's
-    origin is added. render and occlude rely on this."""
+    origin is added, so render and occlude may clean each mask on its
+    crop."""
 
     def test_random_regions(self):
         rng = np.random.default_rng(4)

@@ -9,6 +9,7 @@ whose timings are the payload.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,31 @@ class TestRunRepeatability:
         assert summary["success_rate"] == 6 / 8
         assert summary["per_teat"]["T2"]["success_rate"] == 0.0
         assert summary["per_teat"]["T1"]["success_rate"] == 1.0
+
+    def test_pose_is_scored_against_its_own_teat(self, tmp_path,
+                                                 monkeypatch):
+        # T1's pose lands on T2's tip: it is a T1 miss with its true error,
+        # never a near-perfect T2 row beside a T1 no_mask row.
+        scene = default_scene(seed=0)
+        t1, t2 = (t.tip_mm for t in scene.teats[:2])
+        estimate = tp_experiments.estimate_frame
+
+        def move_t1(cloud, masks, camera, config):
+            poses, failures = estimate(cloud, masks, camera, config)
+            return [replace(p, tip_mm=t2) if p.teat_id == "T1" else p
+                    for p in poses], failures
+
+        monkeypatch.setattr(tp_experiments, "estimate_frame", move_t1)
+        summary = run_repeatability(scene, cycles=1, out_dir=tmp_path,
+                                    tilt_deg=0.0, shift_mm=0.0)
+        _, raw = read_csv(tmp_path / "repeatability_raw.csv")
+        t1_rows = [r for r in raw if r[1] == "T1"]
+        assert [(r[2], r[6]) for r in t1_rows] == [("1", "")]
+        assert float(t1_rows[0][3]) == pytest.approx(np.linalg.norm(t2 - t1))
+        assert [r[1] for r in raw if r[1] == "T2"] == ["T2"]
+        assert summary["samples"] == 4
+        assert summary["success_rate"] == 3 / 4
+        assert summary["per_teat"]["T1"]["success_rate"] == 0.0
 
     def test_zero_cycles_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
@@ -221,6 +247,25 @@ class TestRunCameraCurve:
                                  "kept a measurable target"):
             run_camera_curve(presets, tmp_path, conditions=2,
                              camera=_SMALL_CAMERA)
+
+    def test_failed_run_writes_no_file(self, tmp_path):
+        # A lost preset raises before any file is written, so a failing
+        # run into the directory of a good one leaves every file as it was.
+        run_camera_curve({"fine": NoiseModel(a_mm=0.2)}, tmp_path,
+                         conditions=2, camera=_SMALL_CAMERA)
+        names = ("camera_curve_raw.csv", "camera_curve_summary.csv",
+                 "camera_curve.svg")
+        before = [(tmp_path / n).read_bytes() for n in names]
+        with pytest.raises(CurveFitError, match="preset 'lost'"):
+            run_camera_curve({"lost": NoiseModel(dropout_rate=0.9999)},
+                             tmp_path, conditions=2, camera=_SMALL_CAMERA)
+        assert [(tmp_path / n).read_bytes() for n in names] == before
+        fresh = tmp_path / "fresh"
+        with pytest.raises(CurveFitError, match="preset 'lost'"):
+            run_camera_curve({"fine": NoiseModel(a_mm=0.2),
+                              "lost": NoiseModel(dropout_rate=0.9999)},
+                             fresh, conditions=2, camera=_SMALL_CAMERA)
+        assert list(fresh.iterdir()) == []
 
     def test_validation(self, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _lattice import unit_steps
+import teatpose.contour as tp_contour
+import teatpose.mask as tp_mask
+import teatpose.scene as tp_scene
+from _lattice import rect_mask
 from teatpose.camera import CameraModel
 from teatpose.cloud import PointCloud
-from teatpose.contour import trace_boundary
 from teatpose.errors import InvalidInputError
 from teatpose.mask import TeatMask
 from teatpose.pipeline import (ConsistencyGate, FrameMessage, LatencyModel,
@@ -74,8 +76,7 @@ class TestLatencyModel:
 class TestFrameMessage:
 
     def test_stamp_mismatch_rejected(self):
-        contour = unit_steps([[0, 0], [10, 0], [10, 10], [0, 10]])
-        mask = TeatMask(teat_id="T1", stamp_us=99, contour=contour)
+        mask = rect_mask(0, 0, 10, 10, stamp_us=99)
         scene = default_scene()
         cloud, _, _ = render(scene)
         with pytest.raises(InvalidInputError):
@@ -234,12 +235,11 @@ def _frame_inputs(draw):
         if draw(st.booleans()):
             r = min(du, dv) // 2
             y, x = np.ogrid[-r:r + 1, -r:r + 1]
-            contour = trace_boundary(x * x + y * y <= r * r) + (u0, v0)
+            masks.append(TeatMask(f"T{k + 1}", 0, x * x + y * y <= r * r,
+                                  (u0, v0)))
         else:
-            contour = unit_steps([(u0, v0), (u0, v0 + dv), (u0 + du, v0 + dv),
-                                  (u0 + du, v0)])
-        masks.append(TeatMask(teat_id=f"T{k + 1}", stamp_us=0,
-                              contour=contour))
+            masks.append(rect_mask(u0, v0, u0 + du, v0 + dv,
+                                   teat_id=f"T{k + 1}"))
     u, v = masks[0].contour.mean(axis=0)
     depth = draw(st.just(500.0)
                  | st.sampled_from([-500.0, 0.0, 1e-9, 1.0, 1e6, 1e12]))
@@ -271,9 +271,7 @@ class TestEstimateFrame:
         scene = default_scene(seed=0)
         cloud, masks, _ = render(scene)
         # corner region holds no scene points
-        corner = TeatMask(teat_id="TX", stamp_us=0,
-                          contour=unit_steps([[0, 0], [40, 0], [40, 40],
-                                              [0, 40]]))
+        corner = rect_mask(0, 0, 40, 40, teat_id="TX")
         poses, failures = estimate_frame(cloud, (corner,) + tuple(masks),
                                          scene.camera, PipelineConfig().pose)
         assert failures == [("TX", "InsufficientPointsError")]
@@ -282,9 +280,7 @@ class TestEstimateFrame:
     def test_off_image_mask_fails_alone(self):
         scene = default_scene(seed=0)
         cloud, masks, _ = render(scene)
-        off = TeatMask(teat_id="TX", stamp_us=0,
-                       contour=unit_steps([[600, 0], [700, 0], [700, 480],
-                                           [600, 480]]))
+        off = rect_mask(600, 0, 700, 480, teat_id="TX")
         config = PipelineConfig().pose
         alone, _ = estimate_frame(cloud, masks, scene.camera, config)
         poses, failures = estimate_frame(cloud, [off] + list(masks),
@@ -292,6 +288,23 @@ class TestEstimateFrame:
         assert failures == [("TX", "InvalidInputError")]
         assert ([json.dumps(p.to_dict()) for p in poses]
                 == [json.dumps(p.to_dict()) for p in alone])
+
+    def test_frame_path_never_traces(self, monkeypatch):
+        # A mask is its pixel set: neither a render, the casting one
+        # included, nor a frame or a run traces a contour.
+        def refuse(region):
+            raise AssertionError("trace_boundary called")
+
+        monkeypatch.setattr(tp_mask, "trace_boundary", refuse)
+        monkeypatch.setattr(tp_contour, "trace_boundary", refuse)
+        monkeypatch.setattr(tp_scene, "_last_geometry", None)
+        scene = default_scene(seed=0)
+        cloud, masks, _ = render(scene)
+        poses, failures = estimate_frame(cloud, masks, scene.camera,
+                                         PipelineConfig().pose)
+        assert len(poses) == 4 and failures == []
+        result = run_pipeline(static_scene_stream(scene, 5))
+        assert result.poses
 
     def test_no_masks_projects_nothing(self):
         # A cloud without points: any projection would raise.
@@ -503,11 +516,10 @@ class TestPinnedSchedule:
 
     @pytest.fixture(autouse=True)
     def _stub_stages(self, monkeypatch):
-        contour = unit_steps([[0, 0], [10, 0], [10, 10], [0, 10]])
         pose = _pose([0.0, 0.0, 600.0])
 
         def fake_render(scene, stamp_us=0):
-            mask = TeatMask(teat_id="T1", stamp_us=stamp_us, contour=contour)
+            mask = rect_mask(0, 0, 10, 10, stamp_us=stamp_us)
             return None, [mask], None
 
         def fake_estimate_frame(cloud, masks, camera, config):

@@ -32,7 +32,7 @@ from teatpose.scene import TeatSpec, default_scene, render
 
 _POSE = dict(teat_id="T1", tip_mm=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]),
              n_points=50)
-_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+_PIXEL = np.ones((1, 1), dtype=bool)
 
 
 @st.composite
@@ -97,11 +97,11 @@ class TestTeatPose:
         lambda: TeatPose(stamp_us="x", **_POSE),
         lambda: TeatPose(**{**_POSE, "n_points": True}),
         lambda: TeatPose(**{**_POSE, "n_points": 7.0}),
-        lambda: TeatMask("T", "x", _SQUARE),
-        lambda: TeatMask("T", 2.5, _SQUARE),
-        lambda: TeatMask("T", np.float64(3.0), _SQUARE),
-        lambda: TeatMask("T", False, _SQUARE),
-        lambda: TeatMask("T", -1, _SQUARE),
+        lambda: TeatMask("T", "x", _PIXEL),
+        lambda: TeatMask("T", 2.5, _PIXEL),
+        lambda: TeatMask("T", np.float64(3.0), _PIXEL),
+        lambda: TeatMask("T", False, _PIXEL),
+        lambda: TeatMask("T", -1, _PIXEL),
         lambda: render(default_scene(seed=0), stamp_us=2.5),
     ], ids=["pose_float_stamp", "pose_bool_stamp", "pose_negative_stamp",
             "pose_str_stamp", "pose_bool_count", "pose_float_count",

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 import teatpose.scene as tp_scene
-from _lattice import unit_steps
+from _lattice import rect_mask
 from _oracles import sample_teat_surface
 from teatpose.camera import CameraModel
 from teatpose.cloud import PointCloud
 from teatpose.contour import clean_region
 from teatpose.errors import (CurveFitError, InsufficientPointsError,
                              InvalidInputError, InvalidSceneError)
-from teatpose.mask import TeatMask, rasterize_mask
+from teatpose.mask import rasterize_mask
 from teatpose.pipeline import (estimate_frame, run_pipeline,
                                static_scene_stream)
 from teatpose.pose import PoseConfig
@@ -432,7 +432,8 @@ class TestRender:
         np.testing.assert_array_equal(cloud_a.points, cloud_b.points)
         assert len(masks_a) == len(masks_b)
         for ma, mb in zip(masks_a, masks_b):
-            np.testing.assert_array_equal(ma.contour, mb.contour)
+            np.testing.assert_array_equal(ma.region, mb.region)
+            assert ma.origin == mb.origin
         np.testing.assert_array_equal(gt_a.labels, gt_b.labels)
 
     def test_hidden_teats_yield_no_masks(self):
@@ -607,7 +608,8 @@ class TestGeometryReuse:
     def test_outputs_stay_the_callers(self, casts):
         scene = _PINNED_SCENES["default_orbbec"]()
         cloud, masks, gt = render(scene)
-        for a in (cloud.points, *(m.contour for m in masks)):
+        for a in (cloud.points, *(m.region for m in masks),
+                  *(m.contour for m in masks)):
             a.flags.writeable = True
             a[:] = 0
         for a in (gt.labels, gt.tips_mm, gt.axes):
@@ -711,7 +713,8 @@ class TestOcclude:
         assert len(out) == len(masks)
         for before, after in zip(masks, out):
             assert after.teat_id == before.teat_id
-            np.testing.assert_array_equal(after.contour, before.contour)
+            np.testing.assert_array_equal(after.region, before.region)
+            assert after.origin == before.origin
 
     def test_full_cover_removes_mask(self):
         _, masks, _ = render(default_scene(seed=3))
@@ -720,34 +723,34 @@ class TestOcclude:
 
     def test_band_splits_mask(self):
         _, masks, _ = render(default_scene(seed=3))
-        v = masks[0].contour[:, 1]
-        v_mid = 0.5 * (float(v.min()) + float(v.max()))
+        (_, v_lo), (_, v_hi) = masks[0].bbox
+        v_mid = 0.5 * (float(v_lo) + float(v_hi))
         out = occlude(masks[:1], (0.0, v_mid - 2.0, 640.0, v_mid + 2.0),
                       640, 480)
         assert len(out) == 2
         assert all(m.teat_id == masks[0].teat_id for m in out)
 
-    @pytest.mark.parametrize("contour, occluder, expected", [
+    @pytest.mark.parametrize("rect, occluder, expected", [
         # A band splits the mask in two; the larger piece comes first.
-        ([(2, 2), (2, 12), (26, 12), (26, 2)], (10.2, 0.0, 13.8, 16.0),
+        ((2, 2, 26, 12), (10.2, 0.0, 13.8, 16.0),
          [[(14, 2), (14, 12), (26, 12), (26, 2)],
           [(2, 2), (2, 12), (10, 12), (10, 2)]]),
         # The mask reaches the right and bottom image borders and the
         # occluder reaches past them.
-        ([(18, 6), (18, 16), (30, 16), (30, 6)], (24.2, 11.2, 40.0, 40.0),
+        ((18, 6, 30, 16), (24.2, 11.2, 40.0, 40.0),
          [[(18, 6), (18, 16), (24, 16), (24, 11), (30, 11), (30, 6)]]),
         # An occluder strictly inside the mask: the hole is cut open up the
         # column above its top-left pixel, never filled back.
-        ([(2, 2), (2, 12), (26, 12), (26, 2)], (10.2, 5.2, 13.8, 8.8),
+        ((2, 2, 26, 12), (10.2, 5.2, 13.8, 8.8),
          [[(2, 2), (2, 12), (26, 12), (26, 2), (11, 2), (11, 5), (14, 5),
            (14, 9), (10, 9), (10, 2)]]),
         # Two 40 px pieces: together over MIN_MASK_PIXELS, each under it,
         # so neither becomes a mask.
-        ([(2, 2), (2, 12), (26, 12), (26, 2)], (6.2, 0.0, 21.8, 16.0), []),
+        ((2, 2, 26, 12), (6.2, 0.0, 21.8, 16.0), []),
     ], ids=["split_in_two", "clipped_at_border", "interior",
             "two_small_pieces"])
-    def test_literal_contours(self, contour, occluder, expected):
-        mask = TeatMask(teat_id="T2", stamp_us=5, contour=unit_steps(contour))
+    def test_literal_contours(self, rect, occluder, expected):
+        mask = rect_mask(*rect, teat_id="T2", stamp_us=5)
         out = occlude([mask], occluder, 30, 16)
         assert all(m.teat_id == "T2" and m.stamp_us == 5 for m in out)
         assert [_corners(m.contour) for m in out] == expected
