@@ -138,8 +138,24 @@ class TestTeatMask:
     def test_rejects_self_intersection(self):
         # Two pixels that touch only at a corner: a valid pixel set, whose
         # boundary touches itself, so it has no simple contour.
-        mask = TeatMask("T1", 0, np.eye(2, dtype=bool), (3, 4))
+        mask = TeatMask("T1", 0, np.fliplr(np.eye(2, dtype=bool)), (3, 4))
         assert mask.bbox[0].tolist() == [3, 4]
+        with pytest.raises(ValueError, match="not a simple closed curve"):
+            mask.contour
+
+    @pytest.mark.parametrize("contour", [
+        # Two unit squares that touch at the vertex (1, 1).
+        [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [1, 1], [0, 1]],
+    ], ids=["figure_eight"])
+    def test_rejects_non_lattice_contour(self, contour):
+        # The pixels a lattice walk that revisits a vertex encloses form a
+        # valid mask, but tracing them cannot give that walk back.
+        contour = np.array(contour)
+        vv, uu = np.mgrid[0:2, 0:2] + 0.5
+        centres = np.column_stack([uu.ravel(), vv.ravel()])
+        region = points_in_polygon(centres, contour).reshape(2, 2)
+        np.testing.assert_array_equal(region, np.eye(2, dtype=bool))
+        mask = TeatMask("T1", 0, region)
         with pytest.raises(ValueError, match="not a simple closed curve"):
             mask.contour
 
